@@ -9,17 +9,17 @@ the level of the lowest common ancestor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
     TOL,
-    _model_with_points,
+    _model_f,
     _monotone_model,
+    _to_model_point,
     distance,
     epsilon_net,
     finite_metric,
@@ -168,45 +168,48 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     return MergeTree(nodes=nodes, root=remap[live[0]], node_of=node_of)
 
 
+def _merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
+    cp = G.canonical(p)
+    tree = G._tree_cache.get(cp)
+    if tree is None:
+        tree = G._tree_cache[cp] = _merge_tree_from_model(_monotone_model(G, cp))
+    return tree
+
+
 def build_merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
-    """Merge tree of d(p, .) over the monotone subdivision's vertices."""
-    return _merge_tree_from_model(_monotone_model(G, p))
+    """Merge tree of d(p, .) over the monotone subdivision's vertices.
+
+    Built once per (graph, canonical basepoint) and shared; do not mutate.
+    """
+    return _merge_tree(G, p)
+
+
+def _place(G: MetricGraph, model: MonotoneModel, x: GraphPoint) -> Tuple[str, float]:
+    """(x if it is a model vertex, else the upper end of its model edge;
+    f(x))."""
+    mp = _to_model_point(model, G.canonical(x))
+    if mp.is_vertex():
+        return mp.vertex, model.f[mp.vertex]
+    e = model.graph.edge(mp.edge)
+    upper = e.v if model.f[e.v] >= model.f[e.u] else e.u
+    return upper, _model_f(model, mp)
 
 
 def bottleneck_m(G: MetricGraph, p: GraphPoint, x: GraphPoint, y: GraphPoint) -> float:
     """Highest level at which x and y share a superlevel component of
     d(p, .): maximum over x-y paths of the minimum of the function.
 
-    Kruskal over the monotone subdivision with x and y made vertices: edges
-    join in decreasing order of min(f(u), f(v)); the connecting weight is
-    m_p, capped by min(f(x), f(y)).
+    f is monotone along every model edge, so a path from an interior point
+    does at least as well leaving through the upper end of its edge: m_p is
+    min(f(x), f(y), merge level of the two upper ends). When x and y lie on
+    one model edge that level is the upper end's own, above both, and m_p is
+    min(f(x), f(y)).
     """
     model = _monotone_model(G, p)
-    refined, names = _model_with_points(model, [x, y])
-    vx, vy = names[0], names[1]
-    f, H = refined.f, refined.graph
-    cap = min(f[vx], f[vy])
-    if vx == vy:
-        return cap
-
-    parent: Dict[str, str] = {v: v for v in H.vertices}
-
-    def find(v: str) -> str:
-        r = v
-        while parent[r] != r:
-            r = parent[r]
-        while parent[v] != r:
-            parent[v], v = r, parent[v]
-        return r
-
-    ranked = sorted(H.edges, key=lambda e: (-min(f[e.u], f[e.v]), e.id))
-    for e in ranked:
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            parent[ra] = rb
-        if find(vx) == find(vy):
-            return min(cap, min(f[e.u], f[e.v]))
-    raise AssertionError("endpoints never connected")
+    ux, fx = _place(G, model, x)
+    uy, fy = _place(G, model, y)
+    tree = _merge_tree(G, p)
+    return min(fx, fy, tree.merge_level(tree.node_of[ux], tree.node_of[uy]))
 
 
 def t_p(G: MetricGraph, p: GraphPoint, x: GraphPoint, y: GraphPoint) -> float:
@@ -228,14 +231,13 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
         raise ValueError("mesh must be > 0")
     net = epsilon_net(G, mesh)
     model = _monotone_model(G, p)
-    refined, names = _model_with_points(model, net)
-    tree = _merge_tree_from_model(refined)
-    f = refined.f
+    tree = _merge_tree(G, p)
     D = finite_metric(G, net)
 
     n = len(net)
-    node_ids = [tree.node_of[v] for v in names]
-    flev = [f[v] for v in names]
+    places = [_place(G, model, x) for x in net]
+    node_ids = [tree.node_of[u] for (u, _) in places]
+    flev = [fx for (_, fx) in places]
 
     # cache ancestor chains once; pairwise LCA via the chains
     chains: List[Dict[int, int]] = []
@@ -255,7 +257,8 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
             cur = node_ids[j]
             while cur not in ci:
                 cur = tree.nodes[cur].parent
-            tp = flev[i] + flev[j] - 2.0 * tree.nodes[cur].level
+            m = min(flev[i], flev[j], tree.nodes[cur].level)
+            tp = flev[i] + flev[j] - 2.0 * m
             gap = D[i, j] - tp
             if gap < -1e-9:
                 raise AssertionError("tree metric exceeded the graph metric")

@@ -87,7 +87,8 @@ class MetricGraph:
             for w in (u, v):
                 if w not in vset:
                     raise ValueError(f"edge {eid}: unknown endpoint {w}")
-            if not (isinstance(length, (int, float)) and math.isfinite(length)) or length <= 0:
+            if isinstance(length, bool) or not (
+                    isinstance(length, (int, float)) and math.isfinite(length)) or length <= 0:
                 raise ValueError(f"edge {eid}: length must be > 0")
             edef.append(Edge(eid, u, v, float(length)))
 
@@ -126,6 +127,9 @@ class MetricGraph:
         self._check_connected()
         self._dist_cache: Dict[str, Dict[str, float]] = {}
         self._diam_cache: Optional[float] = None
+        # keyed by canonical basepoint; see _monotone_model and build_merge_tree
+        self._model_cache: Dict[GraphPoint, "MonotoneModel"] = {}
+        self._tree_cache: Dict[GraphPoint, object] = {}
 
     def _check_connected(self):
         seen = {self._vertices[0]}
@@ -179,7 +183,11 @@ class MetricGraph:
                 raise ValueError(f"unknown vertex: {pt.vertex}")
             return pt if pt.offset == 0.0 else GraphPoint(vertex=pt.vertex)
         e = self.edge(pt.edge)
+        if isinstance(pt.offset, bool):
+            raise ValueError(f"offset on edge {e.id} must be a number, not a bool")
         t = float(pt.offset)
+        if not math.isfinite(t):
+            raise ValueError(f"offset {t} on edge {e.id} is not finite")
         if t < -TOL or t > e.length + TOL:
             raise ValueError(f"offset {t} outside edge {e.id} of length {e.length}")
         if t <= TOL:
@@ -648,7 +656,11 @@ def is_simple_path(G: MetricGraph, path: EdgePath) -> bool:
 @dataclass(frozen=True)
 class MonotoneModel:
     """Subdivision of a graph on which d(p, .) is affine with slope +-1
-    along every edge."""
+    along every edge.
+
+    Built once per (graph, canonical basepoint) and cached on the graph, so
+    every caller shares one instance: it and its dicts must not be mutated.
+    """
 
     graph: MetricGraph
     f: Dict[str, float]
@@ -657,13 +669,16 @@ class MonotoneModel:
     # model u, model v); model u sits at host_lo
     host_segments: Dict[str, Tuple[Tuple[float, float, str, str, str], ...]]
     new_vertices: Dict[str, Tuple[str, float]]
+    # model edge id -> (host edge id, host_lo of its segment)
+    host_of: Dict[str, Tuple[str, float]]
 
 
-def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -> Tuple[MetricGraph, Dict[str, Tuple], Dict[str, Tuple[str, float]]]:
+def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -> Tuple[MetricGraph, Dict[str, Tuple], Dict[str, Tuple[str, float]], Dict[str, Tuple[str, float]]]:
     verts = list(G.vertices)
     new_vertices: Dict[str, Tuple[str, float]] = {}
     edges: List[Tuple[str, str, str, float]] = []
     host: Dict[str, Tuple] = {}
+    host_of: Dict[str, Tuple[str, float]] = {}
     for e in G.edges:
         cl = sorted(cuts.get(e.id, []))
         segs = []
@@ -686,15 +701,26 @@ def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -
                 edges.append((mid, uu, vv, b - a))
                 segs.append((a, b, mid, uu, vv))
         host[e.id] = tuple(segs)
-    return MetricGraph(verts, edges), host, new_vertices
+        for seg in segs:
+            host_of[seg[2]] = (e.id, seg[0])
+    return MetricGraph(verts, edges), host, new_vertices, host_of
 
 
 def _monotone_model(G: MetricGraph, p: GraphPoint) -> MonotoneModel:
+    """The monotone subdivision of (G, p), built on first use and cached on
+    G under the canonical basepoint."""
     cp = G.canonical(p)
+    model = G._model_cache.get(cp)
+    if model is None:
+        model = G._model_cache[cp] = _build_monotone_model(G, cp)
+    return model
+
+
+def _build_monotone_model(G: MetricGraph, cp: GraphPoint) -> MonotoneModel:
     cuts: Dict[str, List[Tuple[float, str]]] = {}
     if not cp.is_vertex():
         cuts[cp.edge] = [(cp.offset, f"{cp.edge}|p")]
-    G0, host0, newv0 = _build_from_cuts(G, cuts)
+    G0, _, _, host0 = _build_from_cuts(G, cuts)
     p0 = f"{cp.edge}|p" if not cp.is_vertex() else cp.vertex
     f0 = G0._vertex_dists(p0)
 
@@ -702,25 +728,17 @@ def _monotone_model(G: MetricGraph, p: GraphPoint) -> MonotoneModel:
     for e0 in G0.edges:
         tstar = (e0.length + f0[e0.v] - f0[e0.u]) / 2.0
         if TOL < tstar < e0.length - TOL:
-            # translate back to host coordinates
-            for heid, segs in host0.items():
-                for (a, b, mid, uu, vv) in segs:
-                    if mid == e0.id:
-                        counter = len(cuts.setdefault(heid, []))
-                        cuts[heid].append((a + tstar, f"{heid}|t{counter}"))
-                        break
-                else:
-                    continue
-                break
+            heid, a = host0[e0.id]  # back to host coordinates
+            counter = len(cuts.setdefault(heid, []))
+            cuts[heid].append((a + tstar, f"{heid}|t{counter}"))
 
-    H, host, newv = _build_from_cuts(G, cuts)
-    pv = p0
-    f = H._vertex_dists(pv)
+    H, host, newv, host_of = _build_from_cuts(G, cuts)
+    f = H._vertex_dists(p0)
     for e in H.edges:  # slopes must be +-1 now
         if abs(abs(f[e.u] - f[e.v]) - e.length) > 5e-9:
             raise AssertionError(f"edge {e.id} is not monotone after subdivision")
-    return MonotoneModel(graph=H, f=dict(f), p_vertex=pv, host_segments=host,
-                         new_vertices=newv)
+    return MonotoneModel(graph=H, f=dict(f), p_vertex=p0, host_segments=host,
+                         new_vertices=newv, host_of=host_of)
 
 
 def monotone_subdivision(G: MetricGraph, p: GraphPoint) -> Tuple[MetricGraph, Dict[str, Tuple[str, float]]]:
@@ -743,19 +761,24 @@ def _to_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
     raise ValueError(f"point {pt} not covered by the subdivision")
 
 
+def _model_f(model: MonotoneModel, mp: GraphPoint) -> float:
+    """d(p, .) at a canonical point of the model, interpolated on edges."""
+    if mp.is_vertex():
+        return model.f[mp.vertex]
+    e = model.graph.edge(mp.edge)
+    sgn = 1.0 if model.f[e.v] >= model.f[e.u] else -1.0
+    return model.f[e.u] + sgn * mp.offset
+
+
 def _from_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
-    H = model.graph
-    c = H.canonical(pt)
+    c = model.graph.canonical(pt)
     if c.is_vertex():
         if c.vertex in model.new_vertices:
             eid, off = model.new_vertices[c.vertex]
             return GraphPoint(edge=eid, offset=off)
         return c
-    for heid, segs in model.host_segments.items():
-        for (a, b, mid, uu, vv) in segs:
-            if mid == c.edge:
-                return GraphPoint(edge=heid, offset=a + c.offset)
-    raise AssertionError(f"model edge {c.edge} has no host")
+    heid, lo = model.host_of[c.edge]
+    return GraphPoint(edge=heid, offset=lo + c.offset)
 
 
 def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, float, float]]:
@@ -774,59 +797,6 @@ def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, floa
             else:
                 out.append((mid, ov_hi - sa, ov_lo - sa))
     return out
-
-
-def _model_with_points(model: MonotoneModel, pts: Sequence[GraphPoint]) -> Tuple[MonotoneModel, List[str]]:
-    """Subdivide the model further so every listed host point is a vertex.
-
-    Returns the refined model and, for each input point, its vertex id.
-    f extends by interpolation; slopes stay +-1.
-    """
-    H = model.graph
-    cuts: Dict[str, List[Tuple[float, str]]] = {}
-    names: List[Optional[str]] = []
-    taken = set(H.vertices)
-    for pt in pts:
-        mp = _to_model_point(model, pt)
-        if mp.is_vertex():
-            names.append(mp.vertex)
-            continue
-        lst = cuts.setdefault(mp.edge, [])
-        vid = None
-        for (off, known) in lst:
-            if abs(off - mp.offset) <= TOL:
-                vid = known
-                break
-        if vid is None:
-            vid = f"{mp.edge}|q{len(lst)}"
-            while vid in taken:
-                vid += "x"
-            taken.add(vid)
-            lst.append((mp.offset, vid))
-        names.append(vid)
-
-    H2, host2, newv2 = _build_from_cuts(H, cuts)
-    f2 = dict(model.f)
-    for vid, (meid, off) in newv2.items():
-        e = H.edge(meid)
-        sgn = 1.0 if model.f[e.v] >= model.f[e.u] else -1.0
-        f2[vid] = model.f[e.u] + sgn * off
-
-    # compose host segment maps: host edge of G -> segments of H2
-    comp: Dict[str, Tuple] = {}
-    for geid, segs in model.host_segments.items():
-        acc = []
-        for (a, b, mid, uu, vv) in segs:
-            for (a2, b2, mid2, uu2, vv2) in host2[mid]:
-                acc.append((a + a2, a + b2, mid2, uu2, vv2))
-        comp[geid] = tuple(acc)
-    newv = dict(model.new_vertices)
-    for vid, (meid, off) in newv2.items():
-        hp = _from_model_point(model, GraphPoint(edge=meid, offset=off))
-        newv[vid] = (hp.edge, hp.offset) if not hp.is_vertex() else (meid, off)
-    refined = MonotoneModel(graph=H2, f=f2, p_vertex=model.p_vertex,
-                            host_segments=comp, new_vertices=newv)
-    return refined, [n for n in names]
 
 
 def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> List[EdgePath]:
@@ -854,37 +824,22 @@ def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> Lis
             runs.append([(mid, a, b)])
             signs.append(sgn)
 
+    def host_coord(mid: str, off: float) -> float:
+        hp = _from_model_point(model, GraphPoint(edge=mid, offset=off))
+        return model.host_of[mid][1] + off if hp.is_vertex() else hp.offset
+
     segments: List[EdgePath] = []
     for run in runs:
         gsteps: List[Tuple[str, float, float]] = []
         for (mid, a, b) in run:
-            hp_a = _from_model_point(model, GraphPoint(edge=mid, offset=a))
-            hp_b = _from_model_point(model, GraphPoint(edge=mid, offset=b))
-            ca = hp_a.offset if not hp_a.is_vertex() else _host_coord(model, mid, a)
-            cb = hp_b.offset if not hp_b.is_vertex() else _host_coord(model, mid, b)
-            heid = _host_edge(model, mid)
+            ca, cb = host_coord(mid, a), host_coord(mid, b)
+            heid = model.host_of[mid][0]
             if gsteps and gsteps[-1][0] == heid and abs(gsteps[-1][2] - ca) <= TOL:
                 gsteps[-1] = (heid, gsteps[-1][1], cb)
             else:
                 gsteps.append((heid, ca, cb))
         segments.append(EdgePath(steps=tuple(gsteps)))
     return segments
-
-
-def _host_edge(model: MonotoneModel, mid: str) -> str:
-    for heid, segs in model.host_segments.items():
-        for (a, b, m, uu, vv) in segs:
-            if m == mid:
-                return heid
-    raise AssertionError(f"model edge {mid} has no host")
-
-
-def _host_coord(model: MonotoneModel, mid: str, off: float) -> float:
-    for heid, segs in model.host_segments.items():
-        for (a, b, m, uu, vv) in segs:
-            if m == mid:
-                return a + off
-    raise AssertionError(f"model edge {mid} has no host")
 
 
 def f_variation(G: MetricGraph, p: GraphPoint, path: EdgePath) -> float:
@@ -1007,5 +962,8 @@ def point_from_json_obj(obj: dict) -> GraphPoint:
     if "vertex" in obj:
         return GraphPoint(vertex=obj["vertex"])
     if "edge" in obj:
-        return GraphPoint(edge=obj["edge"], offset=float(obj.get("offset", 0.0)))
+        offset = obj.get("offset", 0.0)
+        if isinstance(offset, bool):
+            raise ValueError("point offset must be a number, not a bool")
+        return GraphPoint(edge=obj["edge"], offset=float(offset))
     raise ValueError("point json needs 'vertex' or 'edge'")

@@ -15,19 +15,18 @@ highest point of G, which contributes a hanging tail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
     TOL,
+    _from_model_point,
+    _model_f,
     _monotone_model,
     _to_model_point,
-    _from_model_point,
-    diameter,
     distance,
     epsilon_net,
     finite_metric,
@@ -47,16 +46,14 @@ class SmoothedGraph:
 
     ``graph`` is the quotient as a metric graph, ``level`` the value of the
     quotient function on its vertices, ``base_class`` the vertex holding the
-    class of the basepoint (level 0). ``sample_quotient`` maps a fixed net
-    of the source graph (mesh 0.05 x diameter) to its classes. Edge lengths
-    equal the level difference of their endpoints, and the distance from
-    ``base_class`` to any point equals its level.
+    class of the basepoint (level 0). Edge lengths equal the level
+    difference of their endpoints, and the distance from ``base_class`` to
+    any point equals its level.
     """
 
     graph: MetricGraph
     level: Dict[str, float]
     base_class: str
-    sample_quotient: Dict[GraphPoint, GraphPoint]
     eps: float
     _source: MetricGraph = field(repr=False)
     _model: MonotoneModel = field(repr=False)
@@ -75,14 +72,6 @@ class SmoothedGraph:
         obj["level"] = {v: self.level[v] for v in sorted(self.level)}
         obj["base"] = self.base_class
         return obj
-
-
-def _model_f(model: MonotoneModel, mp: GraphPoint) -> float:
-    if mp.is_vertex():
-        return model.f[mp.vertex]
-    e = model.graph.edge(mp.edge)
-    sgn = 1.0 if model.f[e.v] >= model.f[e.u] else -1.0
-    return model.f[e.u] + sgn * mp.offset
 
 
 def _band_components(model: MonotoneModel, lo: float, hi: float) -> Dict[_Elem, int]:
@@ -243,8 +232,8 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
     base_pv = crit_elems[0][("v", model.p_vertex)]
     base = vname[base_pv]
 
-    smoothed = SmoothedGraph(
-        graph=S, level=level, base_class=base, sample_quotient={}, eps=eps,
+    return SmoothedGraph(
+        graph=S, level=level, base_class=base, eps=eps,
         _source=G, _model=model, _criticals=tuple(criticals),
         _crit_elems=tuple(crit_elems), _int_elems=tuple(int_elems),
         _pv_final=tuple(pv_final), _pe_final=tuple(pe_final),
@@ -252,15 +241,6 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
         _pv_elems=tuple(tuple(x) for x in pv_elems),
         _pe_elems=tuple(tuple(x) for x in pe_elems),
     )
-
-    diam = diameter(G)
-    if diam > 0:
-        net = epsilon_net(G, 0.05 * diam)
-    else:
-        net = [GraphPoint(vertex=v) for v in G.vertices]
-    sq = {pt: _locate(smoothed, pt) for pt in net}
-    object.__setattr__(smoothed, "sample_quotient", sq)
-    return smoothed
 
 
 def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:

@@ -2,22 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricgraph import (
     GraphPoint,
+    MetricGraph,
     bottleneck_m,
     build_merge_tree,
     distance,
     diameter,
+    epsilon_smoothing,
     gromov_product,
     hyp_graph,
     hyperbolicity,
+    monotone_subdivision,
     t_p,
     tree_distortion,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.metric_graph import _monotone_model
 
 from conftest import random_point
+from oracles import bottleneck_maximin
 
 TOL = 1e-9
 
@@ -81,6 +87,115 @@ class TestBottleneck:
                     lvl = tree.merge_level(tree.node_of[u], tree.node_of[w])
                     m = bottleneck_m(G, p, GraphPoint(vertex=u), GraphPoint(vertex=w))
                     assert abs(lvl - m) < 1e-7
+
+
+SMALL = EnsembleSpec(seed=0, count=1, vertex_range=(2, 6), beta1_range=(0, 3))
+
+
+def small_graph(seed: int) -> MetricGraph:
+    return random_graph(EnsembleSpec(seed=seed, count=1, vertex_range=SMALL.vertex_range,
+                                     beta1_range=SMALL.beta1_range), 0)
+
+
+@st.composite
+def graph_points(draw, G):
+    if draw(st.booleans()):
+        return GraphPoint(vertex=draw(st.sampled_from(G.vertices)))
+    e = draw(st.sampled_from(G.edges))
+    return G.canonical(GraphPoint(edge=e.id, offset=draw(st.floats(0.0, 1.0)) * e.length))
+
+
+def model_pieces(G, p, eid):
+    """Host offsets on edge eid where the monotone subdivision cuts it."""
+    _, new = monotone_subdivision(G, p)
+    cuts = sorted(off for (host, off) in new.values() if host == eid)
+    return [0.0] + cuts + [G.edge(eid).length]
+
+
+def assert_matches_oracle(G, p, x, y):
+    want = bottleneck_maximin.bottleneck(G, p, x, y)
+    assert bottleneck_m(G, p, x, y) == pytest.approx(want, abs=1e-9)
+    tp = distance(G, p, x) + distance(G, p, y) - 2.0 * want
+    assert t_p(G, p, x, y) == pytest.approx(tp, abs=1e-9)
+
+
+class TestBottleneckOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_points(self, data):
+        G = small_graph(data.draw(st.integers(0, 10_000)))
+        p, x, y = (data.draw(graph_points(G)) for _ in range(3))
+        assert_matches_oracle(G, p, x, y)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_points_on_one_model_edge(self, data):
+        G = small_graph(data.draw(st.integers(0, 10_000)))
+        p = data.draw(graph_points(G))
+        e = data.draw(st.sampled_from(G.edges))
+        cuts = model_pieces(G, p, e.id)
+        k = data.draw(st.integers(0, len(cuts) - 2))
+        lo, hi = cuts[k], cuts[k + 1]
+        s, t = (data.draw(st.floats(0.05, 0.95)) for _ in range(2))
+        x = G.canonical(GraphPoint(edge=e.id, offset=lo + s * (hi - lo)))
+        y = G.canonical(GraphPoint(edge=e.id, offset=lo + t * (hi - lo)))
+        assert_matches_oracle(G, p, x, y)
+        # y at the lower end of x's model edge
+        ends = [G.canonical(GraphPoint(edge=e.id, offset=c)) for c in (lo, hi)]
+        lower = min(ends, key=lambda q: distance(G, p, q))
+        assert_matches_oracle(G, p, x, lower)
+        assert_matches_oracle(G, p, lower, x)
+
+    def test_one_model_edge_by_hand(self):
+        # p at a; f rises from 1 to 3 along u-v, so u-v is one model edge
+        G = MetricGraph(vertices=["a", "u", "v"],
+                        edges=[("au", "a", "u", 1.0), ("uv", "u", "v", 2.0)])
+        p = GraphPoint(vertex="a")
+        x = GraphPoint(edge="uv", offset=0.5)
+        y = GraphPoint(edge="uv", offset=1.5)
+        assert bottleneck_m(G, p, x, y) == pytest.approx(1.5)
+        assert bottleneck_m(G, p, x, GraphPoint(vertex="u")) == pytest.approx(1.0)
+        assert t_p(G, p, x, y) == pytest.approx(1.0)
+
+
+class TestPointedCache:
+    """One graph queried at two basepoints in turn agrees with fresh graphs."""
+
+    def results(self, G, p):
+        verts = [GraphPoint(vertex=v) for v in G.vertices]
+        e = G.edges[-1]
+        pts = verts + [GraphPoint(edge=e.id, offset=0.3 * e.length)]
+        diam = diameter(G)
+        return {
+            "m": [bottleneck_m(G, p, x, y) for x in pts for y in pts],
+            "td": tree_distortion(G, p, 0.1 * diam),
+            "smooth": epsilon_smoothing(G, p, 0.2 * diam).to_json_obj(),
+            "tree": build_merge_tree(G, p).to_json_obj(),
+        }
+
+    @pytest.mark.parametrize("second", ["interior", "vertex as edge@0"])
+    def test_second_basepoint_matches_fresh_graph(self, second):
+        spec = EnsembleSpec(seed=113, count=3, beta1_range=(2, 3))
+        for i in range(3):
+            G = random_graph(spec, i)
+            e = G.edges[0]
+            p1 = GraphPoint(vertex=G.vertices[-1])
+            if second == "interior":
+                p2 = GraphPoint(edge=e.id, offset=0.4 * e.length)
+            else:
+                p2 = GraphPoint(edge=e.id, offset=0.0)
+            self.results(G, p1)
+            assert self.results(G, p2) == self.results(random_graph(spec, i), p2)
+            assert self.results(G, p1) == self.results(random_graph(spec, i), p1)
+
+    def test_equal_basepoints_share_one_model(self, theta):
+        a, b = GraphPoint(edge="e2", offset=0.0), GraphPoint(vertex="u")
+        assert _monotone_model(theta, a) is _monotone_model(theta, b)
+        assert build_merge_tree(theta, a) is build_merge_tree(theta, b)
+        assert epsilon_smoothing(theta, a, 0.5)._model is _monotone_model(theta, b)
+        c = GraphPoint(edge="e3", offset=1.25)
+        assert _monotone_model(theta, c) is _monotone_model(theta, GraphPoint(edge="e3", offset=1.25))
+        assert _monotone_model(theta, c) is not _monotone_model(theta, b)
 
 
 class TestMergeTree:

@@ -195,6 +195,18 @@ class TestCli:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("text", ['{"edge": "e3", "offset": NaN}',
+                                      '{"edge": "e3", "offset": true}'])
+    def test_bad_point_offset(self, tmp_path, theta, text):
+        path = _write_graph(tmp_path, theta, "theta.json")
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "distance", "--graph", path,
+            "--point", text, "--point", json.dumps({"vertex": "u"}),
+        ])
+        assert result.exit_code == 2
+        assert "offset" in result.output
+
     def test_missing_graph_file(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["info", "--graph",

@@ -51,6 +51,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="length must be > 0"):
             MetricGraph(vertices=["a", "b"], edges=[("e1", "a", "b", 0.0)])
 
+    def test_bool_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be > 0"):
+            MetricGraph(vertices=["a", "b"], edges=[("e1", "a", "b", True)])
+
     def test_disconnected(self):
         with pytest.raises(ValueError, match="graph not connected"):
             MetricGraph(vertices=["a", "b"], edges=[])
@@ -108,6 +112,14 @@ class TestDistance:
     def test_invalid_point(self, theta):
         with pytest.raises(ValueError):
             distance(theta, GraphPoint(vertex="zz"), GraphPoint(vertex="u"))
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf"), True])
+    def test_bad_offset_rejected(self, theta, offset):
+        pt = GraphPoint(edge="e3", offset=offset)
+        with pytest.raises(ValueError, match="offset"):
+            theta.canonical(pt)
+        with pytest.raises(ValueError, match="offset"):
+            distance(theta, pt, GraphPoint(vertex="u"))
 
 
 class TestFValues:
@@ -312,6 +324,10 @@ class TestJson:
     def test_point_roundtrip(self):
         for pt in (GraphPoint(vertex="a"), GraphPoint(edge="e", offset=0.25)):
             assert point_from_json_obj(point_to_json_obj(pt)) == pt
+
+    def test_point_bool_offset_rejected(self):
+        with pytest.raises(ValueError, match="bool"):
+            point_from_json_obj({"edge": "e", "offset": True})
 
     def test_point_schema_error(self):
         with pytest.raises(ValueError, match="vertex|edge"):
