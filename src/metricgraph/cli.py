@@ -77,7 +77,7 @@ def _basepoint(G: MetricGraph, text: Optional[str]) -> GraphPoint:
 
 def _default_mesh(G: MetricGraph, mesh: Optional[float]) -> float:
     if mesh is not None:
-        if mesh <= 0:
+        if not mesh > 0:
             raise click.UsageError("--mesh must be > 0")
         return mesh
     d = diameter(G)
@@ -293,7 +293,7 @@ def verify_cmd(seed: int, count: int, mesh: Optional[float], out: Optional[str],
     """Run the inequality verification suite on a seeded ensemble."""
     if count < 0:
         raise click.UsageError("--count must be >= 0")
-    if mesh is not None and mesh <= 0:
+    if mesh is not None and not mesh > 0:
         raise click.UsageError("--mesh must be > 0")
     spec = EnsembleSpec(seed=seed, count=count)
     report = verify(spec, mesh=mesh, corrupt=self_test_corrupt)

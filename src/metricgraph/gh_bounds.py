@@ -322,7 +322,7 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
                 mesh: float) -> BoundReport:
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
-    if mesh <= 0:
+    if not mesh > 0:
         raise ValueError("mesh must be > 0")
     upper = R.distortion + 2.0 * mesh
     certs = _dgh_lower_certificates(G, H, mesh)

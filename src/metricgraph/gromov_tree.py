@@ -227,7 +227,7 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     distortion on the net, so value/2 is reported as tau_upper, an upper
     bound for the Gromov-Hausdorff distance to the tree.
     """
-    if mesh <= 0:
+    if not mesh > 0:
         raise ValueError("mesh must be > 0")
     net = epsilon_net(G, mesh)
     model = _monotone_model(G, p)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 TOL = 1e-9
 
 
@@ -271,8 +273,6 @@ def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
 
     Duplicate points are fine; the result is then a pseudometric.
     """
-    import numpy as np
-
     pts = [G.canonical(p) for p in points]
     n = len(pts)
     vidx = {v: i for i, v in enumerate(G.vertices)}
@@ -322,92 +322,108 @@ def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
 
 # -- diameter (exact) ------------------------------------------------------
 
-def _max_min_affine(funcs, corners):
-    """Maximum over a convex polygon of the pointwise min of affine
-    functions (alpha*s + beta*t + c). Candidates: corners, switch-line
-    crossings with the boundary, and pairwise switch-line intersections."""
-    cands = list(corners)
+_DIAM_BLOCK = 2048  # edge pairs per vectorised block; bounds the temporaries
+
+
+def _max_min_block(funcs, corners):
+    """Maximum over a convex polygon of the pointwise min of affine functions
+    a*s + b*t + c, for every polygon of a block at once.
+
+    The slopes a, b are floats shared by the block; each c and each corner
+    coordinate is an array over the block (c may also be a float). Corners
+    are CCW. Candidates: corners, switch-line crossings with the boundary,
+    and pairwise switch-line intersections. Each float expression has the
+    same operands in the same order as the loop over one polygon in
+    tests/oracles/diameter_pairs.py, so the two agree bit for bit.
+    """
     m = len(corners)
-    edges = [(corners[i], corners[(i + 1) % m]) for i in range(m)]
-
-    lines = []
-    for i in range(len(funcs)):
-        for j in range(i + 1, len(funcs)):
-            a1, b1, c1 = funcs[i]
-            a2, b2, c2 = funcs[j]
-            lines.append((a1 - a2, b1 - b2, c1 - c2))
+    sides = [(corners[k], corners[(k + 1) % m]) for k in range(m)]
+    lines = [(a1 - a2, b1 - b2, c1 - c2)
+             for k, (a1, b1, c1) in enumerate(funcs)
+             for (a2, b2, c2) in funcs[k + 1:]]
+    everywhere = np.ones(len(corners[0][0]), dtype=bool)
+    xs = [x for (x, _) in corners]
+    ys = [y for (_, y) in corners]
+    oks = [everywhere] * m
     for (A, B, C) in lines:
-        for (p, q) in edges:
-            # intersect A*s+B*t+C=0 with segment p..q
-            (x0, y0), (x1, y1) = p, q
+        for ((x0, y0), (x1, y1)) in sides:
+            # intersect A*s+B*t+C=0 with the side
             den = A * (x1 - x0) + B * (y1 - y0)
-            if abs(den) < 1e-15:
-                continue
             lam = -(A * x0 + B * y0 + C) / den
-            if -1e-9 <= lam <= 1 + 1e-9:
-                cands.append((x0 + lam * (x1 - x0), y0 + lam * (y1 - y0)))
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            A1, B1, C1 = lines[i]
-            A2, B2, C2 = lines[j]
-            den = A1 * B2 - A2 * B1
+            oks.append((np.abs(den) >= 1e-15) & (lam >= -1e-9) & (lam <= 1 + 1e-9))
+            xs.append(x0 + lam * (x1 - x0))
+            ys.append(y0 + lam * (y1 - y0))
+    for k, (A1, B1, C1) in enumerate(lines):
+        for (A2, B2, C2) in lines[k + 1:]:
+            den = A1 * B2 - A2 * B1  # slopes are shared, so den is a float
             if abs(den) < 1e-15:
                 continue
-            s = (-C1 * B2 + C2 * B1) / den
-            t = (-A1 * C2 + A2 * C1) / den
-            cands.append((s, t))
+            xs.append((-C1 * B2 + C2 * B1) / den)
+            ys.append((-A1 * C2 + A2 * C1) / den)
+            oks.append(everywhere)
+    X, Y, ok = np.array(xs), np.array(ys), np.array(oks)
 
-    # polygon membership via half-planes (corners are CCW for our callers)
-    def inside(x):
-        for (p, q) in edges:
-            cross = (q[0] - p[0]) * (x[1] - p[1]) - (q[1] - p[1]) * (x[0] - p[0])
-            if cross < -1e-9 * (1 + abs(x[0]) + abs(x[1])):
-                return False
-        return True
-
-    best = -math.inf
-    for x in cands:
-        if not inside(x):
-            continue
-        val = min(a * x[0] + b * x[1] + c for (a, b, c) in funcs)
-        if val > best:
-            best = val
-    return best
+    # polygon membership via half-planes
+    slack = -1e-9 * (1 + np.abs(X) + np.abs(Y))
+    for ((px, py), (qx, qy)) in sides:
+        ok &= (qx - px) * (Y - py) - (qy - py) * (X - px) >= slack
+    val = np.full(X.shape, np.inf)
+    for (a, b, c) in funcs:
+        np.minimum(val, a * X + b * Y + c, out=val)
+    return np.where(ok, val, -np.inf).max(axis=0)
 
 
 def diameter(G: MetricGraph) -> float:
-    """Exact diameter of the geodesic space."""
+    """Exact diameter of the geodesic space: the max over edge pairs of the
+    min of four affine functions, the routes between a point on each edge."""
     if G._diam_cache is not None:
         return G._diam_cache
     if not G._edge_order:
         G._diam_cache = 0.0
         return 0.0
+    vidx = {v: k for k, v in enumerate(G.vertices)}
+    D = np.array([[row[w] for w in G.vertices]
+                  for row in map(G._vertex_dists, G.vertices)])
     es = G.edges
+    eu = np.array([vidx[e.u] for e in es])
+    ev = np.array([vidx[e.v] for e in es])
+    L = np.array([e.length for e in es])
+
+    def routes(i, j):
+        # d(s on e_i, t on e_j) through each pair of endpoints
+        l1, l2 = L[i], L[j]
+        return [
+            (1.0, 1.0, D[eu[i], eu[j]]),
+            (1.0, -1.0, D[eu[i], ev[j]] + l2),
+            (-1.0, 1.0, D[ev[i], eu[j]] + l1),
+            (-1.0, -1.0, D[ev[i], ev[j]] + l1 + l2),
+        ]
+
+    m = len(es)
+    # pairs i < j in row-major order; row i starts at flat index starts[i]
+    counts = np.arange(m - 1, -1, -1)
+    starts = np.cumsum(counts) - counts
     best = 0.0
-    for i in range(len(es)):
-        e1 = es[i]
-        d_u = G._vertex_dists(e1.u)
-        d_v = G._vertex_dists(e1.v)
-        for j in range(i, len(es)):
-            e2 = es[j]
-            l1, l2 = e1.length, e2.length
-            funcs = [
-                (1.0, 1.0, d_u[e2.u]),
-                (1.0, -1.0, d_u[e2.v] + l2),
-                (-1.0, 1.0, d_v[e2.u] + l1),
-                (-1.0, -1.0, d_v[e2.v] + l1 + l2),
-            ]
-            if i == j:
-                lo = _max_min_affine(funcs + [(1.0, -1.0, 0.0)],
-                                     [(0.0, 0.0), (l1, 0.0), (l1, l1)])
-                hi = _max_min_affine(funcs + [(-1.0, 1.0, 0.0)],
-                                     [(0.0, 0.0), (l1, l1), (0.0, l1)])
-                val = max(lo, hi)
-            else:
-                val = _max_min_affine(funcs,
-                                      [(0.0, 0.0), (l1, 0.0), (l1, l2), (0.0, l2)])
-            if val > best:
-                best = val
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k0 in range(0, m, _DIAM_BLOCK):
+            i = np.arange(k0, min(k0 + _DIAM_BLOCK, m))
+            funcs, l1, zero = routes(i, i), L[i], np.zeros(len(i))
+            # a pair (e, e): the triangles s <= t and s >= t, with the
+            # direct route |s - t| as a fifth function
+            lo = _max_min_block(funcs + [(1.0, -1.0, 0.0)],
+                                [(zero, zero), (l1, zero), (l1, l1)])
+            hi = _max_min_block(funcs + [(-1.0, 1.0, 0.0)],
+                                [(zero, zero), (l1, l1), (zero, l1)])
+            best = max(best, float(lo.max()), float(hi.max()))
+        npairs = m * (m - 1) // 2
+        for k0 in range(0, npairs, _DIAM_BLOCK):
+            k = np.arange(k0, min(k0 + _DIAM_BLOCK, npairs))
+            i = np.searchsorted(starts, k, side="right") - 1
+            j = k - starts[i] + i + 1
+            l1, l2, zero = L[i], L[j], np.zeros(len(k))
+            val = _max_min_block(routes(i, j),
+                                 [(zero, zero), (l1, zero), (l1, l2), (zero, l2)])
+            best = max(best, float(val.max()))
     G._diam_cache = best
     return best
 
@@ -421,7 +437,7 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     order with ascending offsets. Covering radius is at most eps/2 along
     each edge, so at most eps in the graph.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     pts: List[GraphPoint] = [GraphPoint(vertex=v) for v in G.vertices]
     for e in G.edges:

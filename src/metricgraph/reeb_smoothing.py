@@ -119,7 +119,7 @@ def _band_components(model: MonotoneModel, lo: float, hi: float) -> Dict[_Elem, 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
     """Smooth (G, p) at scale eps >= 0."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
     model = _monotone_model(G, p)
     f = model.f
@@ -319,7 +319,7 @@ def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Co
     representative column. Errors on mismatched provenance."""
     if S._source is not G:
         raise ValueError("mismatched provenance: the smoothing was not built from this graph")
-    if mesh <= 0:
+    if not mesh > 0:
         raise ValueError("mesh must be > 0")
     net_g = epsilon_net(G, mesh)
     net_s = epsilon_net(S.graph, mesh)

@@ -1,0 +1,119 @@
+"""The exact diameter: agreement with the scalar reference, and the
+transformations that must scale it or leave it unchanged."""
+
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from metricgraph import MetricGraph, diameter, epsilon_net, finite_metric
+from metricgraph.harness import EnsembleSpec, random_graph
+
+from oracles import diameter_pairs
+
+TOL = 1e-9
+REL = 1e-12
+
+
+def quiet_diameter(G: MetricGraph) -> float:
+    """diameter(G), failing on any warning (degenerate switch lines must
+    be masked, not divided through)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return diameter(G)
+
+
+def ensemble_graph(seed: int, n_v: int, beta: int) -> MetricGraph:
+    spec = EnsembleSpec(seed=seed, count=1, vertex_range=(n_v, n_v), beta1_range=(beta, beta))
+    return random_graph(spec, 0)
+
+
+def edge_tuples(G: MetricGraph):
+    return [(e.id, e.u, e.v, e.length) for e in G.edges]
+
+
+@st.composite
+def graphs(draw, max_v=60):
+    """Ensemble graphs with 2..max_v vertices; sometimes one edge gets an
+    equal-length parallel twin, whose switch lines are parallel."""
+    n_v = draw(st.integers(2, max_v))
+    G = ensemble_graph(draw(st.integers(0, 10_000)), n_v, draw(st.integers(0, 8)))
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(G.edges))
+        G = MetricGraph(list(G.vertices), edge_tuples(G) + [(e.id + "'", e.u, e.v, e.length)])
+    return G
+
+
+class TestOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graphs())
+    def test_ensemble_graphs(self, G):
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
+
+    def test_fixtures(self, theta, c12, c12_decorated):
+        for G in (theta, c12, c12_decorated):
+            assert quiet_diameter(G) == diameter_pairs.diameter(G)
+        assert diameter(theta) == 2.5  # antipodes on the 2 + 3 cycle
+        assert diameter(c12) == 6.0
+
+    @pytest.mark.parametrize("edges, want", [
+        ([("e", "u", "v", 1.5)], 1.5),
+        ([("a", "u", "v", 2.0), ("b", "u", "v", 2.0)], 2.0),
+        ([("a", "u", "v", 1.0), ("b", "u", "v", 1.0), ("c", "u", "v", 1.0)], 1.0),
+        ([("a", "u", "v", 1.0), ("b", "u", "v", 1.0), ("t", "v", "w", 3.0)], 4.0),
+        ([("loop", "u", "u", 3.0)], 1.5),
+    ])
+    def test_small_cases(self, edges, want):
+        verts = sorted({x for (_, u, v, _) in edges for x in (u, v)})
+        G = MetricGraph(verts, edges)
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
+        assert quiet_diameter(G) == pytest.approx(want, rel=REL)
+
+    def test_no_edges(self):
+        assert diameter(MetricGraph(["u"], [])) == 0.0
+
+
+class TestInvariance:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graphs(max_v=30), st.integers(-6, 6))
+    def test_scaling(self, G, k):
+        s = 10.0 ** k
+        H = MetricGraph(list(G.vertices),
+                        [(i, u, v, L * s) for (i, u, v, L) in edge_tuples(G)])
+        assert quiet_diameter(H) == pytest.approx(s * quiet_diameter(G), rel=REL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graphs(max_v=30), st.randoms(use_true_random=False))
+    def test_relabel_and_reorder(self, G, rnd):
+        names = list(G.vertices)
+        rnd.shuffle(names)
+        vmap = {v: f"x{k}" for k, v in enumerate(names)}
+        edges = [(f"f{k}", vmap[u], vmap[v], L)
+                 for k, (_, u, v, L) in enumerate(edge_tuples(G))]
+        rnd.shuffle(edges)
+        H = MetricGraph(list(vmap.values()), edges)
+        assert quiet_diameter(H) == pytest.approx(quiet_diameter(G), rel=REL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graphs(max_v=30), st.data())
+    def test_subdivide_edge(self, G, data):
+        e = data.draw(st.sampled_from(G.edges))
+        edges = [t for t in edge_tuples(G) if t[0] != e.id]
+        mid = e.id + "#mid"
+        edges += [(e.id + "#a", e.u, mid, e.length / 2.0),
+                  (e.id + "#b", mid, e.v, e.length / 2.0)]
+        H = MetricGraph(list(G.vertices) + [mid], edges)
+        assert quiet_diameter(H) == pytest.approx(quiet_diameter(G), rel=REL)
+
+
+class TestFineNet:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(graphs(max_v=20))
+    def test_sandwich(self, G):
+        # every point is within mesh/2 of the net, so the net's largest
+        # distance is at most mesh below the diameter
+        d = quiet_diameter(G)
+        mesh = d / 20.0
+        far = finite_metric(G, epsilon_net(G, mesh)).max()
+        assert far <= d + TOL
+        assert d <= far + mesh + TOL

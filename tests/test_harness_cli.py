@@ -296,3 +296,17 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "--count", "-3"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, name", [
+    (["smooth", "--epsilon", "nan"], "eps"),
+    (["net", "--mesh", "nan"], "--mesh"),
+    (["delta", "--n", "0", "--mesh", "nan"], "--mesh"),
+    (["verify", "--count", "1", "--mesh", "nan"], "--mesh"),
+])
+def test_cli_nan_scale(tmp_path, theta, args, name):
+    path = _write_graph(tmp_path, theta, "theta.json")
+    graph = [] if args[0] == "verify" else ["--graph", path]
+    result = CliRunner().invoke(main, args + graph)
+    assert result.exit_code == 2
+    assert f"{name} must be" in result.output

@@ -7,9 +7,11 @@ from metricgraph import (
     EdgePath,
     GraphPoint,
     MetricGraph,
+    dghl_bounds,
     distance,
     diameter,
     epsilon_net,
+    epsilon_smoothing,
     f_values,
     f_variation,
     finite_metric,
@@ -21,8 +23,10 @@ from metricgraph import (
     path_length,
     point_from_json_obj,
     point_to_json_obj,
+    quotient_correspondence,
     shortest_path,
     simplify_path,
+    tree_distortion,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph.metric_graph import path_from_traversals
@@ -340,3 +344,24 @@ def test_diameter_matches_fine_net(theta, c12):
         D = finite_metric(G, net)
         assert D.max() <= diameter(G) + TOL
         assert D.max() >= diameter(G) - 0.05
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+@pytest.mark.parametrize("call, name", [
+    (lambda G, p, x: epsilon_net(G, x), "eps"),
+    (lambda G, p, x: epsilon_smoothing(G, p, x), "eps"),
+    (lambda G, p, x: quotient_correspondence(G, epsilon_smoothing(G, p, 0.5), x), "mesh"),
+    (lambda G, p, x: tree_distortion(G, p, x), "mesh"),
+    (lambda G, p, x: dghl_bounds(G, G, quotient_correspondence(
+        G, epsilon_smoothing(G, p, 0.5), 1.0), x), "mesh"),
+], ids=["epsilon_net", "epsilon_smoothing", "quotient_correspondence",
+        "tree_distortion", "dghl_bounds"])
+def test_bad_scale_rejected(theta, call, name, bad):
+    # NaN compares false with everything, so it must fail the check itself,
+    # not slip through to a misleading error further in
+    with pytest.raises(ValueError, match=name):
+        call(theta, GraphPoint(vertex="u"), bad)
+
+
+def test_infinite_mesh_gives_vertex_net(theta):
+    assert epsilon_net(theta, float("inf")) == [GraphPoint(vertex=v) for v in theta.vertices]
