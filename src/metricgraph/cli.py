@@ -259,7 +259,11 @@ def gh(graph_path: str, other_path: str, mesh: Optional[float],
     """Gromov-Hausdorff bounds between two graphs."""
     G = _graph(graph_path)
     H = _graph(other_path)
-    _emit_json(dgh_bounds(G, H, mesh).to_json_obj(), out)
+    try:
+        rep = dgh_bounds(G, H, mesh)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    _emit_json(rep.to_json_obj(), out)
 
 
 @main.command()

@@ -14,7 +14,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._native import four_point_delta, relation_distortion
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
@@ -59,8 +58,12 @@ class Correspondence:
 
     @property
     def distortion(self) -> float:
-        return relation_distortion(self.DX, self.DY,
-                                   np.asarray(self.pairs, dtype=np.int64))
+        """Max |d_X(x,x') - d_Y(y,y')| over all pairs of related pairs."""
+        P = np.asarray(self.pairs, dtype=np.int64)
+        px, py = P[:, 0], P[:, 1]
+        A = np.asarray(self.DX, dtype=np.float64)[np.ix_(px, px)]
+        B = np.asarray(self.DY, dtype=np.float64)[np.ix_(py, py)]
+        return float(np.abs(A - B).max())
 
     def to_json_obj(self) -> dict:
         from .metric_graph import point_to_json_obj
@@ -214,11 +217,32 @@ def brute_force_dgh(DX, DY, pointed: Optional[Tuple[int, int]] = None,
 
 
 def hyperbolicity(D) -> float:
-    """Four-point hyperbolicity constant of a finite metric."""
-    D = np.asarray(D, dtype=np.float64)
-    if D.shape[0] < 4:
+    """Four-point hyperbolicity constant of a finite metric.
+
+    Max over quadruples of (largest pair-sum - second largest)/2, computed
+    over all unordered pairs of point-pairs: the split of a quadruple with
+    the largest sum is the only one with a positive gap, and quadruples with
+    repeated points contribute nothing positive.
+    """
+    D = np.ascontiguousarray(D, dtype=np.float64)
+    n = D.shape[0]
+    if n < 4:
         return 0.0
-    return four_point_delta(D)
+    iu, ju = np.triu_indices(n, k=1)
+    s = D[iu, ju]
+    m = len(iu)
+    best = 0.0
+    for a in range(m - 1):
+        i, j = int(iu[a]), int(ju[a])
+        kk, ll = iu[a + 1:], ju[a + 1:]
+        sums = s[a] + s[a + 1:]
+        c1 = D[i, kk] + D[j, ll]
+        c2 = D[i, ll] + D[j, kk]
+        gap = sums - np.maximum(c1, c2)
+        g = float(gap.max(initial=0.0))
+        if g > best:
+            best = g
+    return best / 2.0
 
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:
@@ -277,6 +301,8 @@ def _barcode_net(G: MetricGraph, mesh: float):
 def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph,
                             mesh: Optional[float] = None) -> List[Tuple[str, float]]:
     from .persistence import bottleneck_distance, persistence_sequence, seq_distance
+    if mesh is not None and not mesh > 0:
+        raise ValueError("mesh must be > 0")
     certs: List[Tuple[str, float]] = []
     dG, dH = diameter(G), diameter(H)
     certs.append(("diameter gap / 2", abs(dG - dH) / 2.0))
@@ -322,8 +348,6 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
                 mesh: float) -> BoundReport:
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
-    if not mesh > 0:
-        raise ValueError("mesh must be > 0")
     upper = R.distortion + 2.0 * mesh
     certs = _dgh_lower_certificates(G, H, mesh)
     lower = max(v for (_, v) in certs)
@@ -347,6 +371,8 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
 
     if n < 0:
         raise ValueError("n must be >= 0")
+    if mesh is not None and not mesh > 0:
+        raise ValueError("mesh must be > 0")
     beta = G.betti1
     name = f"delta_{n}"
     if beta <= n:
@@ -378,8 +404,12 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
                        corr.distortion / 2.0 + 2.0 * mesh))
 
     if n == 0:
+        # td is measured on a mesh-net, which can miss a short cycle; the
+        # net term is the one the smoothing certificate carries
         td = tree_distortion(G, p, mesh)
-        uppers.append(("merge tree distortion / 2", float(td.value) / 2.0))
+        uppers.append(("merge tree distortion / 2 + 2*mesh",
+                       float(td.value) / 2.0 + 2.0 * mesh))
+        certs.append(("merge tree distortion / 2", float(td.value) / 2.0))
         certs.append(("tree distortion / 6 (reported)", float(td.value) / 6.0))
 
     upper = min(v for (_, v) in uppers)

@@ -36,6 +36,7 @@ from .gromov_tree import (
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
+    TOL,
     diameter,
     distance,
     epsilon_net,
@@ -49,8 +50,6 @@ from .metric_graph import (
 )
 from .persistence import persistence_sequence
 from .reeb_smoothing import betti_after_smoothing, epsilon_smoothing, quotient_correspondence
-
-_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +162,13 @@ class ReportRow:
 
     @property
     def passed(self) -> bool:
-        return self.skipped or self.slack >= -_TOL
+        return self.skipped or self.slack >= -TOL
 
     @property
     def status(self) -> str:
         if self.skipped:
             return "skipped"
-        return "true" if self.slack >= -_TOL else "false"
+        return "true" if self.slack >= -TOL else "false"
 
     def to_json_obj(self) -> dict:
         obj = {

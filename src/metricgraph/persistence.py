@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metric_graph import MetricGraph
+from .metric_graph import TOL, MetricGraph
 
-TOL = 1e-9
 _VR_MAX_POINTS = 300
 
 

@@ -199,7 +199,7 @@ class TestRExtension:
 class TestHyperbolicity:
     def test_small_spaces_are_flat(self):
         rng = np.random.default_rng(61)
-        for n in (1, 2, 3):
+        for n in (0, 1, 2, 3):
             D = random_euclidean_metric(rng, n)
             assert hyperbolicity(D) == 0.0
 
@@ -238,18 +238,19 @@ class TestDeltaBounds:
     def test_decorated_cycle(self, c12_decorated):
         rep = delta_n_bounds(c12_decorated, 0, GraphPoint(vertex="p"), mesh=0.1)
         assert rep.lower == pytest.approx(1.0)
-        assert rep.upper == pytest.approx(3.0)
+        assert rep.upper == pytest.approx(3.2)
         names = dict(rep.certificates)
         assert names["sequence entry / 4"] == pytest.approx(1.0)
         assert names["tree distortion / 6 (reported)"] == pytest.approx(1.0)
         assert names["merge tree distortion / 2"] == pytest.approx(3.0)
+        assert names["merge tree distortion / 2 + 2*mesh"] == pytest.approx(3.2)
         assert "smoothing quotient correspondence" in names
 
     def test_theta(self, theta):
         p = GraphPoint(vertex="u")
         rep0 = delta_n_bounds(theta, 0, p, mesh=0.05)
         assert rep0.lower == pytest.approx(1.0 / 3.0)
-        assert rep0.upper == pytest.approx(1.0)
+        assert rep0.upper == pytest.approx(1.1)
         rep1 = delta_n_bounds(theta, 1, p, mesh=0.05)
         assert rep1.lower == pytest.approx(0.25)
         assert rep1.lower <= rep1.upper
@@ -272,6 +273,15 @@ class TestDeltaBounds:
     def test_negative_index_rejected(self, theta):
         with pytest.raises(ValueError):
             delta_n_bounds(theta, -1, GraphPoint(vertex="u"), mesh=0.05)
+
+    def test_loop_finer_than_mesh(self):
+        # the 0.6-loop hides under a 0.4-net, so the merge tree distortion
+        # on the net is about 0; the upper bound must still cover a(1)/4
+        G = MetricGraph(["a", "b"], [("s", "a", "b", 2.0), ("loop", "b", "b", 0.6)])
+        rep = delta_n_bounds(G, 0, GraphPoint(vertex="a"), mesh=0.4)
+        assert rep.lower == pytest.approx(0.05)
+        assert rep.lower <= rep.upper
+        assert dict(rep.certificates)["merge tree distortion / 2"] < rep.lower
 
 
 class TestGraphDistanceBounds:

@@ -271,7 +271,7 @@ class TestCli:
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["lower"] == pytest.approx(1.0)
-        assert obj["upper"] == pytest.approx(3.0)
+        assert obj["upper"] == pytest.approx(3.2)
 
     def test_verify_passes(self, tmp_path):
         runner = CliRunner()
@@ -303,10 +303,15 @@ class TestCli:
     (["net", "--mesh", "nan"], "--mesh"),
     (["delta", "--n", "0", "--mesh", "nan"], "--mesh"),
     (["verify", "--count", "1", "--mesh", "nan"], "--mesh"),
+    (["gh", "--mesh", "nan"], "mesh"),
+    (["gh", "--mesh", "0"], "mesh"),
+    (["gh", "--mesh", "-1"], "mesh"),
 ])
 def test_cli_nan_scale(tmp_path, theta, args, name):
     path = _write_graph(tmp_path, theta, "theta.json")
     graph = [] if args[0] == "verify" else ["--graph", path]
+    if args[0] == "gh":
+        graph += ["--other", path]
     result = CliRunner().invoke(main, args + graph)
     assert result.exit_code == 2
     assert f"{name} must be" in result.output

@@ -7,6 +7,9 @@ from metricgraph import (
     EdgePath,
     GraphPoint,
     MetricGraph,
+    delta_n_bounds,
+    dgh_bounds,
+    dgh_lower,
     dghl_bounds,
     distance,
     diameter,
@@ -354,8 +357,11 @@ def test_diameter_matches_fine_net(theta, c12):
     (lambda G, p, x: tree_distortion(G, p, x), "mesh"),
     (lambda G, p, x: dghl_bounds(G, G, quotient_correspondence(
         G, epsilon_smoothing(G, p, 0.5), 1.0), x), "mesh"),
+    (lambda G, p, x: dgh_lower(G, G, x), "mesh"),
+    (lambda G, p, x: dgh_bounds(G, G, x), "mesh"),
+    (lambda G, p, x: delta_n_bounds(G, 0, p, x), "mesh"),
 ], ids=["epsilon_net", "epsilon_smoothing", "quotient_correspondence",
-        "tree_distortion", "dghl_bounds"])
+        "tree_distortion", "dghl_bounds", "dgh_lower", "dgh_bounds", "delta_n_bounds"])
 def test_bad_scale_rejected(theta, call, name, bad):
     # NaN compares false with everything, so it must fail the check itself,
     # not slip through to a misleading error further in
