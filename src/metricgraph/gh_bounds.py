@@ -225,6 +225,8 @@ def hyperbolicity(D) -> float:
     repeated points contribute nothing positive.
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
+    if not np.isfinite(D).all():
+        raise ValueError("distance matrix must be finite")
     n = D.shape[0]
     if n < 4:
         return 0.0
@@ -287,13 +289,18 @@ class BoundReport:
 
 
 def _barcode_net(G: MetricGraph, mesh: float):
-    from .persistence import vr_h1_barcode
+    """VR barcode of a net of G of at most 80 points, coarsening the mesh
+    until the net is the vertex set, and its mesh; None when that vertex
+    set is too large for the VR kernel."""
+    from .persistence import _VR_MAX_POINTS, vr_h1_barcode
     diam = diameter(G)
     eps_b = max(mesh, diam / 10.0) if diam > 0 else mesh
     net = epsilon_net(G, eps_b)
-    while len(net) > 80:
+    while len(net) > 80 and len(net) > len(G.vertices):
         eps_b *= 2.0
         net = epsilon_net(G, eps_b)
+    if len(net) > _VR_MAX_POINTS:
+        return None
     D = finite_metric(G, net)
     return vr_h1_barcode(D), eps_b
 
@@ -318,10 +325,13 @@ def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph,
         hH, eH = hyp_graph(H, max(meshH, dH / 12.0))
         certs.append(("hyperbolicity gap / 4",
                       max(0.0, abs(hG - hH) / 4.0 - (eG + eH) / 4.0)))
-        bG, ebG = _barcode_net(G, meshG)
-        bH, ebH = _barcode_net(H, meshH)
-        certs.append(("net barcode bottleneck / 2",
-                      max(0.0, bottleneck_distance(bG, bH) / 2.0 - ebG - ebH)))
+        # the bound is a max, so leaving a certificate out is sound
+        netG = _barcode_net(G, meshG)
+        netH = _barcode_net(H, meshH) if netG is not None else None
+        if netG is not None and netH is not None:
+            (bG, ebG), (bH, ebH) = netG, netH
+            certs.append(("net barcode bottleneck / 2",
+                          max(0.0, bottleneck_distance(bG, bH) / 2.0 - ebG - ebH)))
     return certs
 
 

@@ -9,7 +9,6 @@ the first Betti number read as zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,12 +82,41 @@ def seq_distance(s1: PersistenceSequence, s2: PersistenceSequence) -> float:
 
 # -- Vietoris-Rips H1 --------------------------------------------------------
 
+_NO_COFACET = np.iinfo(np.int64).max
+
+
+def _cofacet_keys(R: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Filtration keys of the triangles {i, j, k}, one row per edge (i, j)
+    with i < j and one column per k; the columns k = i and k = j hold
+    _NO_COFACET. A triangle's key orders it by (value rank, a, b, c) for its
+    sorted vertices a < b < c."""
+    n = R.shape[0]
+    k = np.arange(n)
+    ii, jj = i[:, None], j[:, None]
+    value = np.maximum(np.maximum(R[i], R[j]), R[i, j][:, None])
+    a, c = np.minimum(k, ii), np.maximum(k, jj)
+    keys = ((value * n + a) * n + (ii + jj + k - a - c)) * n + c
+    keys[(k == ii) | (k == jj)] = _NO_COFACET
+    return keys
+
+
 def vr_h1_barcode(D) -> Barcode:
     """H1 barcode of the Vietoris-Rips filtration of a finite pseudometric.
 
     Uses the 2-skeleton with closed grading: a simplex is present at scale r
     when its diameter is <= r. All births and deaths are entries of D. Bars
     shorter than 1e-9 are discarded.
+
+    Only the upper triangle of D is read: edge (i, j) with i < j has value
+    D[i, j], and edges are ordered by (D[i, j], i, j), triangles by (largest
+    edge value, i, j, k). The pairs come from reducing the coboundary matrix
+    (Bauer's Ripser scheme), which pairs exactly as reducing the boundary
+    matrix does: columns are edges in reverse filtration order, and a
+    column's pivot is its earliest cofacet. The n - 1 edges of the H0
+    spanning tree (union-find over the edge order) have no pivot and are
+    skipped. An edge whose earliest cofacet t has it as its latest facet is
+    an apparent pair (e, t) and needs no reduction; only the other columns
+    are reduced, as sorted arrays of triangle keys.
     """
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -96,6 +124,8 @@ def vr_h1_barcode(D) -> Barcode:
     n = D.shape[0]
     if n > _VR_MAX_POINTS:
         raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
+    if not np.isfinite(D).all():
+        raise ValueError("distance matrix must be finite")
     if n and np.max(np.abs(D - D.T)) > TOL:
         raise ValueError("distance matrix must be symmetric")
     if n and np.min(D) < -TOL:
@@ -103,36 +133,81 @@ def vr_h1_barcode(D) -> Barcode:
     if n < 3:
         return Barcode(degree=1, bars=())
 
-    edges = sorted(((D[i, j], i, j) for i in range(n) for j in range(i + 1, n)),
-                   key=lambda t: (t[0], t[1], t[2]))
-    eidx = {(i, j): k for k, (_, i, j) in enumerate(edges)}
+    # R[x, y]: rank of the edge value D[min, max] among the distinct values
+    iu, ju = np.triu_indices(n, k=1)
+    birth = D[iu, ju]
+    values, rank = np.unique(birth, return_inverse=True)
+    R = np.zeros((n, n), dtype=np.int64)
+    R[iu, ju] = rank
+    R += R.T
+    ar = np.arange(n)
+    EK = (R * n + np.minimum.outer(ar, ar)) * n + np.maximum.outer(ar, ar)
+    ekey = EK[iu, ju]
+    order = np.argsort(ekey)
 
-    tris = sorted(((max(D[i, j], D[i, k], D[j, k]), i, j, k)
-                   for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n)),
-                  key=lambda t: (t[0], t[1], t[2], t[3]))
+    # clearing: the spanning-tree edges of the edge order
+    parent = list(range(n))
 
-    pivots: Dict[int, int] = {}
-    bars: List[Tuple[float, float]] = []
-    paired = 0
-    for (val, i, j, k) in tris:
-        col = (1 << eidx[(i, j)]) | (1 << eidx[(i, k)]) | (1 << eidx[(j, k)])
-        while col:
-            low = col.bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                paired += 1
-                birth = edges[low][0]
-                if val - birth > TOL:
-                    bars.append((birth, val))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = np.zeros(len(ekey), dtype=bool)
+    joined = 0
+    for e, a, b in zip(order.tolist(), iu[order].tolist(), ju[order].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            tree[e] = True
+            joined += 1
+            if joined == n - 1:
                 break
-            col ^= other
+    cols = order[~tree[order]]
 
-    # the complete 2-skeleton has no H1 left at the top of the filtration
-    if paired != len(edges) - (n - 1):
-        raise AssertionError("VR reduction left unkilled cycles")
-    return Barcode(degree=1, bars=tuple(bars))
+    # apparent pairs, blockwise over the (edges x n) cofacet keys
+    pivot = np.empty(len(cols), dtype=np.int64)
+    apparent = np.empty(len(cols), dtype=bool)
+    step = max(1, (1 << 18) // n)
+    for s in range(0, len(cols), step):
+        blk = cols[s:s + step]
+        i, j = iu[blk], ju[blk]
+        keys = _cofacet_keys(R, i, j)
+        k = keys.argmin(axis=1)
+        pivot[s:s + step] = keys[np.arange(len(blk)), k]
+        apparent[s:s + step] = (EK[i, k] < ekey[blk]) & (EK[j, k] < ekey[blk])
+
+    pivot_of: Dict[int, int] = dict(zip(pivot[apparent].tolist(),
+                                        cols[apparent].tolist()))
+    reduced: Dict[int, np.ndarray] = {}
+
+    def column(e: int) -> np.ndarray:
+        col = reduced.get(e)
+        if col is None:
+            col = np.sort(_cofacet_keys(R, iu[e:e + 1], ju[e:e + 1])[0])[:-2]
+        return col
+
+    rest = cols[~apparent][::-1].tolist()
+    for e in rest:
+        col = column(e)
+        while True:
+            if not col.size:
+                # the complete 2-skeleton has no H1 left at the top
+                raise AssertionError("VR reduction left unkilled cycles")
+            other = pivot_of.get(int(col[0]))
+            if other is None:
+                break
+            col = np.setxor1d(col, column(other), assume_unique=True)
+        pivot_of[int(col[0])] = e
+        reduced[e] = col
+
+    paired = np.fromiter(pivot_of.values(), dtype=np.int64, count=len(pivot_of))
+    death = values[np.fromiter(pivot_of, dtype=np.int64, count=len(pivot_of))
+                   // n ** 3]
+    keep = death - birth[paired] > TOL
+    return Barcode(degree=1, bars=tuple(zip(birth[paired][keep].tolist(),
+                                            death[keep].tolist())))
 
 
 # -- cycle bases -------------------------------------------------------------

@@ -19,6 +19,7 @@ from metricgraph import (
     hyperbolicity,
     r_extension,
 )
+from metricgraph.gh_bounds import _barcode_net
 from metricgraph.harness import EnsembleSpec, random_graph
 
 from oracles.dgh_exhaustive import dgh_all_relations
@@ -219,6 +220,14 @@ class TestHyperbolicity:
         with pytest.raises(ValueError, match="coarser mesh"):
             hyp_graph(c12, 0.005)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rejects_non_finite(self, bad, n):
+        D = random_euclidean_metric(np.random.default_rng(83), n)
+        D[0, 1] = D[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hyperbolicity(D)
+
 
 class TestBoundReport:
     def test_json_round_trip(self, c12_decorated):
@@ -303,6 +312,25 @@ class TestGraphDistanceBounds:
             rep = dgh_bounds(G, H, mesh=mesh)
             assert rep.lower <= rep.upper + 1e-9
             assert rep.lower >= 0.0
+
+    def test_more_than_80_vertices(self):
+        # every net holds every vertex, so the barcode net stops coarsening
+        # at the vertex set instead of looping forever
+        G = random_graph(EnsembleSpec(seed=5, vertex_range=(90, 90),
+                                      beta1_range=(6, 6)), 0)
+        H = random_graph(EnsembleSpec(seed=6, vertex_range=(20, 20),
+                                      beta1_range=(3, 3)), 0)
+        rep = dgh_bounds(G, H)
+        assert "net barcode bottleneck / 2" in dict(rep.certificates)
+        assert 0.0 <= rep.lower <= rep.upper + 1e-9
+        _, eps = _barcode_net(G, 0.05)
+        assert eps >= max(e.length for e in G.edges)
+
+    def test_barcode_net_past_the_vr_cap(self):
+        P = MetricGraph(vertices=[f"v{i}" for i in range(310)],
+                        edges=[(f"e{i}", f"v{i}", f"v{i + 1}", 1.0)
+                               for i in range(309)])
+        assert _barcode_net(P, 0.05) is None
 
     def test_lower_with_explicit_relation(self, c12):
         H = _c6()

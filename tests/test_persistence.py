@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricgraph import (
     Barcode,
@@ -16,7 +17,7 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 
-from oracles import bottleneck_exhaustive, mcb_exhaustive, vr_reduction
+from oracles import bottleneck_exhaustive, mcb_exhaustive, vr_columns, vr_reduction
 
 TOL = 1e-9
 
@@ -97,9 +98,71 @@ class TestVrBarcode:
         with pytest.raises(ValueError):
             vr_h1_barcode(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        D = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vr_h1_barcode(D)
+
     def test_size_cap(self):
         with pytest.raises(ValueError, match="too many points"):
             vr_h1_barcode(np.zeros((301, 301)))
+
+
+def euclidean(seed: int, n: int, quarters: bool) -> np.ndarray:
+    P = np.random.default_rng(seed).random((n, 2)) * 2.0
+    D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1))
+    np.fill_diagonal(D, 0.0)
+    return np.round(D * 4.0) / 4.0 if quarters else D
+
+
+@st.composite
+def euclidean_metrics(draw):
+    """0-25 points in the plane; one metric in three rounded to quarters,
+    so that edge values tie."""
+    return euclidean(draw(st.integers(0, 10_000)), draw(st.integers(0, 25)),
+                     draw(st.integers(0, 2)) == 0)
+
+
+class TestVrColumnOracle:
+    """The coboundary reduction equals (==) the homology column reduction
+    it replaced."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(euclidean_metrics())
+    def test_euclidean(self, D):
+        assert vr_h1_barcode(D) == vr_columns.h1_barcode(D)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(euclidean_metrics(), st.booleans())
+    def test_asymmetric_by_one_ulp(self, D, lower):
+        # only the upper triangle may be read: nudging either triangle by
+        # an ulp must move both reductions alike
+        n = D.shape[0]
+        tri = np.tril_indices(n, -1) if lower else np.triu_indices(n, 1)
+        D[tri] = np.nextafter(D[tri], np.inf)
+        assert vr_h1_barcode(D) == vr_columns.h1_barcode(D)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(3, 12), st.integers(0, 4),
+           st.floats(0.15, 0.6))
+    def test_ensemble_graph_nets(self, seed, n_v, beta, frac):
+        spec = EnsembleSpec(seed=seed, count=1, vertex_range=(n_v, n_v),
+                            beta1_range=(beta, beta))
+        G = random_graph(spec, 0)
+        # fewer than 25 interior points, so at most 37 in all
+        eps = max(frac * max(e.length for e in G.edges), G.total_length / 25.0)
+        D = finite_metric(G, epsilon_net(G, eps))
+        assert vr_h1_barcode(D) == vr_columns.h1_barcode(D)
+
+    def test_large_ensemble_graph_net(self):
+        spec = EnsembleSpec(seed=1, vertex_range=(60, 60), beta1_range=(10, 10))
+        G = random_graph(spec, 0)
+        D = finite_metric(G, epsilon_net(G, 1.0))
+        assert D.shape[0] > 100
+        assert np.max(np.abs(D - D.T)) > 0.0  # rounding makes nets asymmetric
+        assert vr_h1_barcode(D) == vr_columns.h1_barcode(D)
 
 
 class TestMinimalCycleBasis:
