@@ -252,17 +252,10 @@ def hyp(graph_path: str, mesh: Optional[float], out: Optional[str]) -> None:
 @main.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--other", "other_path", required=True, type=click.Path())
-@click.option("--mesh", type=float)
 @click.option("--out", type=click.Path())
-def gh(graph_path: str, other_path: str, mesh: Optional[float],
-       out: Optional[str]) -> None:
+def gh(graph_path: str, other_path: str, out: Optional[str]) -> None:
     """Gromov-Hausdorff bounds between two graphs."""
-    G = _graph(graph_path)
-    H = _graph(other_path)
-    try:
-        rep = dgh_bounds(G, H, mesh)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    rep = dgh_bounds(_graph(graph_path), _graph(other_path))
     _emit_json(rep.to_json_obj(), out)
 
 

@@ -1,9 +1,10 @@
 """Two-sided Gromov-Hausdorff estimates.
 
-Lower bounds come from stable invariants (diameter, persistence sequence,
-hyperbolicity, net barcodes); upper bounds from explicit correspondences.
-Every reported interval is checked for consistency, and every certificate
-names the invariant that produced it.
+Lower bounds come from stable invariants of the whole graph: the diameter
+and the persistence sequence for d_GH, the sequence alone for delta_n.
+Upper bounds come from explicit correspondences. Every reported interval is
+checked for consistency, and every certificate names the invariant that
+produced it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Correspondence:
         n, m = len(self.left), len(self.right)
         if self.DX.shape != (n, n) or self.DY.shape != (m, m):
             raise ValueError("distance matrices do not match the point lists")
+        if not (np.isfinite(self.DX).all() and np.isfinite(self.DY).all()):
+            raise ValueError("distance matrices must be finite")
         if not self.pairs:
             raise ValueError("correspondence has no pairs")
         seen_l, seen_r = set(), set()
@@ -84,7 +87,7 @@ def r_extension(corr: Correspondence, r: float) -> Correspondence:
     most 2r. With r = 0 it is the original relation; once r reaches the sum
     of the diameters every pair is related.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be >= 0")
     pa = np.asarray([a for (a, _) in corr.pairs], dtype=np.int64)
     pb = np.asarray([b for (_, b) in corr.pairs], dtype=np.int64)
@@ -112,6 +115,11 @@ def brute_force_dgh(DX, DY, pointed: Optional[Tuple[int, int]] = None,
     """
     DX = np.asarray(DX, dtype=np.float64)
     DY = np.asarray(DY, dtype=np.float64)
+    for D in (DX, DY):
+        if D.ndim != 2 or D.shape[0] != D.shape[1]:
+            raise ValueError("distance matrix must be square")
+        if not np.isfinite(D).all():
+            raise ValueError("distance matrix must be finite")
     n, m = DX.shape[0], DY.shape[0]
     if n > _MAX_EXACT or m > _MAX_EXACT:
         raise ValueError(f"too many points for exact search (max {_MAX_EXACT})")
@@ -288,64 +296,24 @@ class BoundReport:
         }
 
 
-def _barcode_net(G: MetricGraph, mesh: float):
-    """VR barcode of a net of G of at most 80 points, coarsening the mesh
-    until the net is the vertex set, and its mesh; None when that vertex
-    set is too large for the VR kernel."""
-    from .persistence import _VR_MAX_POINTS, vr_h1_barcode
-    diam = diameter(G)
-    eps_b = max(mesh, diam / 10.0) if diam > 0 else mesh
-    net = epsilon_net(G, eps_b)
-    while len(net) > 80 and len(net) > len(G.vertices):
-        eps_b *= 2.0
-        net = epsilon_net(G, eps_b)
-    if len(net) > _VR_MAX_POINTS:
-        return None
-    D = finite_metric(G, net)
-    return vr_h1_barcode(D), eps_b
+def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph) -> List[Tuple[str, float]]:
+    from .persistence import persistence_sequence, seq_distance
+    gap = abs(diameter(G) - diameter(H))
+    seq = seq_distance(persistence_sequence(G), persistence_sequence(H))
+    return [("diameter gap / 2", gap / 2.0),
+            ("persistence sequence gap / 4", seq / 4.0)]
 
 
-def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph,
-                            mesh: Optional[float] = None) -> List[Tuple[str, float]]:
-    from .persistence import bottleneck_distance, persistence_sequence, seq_distance
-    if mesh is not None and not mesh > 0:
-        raise ValueError("mesh must be > 0")
-    certs: List[Tuple[str, float]] = []
-    dG, dH = diameter(G), diameter(H)
-    certs.append(("diameter gap / 2", abs(dG - dH) / 2.0))
-
-    sG = persistence_sequence(G)
-    sH = persistence_sequence(H)
-    certs.append(("persistence sequence gap / 4", seq_distance(sG, sH) / 4.0))
-
-    meshG = mesh if mesh is not None else 0.05 * dG
-    meshH = mesh if mesh is not None else 0.05 * dH
-    if dG > 0 and dH > 0:
-        hG, eG = hyp_graph(G, max(meshG, dG / 12.0))
-        hH, eH = hyp_graph(H, max(meshH, dH / 12.0))
-        certs.append(("hyperbolicity gap / 4",
-                      max(0.0, abs(hG - hH) / 4.0 - (eG + eH) / 4.0)))
-        # the bound is a max, so leaving a certificate out is sound
-        netG = _barcode_net(G, meshG)
-        netH = _barcode_net(H, meshH) if netG is not None else None
-        if netG is not None and netH is not None:
-            (bG, ebG), (bH, ebH) = netG, netH
-            certs.append(("net barcode bottleneck / 2",
-                          max(0.0, bottleneck_distance(bG, bH) / 2.0 - ebG - ebH)))
-    return certs
-
-
-def dgh_lower(G: MetricGraph, H: MetricGraph, mesh: Optional[float] = None) -> float:
+def dgh_lower(G: MetricGraph, H: MetricGraph) -> float:
     """Best available lower bound on the Gromov-Hausdorff distance between
     two metric graphs."""
-    return max(v for (_, v) in _dgh_lower_certificates(G, H, mesh))
+    return max(v for (_, v) in _dgh_lower_certificates(G, H))
 
 
-def dgh_bounds(G: MetricGraph, H: MetricGraph,
-               mesh: Optional[float] = None) -> BoundReport:
+def dgh_bounds(G: MetricGraph, H: MetricGraph) -> BoundReport:
     """Two-sided estimate of the Gromov-Hausdorff distance between two
     graphs: stable invariants below, the complete relation above."""
-    certs = _dgh_lower_certificates(G, H, mesh)
+    certs = _dgh_lower_certificates(G, H)
     lower = max(v for (_, v) in certs)
     upper = max(diameter(G), diameter(H)) / 2.0
     certs.append(("complete relation distortion / 2", upper))
@@ -358,8 +326,10 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
                 mesh: float) -> BoundReport:
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
+    if not mesh > 0:
+        raise ValueError("mesh must be > 0")
     upper = R.distortion + 2.0 * mesh
-    certs = _dgh_lower_certificates(G, H, mesh)
+    certs = _dgh_lower_certificates(G, H)
     lower = max(v for (_, v) in certs)
     certs.append(("correspondence distortion + 2*mesh", upper))
     return BoundReport(quantity="labeled gromov-hausdorff distance",

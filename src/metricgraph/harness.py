@@ -470,7 +470,7 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
         inst_g, G, p = instances[i]
         inst_h, H, q = instances[i + 1]
         beta = max(G.betti1, H.betti1)
-        left = dgh_lower(G, H, mesh)
+        left = dgh_lower(G, H)
         right = (8.0 * beta + 6.0) * 2.0 * _pointed_dgh_upper(G, p, H, q)
         rows.append(ReportRow(check="quotient stability sandwich",
                               anchor="thm:reebstability",

@@ -382,12 +382,16 @@ def diameter(G: MetricGraph) -> float:
         G._diam_cache = 0.0
         return 0.0
     vidx = {v: k for k, v in enumerate(G.vertices)}
-    D = np.array([[row[w] for w in G.vertices]
-                  for row in map(G._vertex_dists, G.vertices)])
     es = G.edges
+    # the kernel's tolerances are set for lengths near 1, so it runs on
+    # lengths divided by the power of two (an exact scaling) that puts the
+    # longest edge in [1, 2); the result then scales exactly with G
+    unit = 2.0 ** (math.frexp(max(e.length for e in es))[1] - 1)
+    D = np.array([[row[w] for w in G.vertices]
+                  for row in map(G._vertex_dists, G.vertices)]) / unit
     eu = np.array([vidx[e.u] for e in es])
     ev = np.array([vidx[e.v] for e in es])
-    L = np.array([e.length for e in es])
+    L = np.array([e.length for e in es]) / unit
 
     def routes(i, j):
         # d(s on e_i, t on e_j) through each pair of endpoints
@@ -424,6 +428,7 @@ def diameter(G: MetricGraph) -> float:
             val = _max_min_block(routes(i, j),
                                  [(zero, zero), (l1, zero), (l1, l2), (zero, l2)])
             best = max(best, float(val.max()))
+    best *= unit
     G._diam_cache = best
     return best
 

@@ -276,9 +276,7 @@ def _mask_ids(G: MetricGraph, mask: int) -> Tuple[str, ...]:
 def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]:
     """Pick a minimum-weight independent subset, ties broken by the sorted
     edge-id tuple of the cycle."""
-    dec = sorted(((round(_mask_weight(G, m) / TOL) * TOL, _mask_ids(G, m), m)
-                  for m in set(candidates)),
-                 key=lambda t: (t[0], t[1]))
+    dec = sorted((_mask_weight(G, m), _mask_ids(G, m), m) for m in set(candidates))
     basis: List[int] = []
     pivots: Dict[int, int] = {}
     for (_, _, m) in dec:
@@ -360,7 +358,7 @@ def minimal_cycle_basis(G: MetricGraph) -> List[float]:
         exact = _greedy_basis(G, full, beta)
         wa = sorted(_mask_weight(G, m) for m in basis)
         wb = sorted(_mask_weight(G, m) for m in exact)
-        if len(basis) != beta or any(abs(x - y) > TOL for x, y in zip(wa, wb)):
+        if len(basis) != beta or any(abs(x - y) > TOL * y for x, y in zip(wa, wb)):
             basis = exact
     if len(basis) != beta:
         raise AssertionError("cycle basis selection is incomplete")

@@ -2,31 +2,36 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metricgraph import (
     BoundReport,
     Correspondence,
     GraphPoint,
     MetricGraph,
+    bottleneck_distance,
     brute_force_dgh,
     delta_n_bounds,
     dgh_bounds,
     dgh_lower,
     dghl_bounds,
+    diameter,
     epsilon_net,
     finite_metric,
     hyp_graph,
     hyperbolicity,
     r_extension,
+    vr_h1_barcode,
 )
-from metricgraph.gh_bounds import _barcode_net
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.persistence import _VR_MAX_POINTS
 
 from oracles.dgh_exhaustive import dgh_all_relations
 
 from conftest import random_euclidean_metric
 
 TOL = 1e-9
+REL = 1e-12
 
 
 def _c6():
@@ -112,6 +117,21 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="empty"):
             brute_force_dgh(np.zeros((0, 0)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("bad, match", [
+        (np.nan, "finite"), (np.inf, "finite"), (None, "square"),
+    ], ids=["nan", "inf", "not-square"])
+    @pytest.mark.parametrize("side", ["DX", "DY"])
+    def test_rejects_bad_matrix(self, bad, match, side):
+        D = random_euclidean_metric(np.random.default_rng(31), 3)
+        if bad is None:
+            D = D[:2]
+        else:
+            D[0, 1] = D[1, 0] = bad
+        good = random_euclidean_metric(np.random.default_rng(37), 3)
+        args = (D, good) if side == "DX" else (good, D)
+        with pytest.raises(ValueError, match=match):
+            brute_force_dgh(*args)
+
 
 class TestCorrespondence:
     def _corr(self, rng, n=4, m=3):
@@ -148,6 +168,17 @@ class TestCorrespondence:
         with pytest.raises(ValueError, match="no pairs"):
             Correspondence(left=(), right=(), pairs=(),
                            DX=np.zeros((0, 0)), DY=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["DX", "DY"])
+    def test_rejects_non_finite(self, bad, side):
+        D = random_euclidean_metric(np.random.default_rng(43), 2)
+        bent = D.copy()
+        bent[0, 1] = bent[1, 0] = bad
+        DX, DY = (bent, D) if side == "DX" else (D, bent)
+        with pytest.raises(ValueError, match="finite"):
+            Correspondence(left=(0, 1), right=(0, 1),
+                           pairs=((0, 0), (1, 1)), DX=DX, DY=DY)
 
 
 class TestRExtension:
@@ -295,42 +326,32 @@ class TestDeltaBounds:
 
 class TestGraphDistanceBounds:
     def test_cycle_pair_diameter_gap(self, c12):
-        lower = dgh_lower(c12, _c6(), mesh=0.1)
+        lower = dgh_lower(c12, _c6())
         assert lower == pytest.approx(1.5)
-        rep = dgh_bounds(c12, _c6(), mesh=0.1)
+        rep = dgh_bounds(c12, _c6())
         assert rep.lower == pytest.approx(1.5)
         assert rep.upper == pytest.approx(3.0)
 
     def test_self_distance_small(self, theta):
-        assert dgh_lower(theta, theta, mesh=0.05) <= 1e-9
+        assert dgh_lower(theta, theta) <= 1e-9
 
     def test_bounds_ordered_on_random_pairs(self):
         spec = EnsembleSpec(seed=71, count=8)
         for i in range(0, 8, 2):
             G, H = random_graph(spec, i), random_graph(spec, i + 1)
-            mesh = 0.08 * max(G.total_length, H.total_length)
-            rep = dgh_bounds(G, H, mesh=mesh)
+            rep = dgh_bounds(G, H)
             assert rep.lower <= rep.upper + 1e-9
             assert rep.lower >= 0.0
 
     def test_more_than_80_vertices(self):
-        # every net holds every vertex, so the barcode net stops coarsening
-        # at the vertex set instead of looping forever
+        # a no-hang regression: graphs this large once made the lower
+        # bound coarsen a net forever
         G = random_graph(EnsembleSpec(seed=5, vertex_range=(90, 90),
                                       beta1_range=(6, 6)), 0)
         H = random_graph(EnsembleSpec(seed=6, vertex_range=(20, 20),
                                       beta1_range=(3, 3)), 0)
         rep = dgh_bounds(G, H)
-        assert "net barcode bottleneck / 2" in dict(rep.certificates)
         assert 0.0 <= rep.lower <= rep.upper + 1e-9
-        _, eps = _barcode_net(G, 0.05)
-        assert eps >= max(e.length for e in G.edges)
-
-    def test_barcode_net_past_the_vr_cap(self):
-        P = MetricGraph(vertices=[f"v{i}" for i in range(310)],
-                        edges=[(f"e{i}", f"v{i}", f"v{i + 1}", 1.0)
-                               for i in range(309)])
-        assert _barcode_net(P, 0.05) is None
 
     def test_lower_with_explicit_relation(self, c12):
         H = _c6()
@@ -346,3 +367,111 @@ class TestGraphDistanceBounds:
         rep = dghl_bounds(c12, H, R, mesh=0.5)
         assert rep.lower <= rep.upper + 1e-9
         assert rep.upper == pytest.approx(R.distortion + 1.0)
+
+
+def _ensemble_pair(seed: int, n_v=(3, 8), beta=(0, 4)):
+    spec = EnsembleSpec(seed=seed, count=2, vertex_range=n_v, beta1_range=beta)
+    return random_graph(spec, 0), random_graph(spec, 1)
+
+
+def _edge_tuples(G: MetricGraph):
+    return [(e.id, e.u, e.v, e.length) for e in G.edges]
+
+
+def _hyperbolicity_cert(G: MetricGraph, H: MetricGraph) -> float:
+    """The "hyperbolicity gap / 4" certificate dgh_lower once offered, at
+    its default meshes."""
+    dG, dH = diameter(G), diameter(H)
+    if not (dG > 0 and dH > 0):
+        return 0.0
+    hG, eG = hyp_graph(G, max(0.05 * dG, dG / 12.0))
+    hH, eH = hyp_graph(H, max(0.05 * dH, dH / 12.0))
+    return max(0.0, abs(hG - hH) / 4.0 - (eG + eH) / 4.0)
+
+
+def _barcode_net(G: MetricGraph):
+    """VR barcode of a net of at most 80 points (or of the vertex set) and
+    its mesh, as the removed "net barcode bottleneck / 2" certificate built
+    it; None past the VR point cap."""
+    eps = max(0.05 * diameter(G), diameter(G) / 10.0)
+    net = epsilon_net(G, eps)
+    while len(net) > 80 and len(net) > len(G.vertices):
+        eps *= 2.0
+        net = epsilon_net(G, eps)
+    if len(net) > _VR_MAX_POINTS:
+        return None
+    return vr_h1_barcode(finite_metric(G, net)), eps
+
+
+def _net_barcode_cert(G: MetricGraph, H: MetricGraph) -> float:
+    if not (diameter(G) > 0 and diameter(H) > 0):
+        return 0.0
+    netG, netH = _barcode_net(G), _barcode_net(H)
+    if netG is None or netH is None:
+        return 0.0
+    (bG, eG), (bH, eH) = netG, netH
+    return max(0.0, bottleneck_distance(bG, bH) / 2.0 - eG - eH)
+
+
+class TestLowerBound:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000))
+    def test_dominates_removed_certificates(self, seed):
+        G, H = _ensemble_pair(seed)
+        lower = dgh_lower(G, H)
+        assert lower >= _hyperbolicity_cert(G, H)
+        assert lower >= _net_barcode_cert(G, H)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000))
+    def test_sound_against_exact_nets(self, seed):
+        # d_GH(X, net) <= mesh, so by the triangle inequality d_GH(G, H) is
+        # at most the exact distance between the nets plus meshG + meshH.
+        # Nets of at most 4 points keep the exact search fast: at 5 to 7
+        # points one pair can take tens of seconds.
+        G, H = _ensemble_pair(seed, n_v=(2, 3), beta=(0, 2))
+        D, mesh = [], []
+        for X in (G, H):
+            eps = X.total_length
+            while len(epsilon_net(X, eps / 2.0)) <= 4:
+                eps /= 2.0
+            D.append(finite_metric(X, epsilon_net(X, eps)))
+            mesh.append(eps)
+        assert dgh_lower(G, H) <= brute_force_dgh(D[0], D[1]) + mesh[0] + mesh[1] + TOL
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000))
+    def test_symmetric(self, seed):
+        G, H = _ensemble_pair(seed)
+        assert dgh_lower(G, H) == dgh_lower(H, G)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(-30, 30))
+    # tiny scales once collapsed cycle weights onto an absolute 1e-9 grid,
+    # large ones once dropped boundary candidates of the diameter
+    @example(59, -30)
+    @example(1, 23)
+    def test_scaling(self, seed, k):
+        s = 2.0 ** k
+        G, H = _ensemble_pair(seed)
+        Gs, Hs = (MetricGraph(list(X.vertices),
+                              [(i, u, v, L * s) for (i, u, v, L) in _edge_tuples(X)])
+                  for X in (G, H))
+        assert dgh_lower(Gs, Hs) == s * dgh_lower(G, H)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+    def test_relabel_and_reorder(self, seed, rnd):
+        G, H = _ensemble_pair(seed)
+
+        def shuffled(X: MetricGraph, tag: str) -> MetricGraph:
+            names = list(X.vertices)
+            rnd.shuffle(names)
+            vmap = {v: f"{tag}{k}" for k, v in enumerate(names)}
+            edges = [(f"{tag}e{k}", vmap[u], vmap[v], L)
+                     for k, (_, u, v, L) in enumerate(_edge_tuples(X))]
+            rnd.shuffle(edges)
+            return MetricGraph(list(vmap.values()), edges)
+
+        assert dgh_lower(shuffled(G, "x"), shuffled(H, "y")) == \
+            pytest.approx(dgh_lower(G, H), rel=REL)

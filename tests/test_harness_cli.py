@@ -256,7 +256,7 @@ class TestCli:
         assert 2.9 <= obj["value"] <= 3.1
         assert obj["error"] == pytest.approx(0.4)
         result = runner.invoke(main, ["gh", "--graph", path,
-                                      "--other", other, "--mesh", "0.2"])
+                                      "--other", other])
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["lower"] <= obj["upper"] + 1e-9
@@ -303,15 +303,10 @@ class TestCli:
     (["net", "--mesh", "nan"], "--mesh"),
     (["delta", "--n", "0", "--mesh", "nan"], "--mesh"),
     (["verify", "--count", "1", "--mesh", "nan"], "--mesh"),
-    (["gh", "--mesh", "nan"], "mesh"),
-    (["gh", "--mesh", "0"], "mesh"),
-    (["gh", "--mesh", "-1"], "mesh"),
 ])
 def test_cli_nan_scale(tmp_path, theta, args, name):
     path = _write_graph(tmp_path, theta, "theta.json")
     graph = [] if args[0] == "verify" else ["--graph", path]
-    if args[0] == "gh":
-        graph += ["--other", path]
     result = CliRunner().invoke(main, args + graph)
     assert result.exit_code == 2
     assert f"{name} must be" in result.output
