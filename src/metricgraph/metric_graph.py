@@ -127,7 +127,8 @@ class MetricGraph:
             adj[e.v].append(e.id)
         self._adj = {v: tuple(lst) for v, lst in adj.items()}
         self._check_connected()
-        self._dist_cache: Dict[str, Dict[str, float]] = {}
+        # source vertex -> its shortest-path tree; see _sp_tree
+        self._dist_cache: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
         self._diam_cache: Optional[float] = None
         # keyed by canonical basepoint; see _monotone_model and build_merge_tree
         self._model_cache: Dict[GraphPoint, "MonotoneModel"] = {}
@@ -200,10 +201,19 @@ class MetricGraph:
 
     # -- shortest paths ----------------------------------------------------
 
-    def _vertex_dists(self, source: str) -> Dict[str, float]:
-        if source in self._dist_cache:
-            return self._dist_cache[source]
+    def _sp_tree(self, source: str) -> Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]:
+        """Shortest-path tree rooted at a vertex, built on first use and
+        cached: (dist, parent). ``dist`` maps every vertex to its distance
+        from source; ``parent`` maps every vertex but source to the
+        (vertex, edge id) it is reached through. Ties go to the first
+        relaxation, in heap order (distance, insertion counter), and an
+        improvement counts only when it exceeds 1e-15. Distances, geodesics
+        and the Horton cycle candidates all read this one tree."""
+        tree = self._dist_cache.get(source)
+        if tree is not None:
+            return tree
         dist: Dict[str, float] = {source: 0.0}
+        parent: Dict[str, Tuple[str, str]] = {}
         done: Set[str] = set()
         heap: List[Tuple[float, int, str]] = [(0.0, 0, source)]
         counter = 1
@@ -218,10 +228,14 @@ class MetricGraph:
                 nd = d + e.length
                 if w not in dist or nd < dist[w] - 1e-15:
                     dist[w] = nd
+                    parent[w] = (v, eid)
                     heapq.heappush(heap, (nd, counter, w))
                     counter += 1
-        self._dist_cache[source] = dist
-        return dist
+        tree = self._dist_cache[source] = (dist, parent)
+        return tree
+
+    def _vertex_dists(self, source: str) -> Dict[str, float]:
+        return self._sp_tree(source)[0]
 
     def _exits(self, pt: GraphPoint) -> List[Tuple[str, float]]:
         """(vertex, cost to reach it) pairs through which geodesics from pt
@@ -887,46 +901,26 @@ def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     if points_equal(G, ca, cb):
         return EdgePath(steps=(), anchor=ca)
 
-    # run Dijkstra with parent edges from a's exit vertices
-    dist: Dict[str, float] = {}
-    parent: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
-    heap: List[Tuple[float, int, str, Optional[str], Optional[str]]] = []
-    counter = 0
-    for (v, c) in G._exits(ca):
-        heap.append((c, counter, v, None, None))
-        counter += 1
-    heapq.heapify(heap)
-    done: Set[str] = set()
-    while heap:
-        d, _, v, pv, pe = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        dist[v] = d
-        parent[v] = (pv, pe)
-        for eid in G._adj[v]:
-            e = G._edges[eid]
-            w = e.v if e.u == v else e.u
-            if w not in done:
-                heapq.heappush(heap, (d + e.length, counter, w, v, eid))
-                counter += 1
-
-    # choose the best arrival at b
+    # best route: along a shared edge, or out of a through one exit vertex
+    # and into b through another
     best = None
     if not ca.is_vertex() and not cb.is_vertex() and ca.edge == cb.edge:
         best = (abs(ca.offset - cb.offset), None, None)
-    for (v, c) in G._exits(cb):
-        cand = dist[v] + c
-        if best is None or cand < best[0] - 1e-15:
-            best = (cand, v, c)
+    for (va, costa) in G._exits(ca):
+        dv = G._vertex_dists(va)
+        for (vb, costb) in G._exits(cb):
+            cand = costa + dv[vb] + costb
+            if best is None or cand < best[0] - 1e-15:
+                best = (cand, va, vb)
 
     if best[1] is None:  # direct along the shared edge
         return EdgePath(steps=((ca.edge, ca.offset, cb.offset),))
 
-    arrive = best[1]
+    _, depart, arrive = best
+    parent = G._sp_tree(depart)[1]
     chain: List[Tuple[str, float, float]] = []
     v = arrive
-    while parent[v][0] is not None:
+    while v != depart:
         pv, pe = parent[v]
         e = G._edges[pe]
         if e.u == pv:
@@ -939,8 +933,7 @@ def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     steps: List[Tuple[str, float, float]] = []
     if not ca.is_vertex():
         e = G.edge(ca.edge)
-        target = e.u if v == e.u else e.v
-        steps.append((ca.edge, ca.offset, 0.0 if target == e.u else e.length))
+        steps.append((ca.edge, ca.offset, 0.0 if depart == e.u else e.length))
     steps.extend(chain)
     if not cb.is_vertex():
         e = G.edge(cb.edge)
@@ -964,8 +957,12 @@ def graph_to_json_obj(G: MetricGraph) -> dict:
 def graph_from_json_obj(obj: dict) -> MetricGraph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise ValueError("graph json needs 'vertices' and 'edges'")
+    if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
+        raise ValueError("graph json 'vertices' and 'edges' must be lists")
     edges = []
     for e in obj["edges"]:
+        if not isinstance(e, dict):
+            raise ValueError(f"edge entry must be an object, not {e!r}")
         for k in ("id", "u", "v", "length"):
             if k not in e:
                 raise ValueError(f"edge entry missing '{k}'")
@@ -980,11 +977,18 @@ def point_to_json_obj(pt: GraphPoint) -> dict:
 
 
 def point_from_json_obj(obj: dict) -> GraphPoint:
+    if not isinstance(obj, dict):
+        raise ValueError(f"point json must be an object, not {obj!r}")
+    for key in ("vertex", "edge"):
+        if key in obj and not isinstance(obj[key], str):
+            raise ValueError(f"point {key} must be a string id, not {obj[key]!r}")
     if "vertex" in obj:
         return GraphPoint(vertex=obj["vertex"])
     if "edge" in obj:
         offset = obj.get("offset", 0.0)
         if isinstance(offset, bool):
             raise ValueError("point offset must be a number, not a bool")
+        if not isinstance(offset, (int, float)):
+            raise ValueError(f"point offset must be a number, not {offset!r}")
         return GraphPoint(edge=obj["edge"], offset=float(offset))
     raise ValueError("point json needs 'vertex' or 'edge'")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,14 +48,19 @@ class Barcode:
 
 @dataclass(frozen=True)
 class PersistenceSequence:
-    """Non-increasing positive entries; a(n) for n past the end is 0."""
+    """Non-increasing, finite, positive entries; a(n) for n past the end
+    is 0."""
 
     entries: Tuple[float, ...] = ()
 
     def __post_init__(self):
         for x in self.entries:
+            if isinstance(x, bool) or not isinstance(x, (int, float)) \
+                    or not math.isfinite(x):
+                raise ValueError(f"sequence entries must be finite numbers, not {x!r}")
             if x <= 0:
                 raise ValueError("sequence entries must be positive")
+        object.__setattr__(self, "entries", tuple(float(x) for x in self.entries))
         for i in range(len(self.entries) - 1):
             if self.entries[i] < self.entries[i + 1] - TOL:
                 raise ValueError("sequence must be non-increasing")
@@ -71,7 +76,7 @@ class PersistenceSequence:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PersistenceSequence":
-        return PersistenceSequence(entries=tuple(float(x) for x in obj["a"]))
+        return PersistenceSequence(entries=tuple(obj["a"]))
 
 
 def seq_distance(s1: PersistenceSequence, s2: PersistenceSequence) -> float:
@@ -212,44 +217,6 @@ def vr_h1_barcode(D) -> Barcode:
 
 # -- cycle bases -------------------------------------------------------------
 
-def _edge_index(G: MetricGraph) -> Dict[str, int]:
-    return {e.id: k for k, e in enumerate(G.edges)}
-
-
-def _fundamental_masks(G: MetricGraph) -> List[int]:
-    """GF(2) fundamental cycles of an arbitrary spanning tree, as edge
-    bitmasks in construction order."""
-    idx = _edge_index(G)
-    parent: Dict[str, Optional[Tuple[str, str]]] = {G.vertices[0]: None}
-    order = [G.vertices[0]]
-    tree: set = set()
-    stack = [G.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for eid in G.incident(v):
-            e = G.edge(eid)
-            w = e.v if e.u == v else e.u
-            if w not in parent:
-                parent[w] = (v, eid)
-                tree.add(eid)
-                stack.append(w)
-
-    def path_mask(v: str) -> int:
-        m = 0
-        while parent[v] is not None:
-            pv, pe = parent[v]
-            m ^= 1 << idx[pe]
-            v = pv
-        return m
-
-    masks: List[int] = []
-    for e in G.edges:
-        if e.id in tree:
-            continue
-        masks.append(path_mask(e.u) ^ path_mask(e.v) ^ (1 << idx[e.id]))
-    return masks
-
-
 def _mask_weight(G: MetricGraph, mask: int) -> float:
     es = G.edges
     total, k = 0.0, 0
@@ -261,25 +228,12 @@ def _mask_weight(G: MetricGraph, mask: int) -> float:
     return total
 
 
-def _mask_ids(G: MetricGraph, mask: int) -> Tuple[str, ...]:
-    es = G.edges
-    out = []
-    k = 0
-    while mask:
-        if mask & 1:
-            out.append(es[k].id)
-        mask >>= 1
-        k += 1
-    return tuple(sorted(out))
-
-
 def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]:
-    """Pick a minimum-weight independent subset, ties broken by the sorted
-    edge-id tuple of the cycle."""
-    dec = sorted((_mask_weight(G, m), _mask_ids(G, m), m) for m in set(candidates))
+    """Pick a minimum-weight independent subset, ties broken by mask."""
+    dec = sorted((_mask_weight(G, m), m) for m in set(candidates))
     basis: List[int] = []
     pivots: Dict[int, int] = {}
-    for (_, _, m) in dec:
+    for (_, m) in dec:
         cur = m
         while cur:
             low = cur.bit_length() - 1
@@ -295,36 +249,18 @@ def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]
 
 
 def _horton_candidates(G: MetricGraph) -> List[int]:
-    idx = _edge_index(G)
+    """Each edge closed by the shortest-path tree of each root, as GF(2)
+    edge bitmasks in construction order; tree edges close nothing."""
+    idx = {e.id: k for k, e in enumerate(G.edges)}
     cands: List[int] = []
-    import heapq
     for root in G.vertices:
-        # Dijkstra with deterministic parents
-        dist: Dict[str, float] = {root: 0.0}
-        parent: Dict[str, Optional[Tuple[str, str]]] = {root: None}
-        heap: List[Tuple[float, str, str, str]] = [(0.0, root, "", "")]
-        done: set = set()
-        while heap:
-            d, v, pv, pe = heapq.heappop(heap)
-            if v in done:
-                continue
-            done.add(v)
-            if pv:
-                parent[v] = (pv, pe)
-            for eid in G.incident(v):
-                e = G.edge(eid)
-                w = e.v if e.u == v else e.u
-                nd = d + e.length
-                if w not in done and (w not in dist or nd < dist[w] - 1e-15):
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w, v, eid))
+        parent = G._sp_tree(root)[1]
 
         def pmask(v: str) -> int:
             m = 0
-            while parent.get(v) is not None:
-                pv, pe = parent[v]
+            while v in parent:
+                v, pe = parent[v]
                 m ^= 1 << idx[pe]
-                v = pv
             return m
 
         for e in G.edges:
@@ -337,29 +273,21 @@ def _horton_candidates(G: MetricGraph) -> List[int]:
 def minimal_cycle_basis(G: MetricGraph) -> List[float]:
     """Lengths of a minimum-weight GF(2) cycle basis, ascending.
 
-    Candidate cycles come from per-root shortest-path trees, with a greedy
-    independent selection. For small cycle spaces (beta1 <= 12) the full
-    cycle space is enumerated as a cross-check and wins on any discrepancy,
-    which makes the result exact regardless of shortest-path ties.
+    Horton's theorem (Horton, SIAM J. Comput. 1987): for a root r and an
+    edge xy, let C(r, xy) be xy plus the tree paths from r to x and to y in
+    a shortest-path tree rooted at r (shared steps cancel mod 2). These
+    cycles, over all roots and edges, contain a minimum basis. The trees'
+    tie-breaking does not matter: for a cycle C through r, the C(r, e) over
+    the edges e of C sum to C, and each weighs at most w(C), since x and y
+    are each reached within their arc of C away from e. The cycle space is
+    a matroid, so the greedy selection over the candidates in ascending
+    weight finds a minimum basis, and every minimum basis has the same
+    sorted weights.
     """
     beta = G.betti1
     if beta == 0:
         return []
     basis = _greedy_basis(G, _horton_candidates(G), beta)
-    if beta <= 12:
-        fund = _fundamental_masks(G)
-        full = []
-        for bits in range(1, 1 << beta):
-            m = 0
-            for k in range(beta):
-                if bits >> k & 1:
-                    m ^= fund[k]
-            full.append(m)
-        exact = _greedy_basis(G, full, beta)
-        wa = sorted(_mask_weight(G, m) for m in basis)
-        wb = sorted(_mask_weight(G, m) for m in exact)
-        if len(basis) != beta or any(abs(x - y) > TOL * y for x, y in zip(wa, wb)):
-            basis = exact
     if len(basis) != beta:
         raise AssertionError("cycle basis selection is incomplete")
     return sorted(_mask_weight(G, m) for m in basis)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from metricgraph import GraphPoint, MetricGraph
 
@@ -43,3 +46,29 @@ def random_point(G: MetricGraph, rng: np.random.Generator) -> GraphPoint:
         return GraphPoint(vertex=G.vertices[int(rng.integers(len(G.vertices)))])
     e = G.edges[int(rng.integers(len(G.edges)))]
     return G.canonical(GraphPoint(edge=e.id, offset=float(rng.uniform(0, e.length))))
+
+
+@st.composite
+def tie_graphs(draw, max_beta=10):
+    """Small connected multigraphs with many equal-length cycles, as
+    (vertices, edges) with (id, u, v, length) edges: lengths all 1, or all
+    from {0.1, 0.2, 0.3}, or random; a random tree or a complete graph
+    K3..K6, plus extra edges (self-loops among them) and equal-length
+    parallel twins, up to max_beta independent cycles."""
+    length = draw(st.sampled_from([st.just(1.0), st.sampled_from([0.1, 0.2, 0.3]),
+                                   st.floats(0.25, 2.0)]))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        pairs = list(itertools.combinations(range(n), 2))
+    else:
+        n = draw(st.integers(1, 7))
+        pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex),
+                           max_size=max_beta - (len(pairs) - n + 1)))
+    edges = [(f"e{k}", f"v{u}", f"v{v}", draw(length)) for k, (u, v) in enumerate(pairs)]
+    room = max_beta - (len(edges) - n + 1)
+    if edges and room:
+        twins = draw(st.lists(st.sampled_from(edges), max_size=room))
+        edges += [(f"t{k}", u, v, L) for k, (_, u, v, L) in enumerate(twins)]
+    return [f"v{k}" for k in range(n)], edges

@@ -96,6 +96,17 @@ class TestGraphIO:
         }))
         with pytest.raises(ValueError, match="not connected"):
             load_graph(str(path2))
+        # wrong JSON types are schema errors too: ValueError in the
+        # library, exit code 2 in the CLI
+        for k, obj in enumerate([{"vertices": ["a"], "edges": [5]},
+                                 {"vertices": 5, "edges": []},
+                                 {"vertices": ["a"], "edges": {}}]):
+            bad = tmp_path / f"malformed{k}.json"
+            bad.write_text(json.dumps(obj))
+            with pytest.raises(ValueError):
+                load_graph(str(bad))
+            result = CliRunner().invoke(main, ["info", "--graph", str(bad)])
+            assert result.exit_code == 2, result.output
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -189,23 +200,28 @@ class TestCli:
     def test_bad_point_json(self, tmp_path, theta):
         path = _write_graph(tmp_path, theta, "theta.json")
         runner = CliRunner()
-        result = runner.invoke(main, [
-            "distance", "--graph", path,
-            "--point", "{oops", "--point", "{}",
-        ])
-        assert result.exit_code == 2
+        for text in ("{oops", "{}", '"edge"', "[1]", '{"edge": 3}',
+                     '{"vertex": ["u"]}'):
+            result = runner.invoke(main, [
+                "distance", "--graph", path,
+                "--point", text, "--point", json.dumps({"vertex": "u"}),
+            ])
+            assert result.exit_code == 2, (text, result.output)
 
     @pytest.mark.parametrize("text", ['{"edge": "e3", "offset": NaN}',
-                                      '{"edge": "e3", "offset": true}'])
+                                      '{"edge": "e3", "offset": true}',
+                                      '{"edge": "e3", "offset": null}',
+                                      '{"edge": "e3", "offset": [1]}',
+                                      '{"edge": "e3", "offset": "1"}'])
     def test_bad_point_offset(self, tmp_path, theta, text):
         path = _write_graph(tmp_path, theta, "theta.json")
         runner = CliRunner()
-        result = runner.invoke(main, [
-            "distance", "--graph", path,
-            "--point", text, "--point", json.dumps({"vertex": "u"}),
-        ])
-        assert result.exit_code == 2
-        assert "offset" in result.output
+        for args in (["distance", "--point", text,
+                      "--point", json.dumps({"vertex": "u"})],
+                     ["smooth", "--basepoint", text, "--epsilon", "0.5"]):
+            result = runner.invoke(main, args + ["--graph", path])
+            assert result.exit_code == 2, result.output
+            assert "offset" in result.output
 
     def test_missing_graph_file(self, tmp_path):
         runner = CliRunner()

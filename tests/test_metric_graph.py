@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricgraph import (
     EdgePath,
@@ -19,6 +20,7 @@ from metricgraph import (
     graph_from_json_obj,
     graph_to_json_obj,
     is_simple_path,
+    minimal_cycle_basis,
     monotone_decomposition,
     monotone_subdivision,
     path_length,
@@ -31,9 +33,15 @@ from metricgraph import (
     tree_distortion,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
-from metricgraph.metric_graph import path_from_traversals
+from metricgraph.metric_graph import (
+    path_end,
+    path_from_traversals,
+    path_start,
+    points_equal,
+    validate_path,
+)
 
-from conftest import random_point
+from conftest import random_point, tie_graphs
 from oracles import theta_routes
 
 TOL = 1e-9
@@ -200,6 +208,56 @@ class TestPaths:
                 a, b = random_point(G, rng), random_point(G, rng)
                 gamma = shortest_path(G, a, b)
                 assert abs(path_length(G, gamma) - distance(G, a, b)) < TOL
+
+
+@st.composite
+def ensemble_graphs(draw):
+    spec = EnsembleSpec(seed=draw(st.integers(0, 10_000)), count=1,
+                        vertex_range=(2, 30), beta1_range=(0, 6))
+    G = random_graph(spec, 0)
+    return list(G.vertices), [(e.id, e.u, e.v, e.length) for e in G.edges]
+
+
+@st.composite
+def point_pairs(draw, G):
+    """A vertex/vertex, vertex/interior, interior/interior or same-edge
+    pair of points of G."""
+    kind = draw(st.sampled_from(["vv", "vi", "ii", "same"]))
+    if not G.edges:
+        kind = "vv"
+
+    def interior(e):
+        return GraphPoint(edge=e.id, offset=draw(st.floats(0.0, 1.0)) * e.length)
+
+    def vertex():
+        return GraphPoint(vertex=draw(st.sampled_from(G.vertices)))
+
+    edge = st.sampled_from(G.edges)
+    if kind == "same":
+        e = draw(edge)
+        return interior(e), interior(e)
+    a = vertex() if kind != "ii" else interior(draw(edge))
+    b = vertex() if kind == "vv" else interior(draw(edge))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestShortestPathProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(tie_graphs(), ensemble_graphs()), st.data())
+    def test_geodesic(self, graph, data):
+        G = MetricGraph(*graph)
+        a, b = data.draw(point_pairs(G))
+        gamma = shortest_path(G, a, b)
+        validate_path(G, gamma)
+        assert points_equal(G, path_start(G, gamma), a)
+        assert points_equal(G, path_end(G, gamma), b)
+        assert is_simple_path(G, gamma)
+        assert path_length(G, gamma) == pytest.approx(distance(G, a, b), rel=1e-12)
+        # the cached trees built by other layers give the same geodesic
+        warm = MetricGraph(*graph)
+        diameter(warm)
+        minimal_cycle_basis(warm)
+        assert shortest_path(warm, a, b) == gamma
 
 
 class TestMonotoneDecomposition:

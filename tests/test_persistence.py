@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 
+from conftest import tie_graphs
 from oracles import bottleneck_exhaustive, mcb_exhaustive, vr_columns, vr_reduction
 
 TOL = 1e-9
@@ -44,6 +48,15 @@ class TestSequenceType:
             PersistenceSequence(entries=(1.0, 2.0))
         with pytest.raises(ValueError):
             PersistenceSequence(entries=(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    def test_rejects_non_finite_and_bool(self, bad):
+        for entries in ((bad,), (5.0, bad)):
+            with pytest.raises(ValueError, match="finite numbers"):
+                PersistenceSequence(entries=entries)
+            with pytest.raises(ValueError, match="finite numbers"):
+                PersistenceSequence.from_json_obj(
+                    json.loads(json.dumps({"a": list(entries)})))
 
     def test_tail_reads_zero(self):
         s = PersistenceSequence(entries=(4.0,))
@@ -186,6 +199,36 @@ class TestMinimalCycleBasis:
             want = mcb_exhaustive.minimum_cycle_basis_lengths(verts, edges)
             got = minimal_cycle_basis(G)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tie_graphs())
+    def test_tie_heavy_graphs_match_exhaustive_oracle(self, graph):
+        verts, edges = graph
+        want = mcb_exhaustive.minimum_cycle_basis_lengths(verts, edges)
+        got = minimal_cycle_basis(MetricGraph(verts, edges))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.integers(-30, 30))
+    def test_scales_exactly(self, graph, k):
+        verts, edges = graph
+        s = 2.0 ** k
+        scaled = MetricGraph(verts, [(i, u, v, L * s) for (i, u, v, L) in edges])
+        want = [x * s for x in minimal_cycle_basis(MetricGraph(verts, edges))]
+        assert minimal_cycle_basis(scaled) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.randoms(use_true_random=False))
+    def test_relabel_and_reorder(self, graph, rnd):
+        verts, edges = graph
+        names = list(verts)
+        rnd.shuffle(names)
+        vmap = {v: f"x{k}" for k, v in enumerate(names)}
+        moved = [(f"f{k}", vmap[u], vmap[v], L) for k, (_, u, v, L) in enumerate(edges)]
+        rnd.shuffle(moved)
+        got = minimal_cycle_basis(MetricGraph(list(vmap.values()), moved))
+        want = minimal_cycle_basis(MetricGraph(verts, edges))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestPersistenceSequence:
