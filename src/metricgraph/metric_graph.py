@@ -121,6 +121,10 @@ class MetricGraph:
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
         self._edge_order: Tuple[str, ...] = tuple(e.id for e in final)
         self._loop_halves = loop_halves
+        # the power of two that puts the longest edge in [1, 2): scaling by
+        # it is exact, so tolerances measured in it scale exactly with G
+        self._unit = math.ldexp(
+            1.0, math.frexp(max((e.length for e in final), default=1.0))[1] - 1)
         adj: Dict[str, List[str]] = {v: [] for v in self._vertices}
         for e in final:
             adj[e.u].append(e.id)
@@ -207,11 +211,13 @@ class MetricGraph:
         from source; ``parent`` maps every vertex but source to the
         (vertex, edge id) it is reached through. Ties go to the first
         relaxation, in heap order (distance, insertion counter), and an
-        improvement counts only when it exceeds 1e-15. Distances, geodesics
-        and the Horton cycle candidates all read this one tree."""
+        improvement counts only when it exceeds 1e-15 units (``_unit``), so
+        the tree scales exactly with G. Distances, geodesics and the Horton
+        cycle candidates all read this one tree."""
         tree = self._dist_cache.get(source)
         if tree is not None:
             return tree
+        slack = 1e-15 * self._unit
         dist: Dict[str, float] = {source: 0.0}
         parent: Dict[str, Tuple[str, str]] = {}
         done: Set[str] = set()
@@ -226,7 +232,7 @@ class MetricGraph:
                 e = self._edges[eid]
                 w = e.v if e.u == v else e.u
                 nd = d + e.length
-                if w not in dist or nd < dist[w] - 1e-15:
+                if w not in dist or nd < dist[w] - slack:
                     dist[w] = nd
                     parent[w] = (v, eid)
                     heapq.heappush(heap, (nd, counter, w))
@@ -255,19 +261,26 @@ def points_equal(G: MetricGraph, a: GraphPoint, b: GraphPoint, tol: float = TOL)
     return ca.edge == cb.edge and abs(ca.offset - cb.offset) <= tol
 
 
-def distance(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> float:
-    """Geodesic distance between two points."""
-    ca, cb = G.canonical(a), G.canonical(b)
-    best = math.inf
+def _best_route(G: MetricGraph, ca: GraphPoint,
+                cb: GraphPoint) -> Tuple[float, Optional[str], Optional[str]]:
+    """Shortest route between two canonical points, as (length, exit vertex
+    of ca, entry vertex of cb); the vertices are None for the direct route
+    along a shared edge. Ties go to the first candidate."""
+    best: Tuple[float, Optional[str], Optional[str]] = (math.inf, None, None)
     if not ca.is_vertex() and not cb.is_vertex() and ca.edge == cb.edge:
-        best = abs(ca.offset - cb.offset)
+        best = (abs(ca.offset - cb.offset), None, None)
     for (va, costa) in G._exits(ca):
         dv = G._vertex_dists(va)
         for (vb, costb) in G._exits(cb):
             cand = costa + dv[vb] + costb
-            if cand < best:
-                best = cand
+            if cand < best[0]:
+                best = (cand, va, vb)
     return best
+
+
+def distance(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> float:
+    """Geodesic distance between two points."""
+    return _best_route(G, G.canonical(a), G.canonical(b))[0]
 
 
 def f_values(G: MetricGraph, p: GraphPoint) -> Dict[str, float]:
@@ -398,9 +411,8 @@ def diameter(G: MetricGraph) -> float:
     vidx = {v: k for k, v in enumerate(G.vertices)}
     es = G.edges
     # the kernel's tolerances are set for lengths near 1, so it runs on
-    # lengths divided by the power of two (an exact scaling) that puts the
-    # longest edge in [1, 2); the result then scales exactly with G
-    unit = 2.0 ** (math.frexp(max(e.length for e in es))[1] - 1)
+    # lengths divided by G._unit; the result then scales exactly with G
+    unit = G._unit
     D = np.array([[row[w] for w in G.vertices]
                   for row in map(G._vertex_dists, G.vertices)]) / unit
     eu = np.array([vidx[e.u] for e in es])
@@ -901,22 +913,10 @@ def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     if points_equal(G, ca, cb):
         return EdgePath(steps=(), anchor=ca)
 
-    # best route: along a shared edge, or out of a through one exit vertex
-    # and into b through another
-    best = None
-    if not ca.is_vertex() and not cb.is_vertex() and ca.edge == cb.edge:
-        best = (abs(ca.offset - cb.offset), None, None)
-    for (va, costa) in G._exits(ca):
-        dv = G._vertex_dists(va)
-        for (vb, costb) in G._exits(cb):
-            cand = costa + dv[vb] + costb
-            if best is None or cand < best[0] - 1e-15:
-                best = (cand, va, vb)
-
-    if best[1] is None:  # direct along the shared edge
+    _, depart, arrive = _best_route(G, ca, cb)
+    if depart is None:  # direct along the shared edge
         return EdgePath(steps=((ca.edge, ca.offset, cb.offset),))
 
-    _, depart, arrive = best
     parent = G._sp_tree(depart)[1]
     chain: List[Tuple[str, float, float]] = []
     v = arrive

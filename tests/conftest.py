@@ -48,6 +48,12 @@ def random_point(G: MetricGraph, rng: np.random.Generator) -> GraphPoint:
     return G.canonical(GraphPoint(edge=e.id, offset=float(rng.uniform(0, e.length))))
 
 
+# three parallel edges far shorter than any absolute tolerance, as
+# (vertices, edges): the shortest-path trees must still hang y on edge b
+TINY_PARALLEL = (["x", "y"], [("a", "x", "y", 3e-17), ("b", "x", "y", 1e-17),
+                              ("c", "x", "y", 2e-17)])
+
+
 @st.composite
 def tie_graphs(draw, max_beta=10):
     """Small connected multigraphs with many equal-length cycles, as

@@ -41,7 +41,7 @@ from metricgraph.metric_graph import (
     validate_path,
 )
 
-from conftest import random_point, tie_graphs
+from conftest import TINY_PARALLEL, random_point, tie_graphs
 from oracles import theta_routes
 
 TOL = 1e-9
@@ -258,6 +258,14 @@ class TestShortestPathProperties:
         diameter(warm)
         minimal_cycle_basis(warm)
         assert shortest_path(warm, a, b) == gamma
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_tiny_parallel_edges(self, k):
+        # paths drop steps shorter than TOL, so only the distance is checked
+        s = 2.0 ** k
+        verts, edges = TINY_PARALLEL
+        G = MetricGraph(verts, [(i, u, v, L * s) for (i, u, v, L) in edges])
+        assert distance(G, GraphPoint(vertex="x"), GraphPoint(vertex="y")) == 1e-17 * s
 
 
 class TestMonotoneDecomposition:

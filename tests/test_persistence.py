@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metricgraph import (
     Barcode,
@@ -20,7 +20,7 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 
-from conftest import tie_graphs
+from conftest import TINY_PARALLEL, tie_graphs
 from oracles import bottleneck_exhaustive, mcb_exhaustive, vr_columns, vr_reduction
 
 TOL = 1e-9
@@ -49,7 +49,11 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             PersistenceSequence(entries=(1.0, 0.0))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    def test_accepts_numpy_numbers(self):
+        s = PersistenceSequence(entries=(np.int64(3), np.float32(1.5), 1))
+        assert s.entries == (3.0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.5"])
     def test_rejects_non_finite_and_bool(self, bad):
         for entries in ((bad,), (5.0, bad)):
             with pytest.raises(ValueError, match="finite numbers"):
@@ -208,8 +212,18 @@ class TestMinimalCycleBasis:
         got = minimal_cycle_basis(MetricGraph(verts, edges))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_tiny_parallel_edges(self, k):
+        s = 2.0 ** k
+        verts, edges = TINY_PARALLEL
+        edges = [(i, u, v, L * s) for (i, u, v, L) in edges]
+        want = mcb_exhaustive.minimum_cycle_basis_lengths(verts, edges)
+        got = minimal_cycle_basis(MetricGraph(verts, edges))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(tie_graphs(), st.integers(-30, 30))
+    @given(tie_graphs(), st.integers(-60, 60))
+    @example(TINY_PARALLEL, 60)
     def test_scales_exactly(self, graph, k):
         verts, edges = graph
         s = 2.0 ** k
