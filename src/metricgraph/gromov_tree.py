@@ -96,7 +96,7 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     levels: List[float] = []
     parents: List[Optional[int]] = []
     members: List[List[str]] = []
-    root_node: Dict[str, int] = {}  # union-find root vertex -> its node
+    node_at: Dict[str, int] = {}  # union-find root -> node of its component
 
     i = 0
     while i < len(order):
@@ -107,13 +107,14 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
         group = order[i:j]
         i = j
 
+        nbrs = {v: [e.v if e.u == v else e.u for e in map(H.edge, H.incident(v))]
+                for v in group}
+        # roots of the components above this level that each vertex reaches
+        reached = {v: {find(w) for w in nbrs[v] if w in parent_uf} for v in group}
         for v in group:
             parent_uf[v] = v
-        prev_roots: Dict[str, int] = dict(root_node)
         for v in group:
-            for eid in H.incident(v):
-                e = H.edge(eid)
-                w = e.v if e.u == v else e.u
+            for w in nbrs[v]:
                 if w in parent_uf:
                     ra, rb = find(v), find(w)
                     if ra != rb:
@@ -122,30 +123,14 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
         comps: Dict[str, List[str]] = {}
         for v in group:
             comps.setdefault(find(v), []).append(v)
-        handled: Dict[str, int] = {}
         for rv in sorted(comps, key=lambda r: min(comps[r])):
-            children = sorted({nid for (old_root, nid) in prev_roots.items()
-                               if find(old_root) == rv})
             nid = len(levels)
             levels.append(lvl)
             parents.append(None)
             members.append(sorted(comps[rv]))
-            for c in children:
-                parents[c] = nid
-            handled[rv] = nid
-        root_node = {}
-        seen_roots = set()
-        for v in parent_uf:
-            r = find(v)
-            if r in seen_roots:
-                continue
-            seen_roots.add(r)
-            root_node[r] = handled.get(r)
-            if root_node[r] is None:
-                # untouched component keeps its old node
-                olds = [nid for (old_root, nid) in prev_roots.items()
-                        if find(old_root) == r]
-                root_node[r] = olds[0]
+            for r in set().union(*(reached[v] for v in comps[rv])):
+                parents[node_at.pop(r)] = nid
+            node_at[rv] = nid
 
     live = [nid for nid, par in enumerate(parents) if par is None]
     if len(live) != 1:
@@ -260,7 +245,9 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
             m = min(flev[i], flev[j], tree.nodes[cur].level)
             tp = flev[i] + flev[j] - 2.0 * m
             gap = D[i, j] - tp
-            if gap < -1e-9:
+            # rounding in d - t_p grows with the lengths, so the slack is
+            # measured in G's length unit
+            if gap < -1e-9 * G._unit:
                 raise AssertionError("tree metric exceeded the graph metric")
             if gap > worst:
                 worst = gap

@@ -119,7 +119,7 @@ class MetricGraph:
 
         self._vertices: Tuple[str, ...] = tuple(sorted(vset))
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
-        self._edge_order: Tuple[str, ...] = tuple(e.id for e in final)
+        self._edge_tuple: Tuple[Edge, ...] = tuple(final)
         self._loop_halves = loop_halves
         # the power of two that puts the longest edge in [1, 2): scaling by
         # it is exact, so tolerances measured in it scale exactly with G
@@ -160,7 +160,7 @@ class MetricGraph:
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(self._edges[i] for i in self._edge_order)
+        return self._edge_tuple
 
     def edge(self, eid: str) -> Edge:
         if eid not in self._edges:
@@ -405,7 +405,7 @@ def diameter(G: MetricGraph) -> float:
     min of four affine functions, the routes between a point on each edge."""
     if G._diam_cache is not None:
         return G._diam_cache
-    if not G._edge_order:
+    if not G._edge_tuple:
         G._diam_cache = 0.0
         return 0.0
     vidx = {v: k for k, v in enumerate(G.vertices)}

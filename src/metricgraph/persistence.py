@@ -256,12 +256,18 @@ def _horton_candidates(G: MetricGraph) -> List[int]:
     cands: List[int] = []
     for root in G.vertices:
         parent = G._sp_tree(root)[1]
+        # a vertex's tree path from root is its parent's plus one edge
+        masks = {root: 0}
 
         def pmask(v: str) -> int:
-            m = 0
-            while v in parent:
-                v, pe = parent[v]
-                m ^= 1 << idx[pe]
+            path = []
+            while v not in masks:
+                path.append(v)
+                v = parent[v][0]
+            m = masks[v]
+            for w in reversed(path):
+                m ^= 1 << idx[parent[w][1]]
+                masks[w] = m
             return m
 
         for e in G.edges:

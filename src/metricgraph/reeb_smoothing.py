@@ -1,13 +1,21 @@
 """Epsilon-smoothings of a pointed metric graph.
 
 The smoothing S of (G, p) at scale eps is the Reeb quotient of
-F(x, s) = d(p, x) + s on the l1 product G x [0, eps]. Its level-t classes
-correspond to connected components of the band {x : t - eps <= d(p, x) <= t},
-so S is assembled by sweeping the band's component structure across critical
-levels {f(v)} and {f(v) + eps} of the monotone subdivision. Between
-consecutive critical levels the component structure is constant; every
-component of an open interval attaches to exactly one component at each
-bounding critical level, which yields the vertices and edges of S directly.
+F(x, s) = d(p, x) + s on the l1 product G x [0, eps], the smoothing of
+de Silva, Munch and Patel ("Categorified Reeb graphs", DCG 2016). Its level-t
+classes are the components of the band {x : t - eps <= d(p, x) <= t} of the
+monotone subdivision, so S is read off a sweep of the band across the
+critical levels {f(v)} and {f(v) + eps}.
+
+The sweep runs on integer slots. Critical values closer than _CRIT_MERGE
+merge into one level; slot 2k is the k-th merged level and slot 2k + 1 the
+open interval above it. Each critical value is mapped to its slot once and
+no float is compared after that: a model vertex or edge lies in the band
+from the slot of its lowest f to the slot of its highest f + eps, so the
+band moves by per-slot enter and leave lists. The components at even slots
+are the vertices of S before pass-through vertices dissolve. Each component
+at an odd slot is an edge joining the components that hold it at the two
+neighbouring even slots, which always contain it.
 
 Levels run from 0 to max f + eps: the quotient keeps growing above the
 highest point of G, which contributes a hanging tail.
@@ -15,8 +23,9 @@ highest point of G, which contributes a hanging tail.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .metric_graph import (
     GraphPoint,
@@ -33,8 +42,7 @@ from .metric_graph import (
 )
 from .gh_bounds import Correspondence
 
-# critical levels closer than this merge into one event; must stay well
-# above the 1e-9 point tolerance so interval midpoints classify cleanly
+# a critical value within this of the first value of a run joins its slot
 _CRIT_MERGE = 1e-7
 
 _Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
@@ -58,13 +66,12 @@ class SmoothedGraph:
     _source: MetricGraph = field(repr=False)
     _model: MonotoneModel = field(repr=False)
     _criticals: Tuple[float, ...] = field(repr=False)
-    _crit_elems: Tuple[Dict[_Elem, int], ...] = field(repr=False)
-    _int_elems: Tuple[Dict[_Elem, int], ...] = field(repr=False)
-    _pv_final: Tuple[Tuple[str, str], ...] = field(repr=False)
-    _pe_final: Tuple[str, ...] = field(repr=False)
-    _edge_bottom: Dict[str, float] = field(repr=False)
-    _pv_elems: Tuple[Tuple[_Elem, ...], ...] = field(repr=False)
-    _pe_elems: Tuple[Tuple[_Elem, ...], ...] = field(repr=False)
+    # slot -> model element in the band -> the S vertex or S edge holding
+    # its class
+    _name_of: Tuple[Dict[_Elem, str], ...] = field(repr=False)
+    # (S vertex, its slot) or (S edge, odd slot) -> smallest model element
+    # of that class
+    _rep: Dict[Tuple[str, int], _Elem] = field(repr=False)
 
     def to_json_obj(self) -> dict:
         from .metric_graph import graph_to_json_obj
@@ -74,47 +81,26 @@ class SmoothedGraph:
         return obj
 
 
-def _band_components(model: MonotoneModel, lo: float, hi: float) -> Dict[_Elem, int]:
-    """Components of the band {lo <= f <= hi}: elements are model vertices
-    and model edges meeting the band; edges touch only through shared
-    in-band vertices."""
-    H, f = model.graph, model.f
-    elems: List[_Elem] = []
-    for v in H.vertices:
-        if lo - TOL <= f[v] <= hi + TOL:
-            elems.append(("v", v))
-    for e in H.edges:
-        elo, ehi = min(f[e.u], f[e.v]), max(f[e.u], f[e.v])
-        if elo <= hi + TOL and ehi >= lo - TOL:
-            elems.append(("e", e.id))
-    parent: Dict[_Elem, _Elem] = {x: x for x in elems}
-
-    def find(x: _Elem) -> _Elem:
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
-    for x in elems:
-        if x[0] != "v":
-            continue
-        for eid in H.incident(x[1]):
-            key = ("e", eid)
-            if key in parent:
-                ra, rb = find(x), find(key)
-                if ra != rb:
-                    parent[rb] = ra
-
-    roots: Dict[_Elem, int] = {}
+def _band_components(adj: Dict[_Elem, Tuple[_Elem, ...]], band: Set[_Elem],
+                     base: int) -> Tuple[Dict[_Elem, int], List[_Elem]]:
+    """Components of a band of model elements, where ``adj`` links each
+    edge to its two ends: an edge joins the components of its in-band ends.
+    Returns each element's component, numbered from ``base`` in the order
+    of their smallest elements, and those smallest elements."""
     comp: Dict[_Elem, int] = {}
-    for x in sorted(elems):
-        r = find(x)
-        if r not in roots:
-            roots[r] = len(roots)
-        comp[x] = roots[r]
-    return comp
+    first: List[_Elem] = []
+    for x in sorted(band):
+        if x in comp:
+            continue
+        c = comp[x] = base + len(first)
+        first.append(x)
+        stack = [x]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in band and y not in comp:
+                    comp[y] = c
+                    stack.append(y)
+    return comp, first
 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
@@ -122,124 +108,87 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
     if not eps >= 0:
         raise ValueError("eps must be >= 0")
     model = _monotone_model(G, p)
-    f = model.f
+    H, f = model.graph, model.f
 
-    raw = sorted({x for v in model.graph.vertices for x in (f[v], f[v] + eps)})
     criticals: List[float] = []
-    for x in raw:
+    slot: Dict[float, int] = {}  # critical value -> its even slot
+    for x in sorted({x for v in H.vertices for x in (f[v], f[v] + eps)}):
         if not criticals or x - criticals[-1] > _CRIT_MERGE:
             criticals.append(x)
-    K = len(criticals)
+        slot[x] = 2 * len(criticals) - 2
+    n_slots = 2 * len(criticals) - 1
 
-    crit_elems: List[Dict[_Elem, int]] = []
-    pv_level: List[float] = []
-    pv_elems: List[List[_Elem]] = []
-    crit_base: List[int] = []  # provisional vertex id offset per level
-    for k, c in enumerate(criticals):
-        comp = _band_components(model, c - eps, c)
-        base = len(pv_level)
-        crit_base.append(base)
-        ncomp = max(comp.values()) + 1 if comp else 0
-        for _ in range(ncomp):
-            pv_level.append(c)
-            pv_elems.append([])
-        for x in sorted(comp):
-            comp[x] += base
-            pv_elems[comp[x]].append(x)
-        crit_elems.append(comp)
+    enter: List[List[_Elem]] = [[] for _ in range(n_slots)]
+    leave: List[List[_Elem]] = [[] for _ in range(n_slots)]
+    for v in H.vertices:
+        enter[slot[f[v]]].append(("v", v))
+        leave[slot[f[v] + eps]].append(("v", v))
+    adj: Dict[_Elem, Tuple[_Elem, ...]] = {
+        ("v", v): tuple(("e", eid) for eid in H.incident(v)) for v in H.vertices}
+    for e in H.edges:
+        lo, hi = sorted((f[e.u], f[e.v]))
+        enter[slot[lo]].append(("e", e.id))
+        leave[slot[hi + eps]].append(("e", e.id))
+        adj[("e", e.id)] = (("v", e.u), ("v", e.v))
 
-    int_elems: List[Dict[_Elem, int]] = []
-    pe_ends: List[Tuple[int, int]] = []  # (bottom pv, top pv)
-    pe_elems: List[List[_Elem]] = []
-    for k in range(K - 1):
-        mid = (criticals[k] + criticals[k + 1]) / 2.0
-        comp = _band_components(model, mid - eps, mid)
-        base = len(pe_ends)
-        ncomp = max(comp.values()) + 1 if comp else 0
-        reps: List[Optional[_Elem]] = [None] * ncomp
-        for x in sorted(comp):
-            if reps[comp[x]] is None:
-                reps[comp[x]] = x
-        for ci in range(ncomp):
-            rep = reps[ci]
-            bot = crit_elems[k].get(rep)
-            top = crit_elems[k + 1].get(rep)
-            if bot is None or top is None:
-                raise AssertionError("interval component missing from a bounding band")
-            pe_ends.append((bot, top))
-            pe_elems.append([])
-        for x in sorted(comp):
-            comp[x] += base
-            pe_elems[comp[x]].append(x)
-        int_elems.append(comp)
+    # provisional vertices (even slots) and edges (odd slots), numbered in
+    # sweep order: each one's slot and smallest element, and per slot the
+    # provisional id of every element in the band
+    pv_slot: List[int] = []
+    pv_rep: List[_Elem] = []
+    pe_slot: List[int] = []
+    pe_rep: List[_Elem] = []
+    ids: List[Dict[_Elem, int]] = []
+    band: Set[_Elem] = set()
+    for s in range(n_slots):
+        band.update(enter[s])
+        at, reps = (pv_slot, pv_rep) if s % 2 == 0 else (pe_slot, pe_rep)
+        comp, first = _band_components(adj, band, len(reps))
+        at.extend([s] * len(first))
+        reps.extend(first)
+        ids.append(comp)
+        band.difference_update(leave[s])
+    pv_level = [criticals[s // 2] for s in pv_slot]
+    pe_ends = [(ids[s - 1][x], ids[s + 1][x]) for s, x in zip(pe_slot, pe_rep)]
 
-    # collapse pass-through vertices (exactly one edge below, one above)
-    down: Dict[int, List[int]] = {i: [] for i in range(len(pv_level))}
-    up: Dict[int, List[int]] = {i: [] for i in range(len(pv_level))}
+    # pass-through vertices (one edge below, one above) dissolve; the rest
+    # are the vertices of S, named in sweep order
+    down: List[List[int]] = [[] for _ in pv_slot]
+    up: List[List[int]] = [[] for _ in pv_slot]
     for j, (bot, top) in enumerate(pe_ends):
         up[bot].append(j)
         down[top].append(j)
-    dissolved = {i for i in range(len(pv_level))
-                 if len(down[i]) == 1 and len(up[i]) == 1}
-
-    chains: List[List[int]] = []
-    chain_of: Dict[int, int] = {}
-    for j in range(len(pe_ends)):
-        if j in chain_of or pe_ends[j][0] in dissolved:
-            continue
-        chain = [j]
-        chain_of[j] = len(chains)
-        while pe_ends[chain[-1]][1] in dissolved:
-            nxt = up[pe_ends[chain[-1]][1]][0]
-            chain.append(nxt)
-            chain_of[nxt] = len(chains)
-        chains.append(chain)
-    if len(chain_of) != len(pe_ends):
-        raise AssertionError("edge chains left provisional edges unconsumed")
-
-    kept = sorted((i for i in range(len(pv_level)) if i not in dissolved),
-                  key=lambda i: (pv_level[i], i))
+    kept = [i for i in range(len(pv_slot)) if len(down[i]) != 1 or len(up[i]) != 1]
     vname = {i: f"n{k}" for k, i in enumerate(kept)}
-    verts = [vname[i] for i in kept]
-    level = {vname[i]: pv_level[i] for i in kept}
 
+    # each S edge is a chain of provisional edges through dissolved
+    # vertices, named in the sweep order of its lowest one
     edges: List[Tuple[str, str, str, float]] = []
-    ename: List[str] = []
-    edge_bottom: Dict[str, float] = {}
-    chains_sorted = sorted(range(len(chains)),
-                           key=lambda c: (pv_level[pe_ends[chains[c][0]][0]], chains[c][0]))
-    chain_name: Dict[int, str] = {}
-    for k, c in enumerate(chains_sorted):
-        ch = chains[c]
-        bot, top = pe_ends[ch[0]][0], pe_ends[ch[-1]][1]
-        name = f"s{k}"
-        chain_name[c] = name
-        lo, hi = pv_level[bot], pv_level[top]
-        if hi - lo <= TOL:
-            raise AssertionError("zero-length smoothed edge")
-        edges.append((name, vname[bot], vname[top], hi - lo))
-        edge_bottom[name] = lo
-    pe_final = [chain_name[chain_of[j]] for j in range(len(pe_ends))]
+    pe_name: List[str] = [""] * len(pe_ends)
+    for j, (bot, top) in enumerate(pe_ends):
+        if bot not in vname:
+            continue
+        name = f"s{len(edges)}"
+        pe_name[j] = name
+        while top not in vname:
+            nxt = up[top][0]
+            pe_name[nxt] = name
+            top = pe_ends[nxt][1]
+        edges.append((name, vname[bot], vname[top], pv_level[top] - pv_level[bot]))
+    pv_name = [vname[i] if i in vname else pe_name[down[i][0]]
+               for i in range(len(pv_slot))]
 
-    pv_final: List[Tuple[str, str]] = []
-    for i in range(len(pv_level)):
-        if i in dissolved:
-            pv_final.append(("e", pe_final[down[i][0]]))
-        else:
-            pv_final.append(("v", vname[i]))
-
-    S = MetricGraph(verts, edges)
-    base_pv = crit_elems[0][("v", model.p_vertex)]
-    base = vname[base_pv]
+    name_of = tuple({x: (pe_name if s % 2 else pv_name)[i] for x, i in at.items()}
+                    for s, at in enumerate(ids))
+    rep = {(vname[i], pv_slot[i]): pv_rep[i] for i in kept}
+    rep.update(((pe_name[j], s), x) for j, (s, x) in enumerate(zip(pe_slot, pe_rep)))
 
     return SmoothedGraph(
-        graph=S, level=level, base_class=base, eps=eps,
+        graph=MetricGraph([vname[i] for i in kept], edges),
+        level={vname[i]: pv_level[i] for i in kept},
+        base_class=name_of[0][("v", model.p_vertex)], eps=eps,
         _source=G, _model=model, _criticals=tuple(criticals),
-        _crit_elems=tuple(crit_elems), _int_elems=tuple(int_elems),
-        _pv_final=tuple(pv_final), _pe_final=tuple(pe_final),
-        _edge_bottom=edge_bottom,
-        _pv_elems=tuple(tuple(x) for x in pv_elems),
-        _pe_elems=tuple(tuple(x) for x in pe_elems),
+        _name_of=name_of, _rep=rep,
     )
 
 
@@ -250,26 +199,24 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     lvl = _model_f(model, mp)
     crit = S._criticals
 
-    snap = None
-    for k, c in enumerate(crit):
-        if abs(lvl - c) <= _CRIT_MERGE:
-            snap = k
-            break
+    # snap to the first critical level within _CRIT_MERGE, else take the
+    # open interval that holds lvl
+    k = bisect_left(crit, lvl)
+    if k > 0 and abs(lvl - crit[k - 1]) <= _CRIT_MERGE:
+        s = 2 * k - 2
+    elif k < len(crit) and abs(lvl - crit[k]) <= _CRIT_MERGE:
+        s = 2 * k
+    else:
+        s = 2 * k - 1
+    # a point of a model element snaps no lower than the element's first
+    # slot and no higher than its last, so the lookup cannot miss
     elem: _Elem = ("v", mp.vertex) if mp.is_vertex() else ("e", mp.edge)
-    if snap is not None:
-        pv = S._crit_elems[snap][elem]
-        kind, ref = S._pv_final[pv]
-        if kind == "v":
-            return GraphPoint(vertex=ref)
-        return S.graph.canonical(
-            GraphPoint(edge=ref, offset=crit[snap] - S._edge_bottom[ref]))
-    k = 0
-    while k < len(crit) - 1 and not (crit[k] < lvl < crit[k + 1]):
-        k += 1
-    pe = S._int_elems[k][elem]
-    name = S._pe_final[pe]
+    name = S._name_of[s][elem]
+    if name in S.level:
+        return GraphPoint(vertex=name)
+    t = crit[s // 2] if s % 2 == 0 else lvl
     return S.graph.canonical(
-        GraphPoint(edge=name, offset=lvl - S._edge_bottom[name]))
+        GraphPoint(edge=name, offset=t - S.level[S.graph.edge(name).u]))
 
 
 def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
@@ -278,21 +225,14 @@ def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
     model = S._model
     f = model.f
     cs = S.graph.canonical(sigma)
+    crit = S._criticals
     if cs.is_vertex():
         lvl = S.level[cs.vertex]
-        pv = next(i for i, (kind, ref) in enumerate(S._pv_final)
-                  if kind == "v" and ref == cs.vertex)
-        elems = S._pv_elems[pv]
+        elem = S._rep[(cs.vertex, 2 * bisect_left(crit, lvl))]
     else:
-        lvl = S._edge_bottom[cs.edge] + cs.offset
-        crit = S._criticals
-        k = 0
-        while k < len(crit) - 1 and not (crit[k] - TOL <= lvl <= crit[k + 1] + TOL):
-            k += 1
-        pe = next(j for j, name in enumerate(S._pe_final)
-                  if name == cs.edge and S._int_elems[k].get(S._pe_elems[j][0]) == j)
-        elems = S._pe_elems[pe]
-    elem = elems[0]
+        lvl = S.level[S.graph.edge(cs.edge).u] + cs.offset
+        # the first interval whose closure, widened by TOL, holds lvl
+        elem = S._rep[(cs.edge, 2 * bisect_left(crit, lvl - TOL) - 1)]
     if elem[0] == "v":
         return _from_model_point(model, GraphPoint(vertex=elem[1]))
     e = model.graph.edge(elem[1])

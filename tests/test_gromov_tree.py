@@ -19,11 +19,12 @@ from metricgraph import (
     t_p,
     tree_distortion,
 )
+from metricgraph.gromov_tree import _merge_tree_from_model
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph.metric_graph import _monotone_model
 
 from conftest import random_point
-from oracles import bottleneck_maximin
+from oracles import bottleneck_maximin, merge_tree_scan
 
 TOL = 1e-9
 
@@ -260,3 +261,31 @@ class TestTreeDistortion:
     def test_mesh_validation(self, c12):
         with pytest.raises(ValueError):
             tree_distortion(c12, GraphPoint(vertex="p"), 0.0)
+
+
+class TestMergeTreeOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_root_scan_builder(self, data):
+        # unit lengths put many model vertices on one level
+        spec = EnsembleSpec(seed=data.draw(st.integers(0, 10_000)), count=1,
+                            vertex_range=(1, 30), beta1_range=(0, 8),
+                            length_range=data.draw(st.sampled_from([(0.5, 2.0), (1.0, 1.0)])))
+        G = random_graph(spec, 0)
+        p = data.draw(graph_points(G)) if G.edges else GraphPoint(vertex=G.vertices[0])
+        model = _monotone_model(G, p)
+        assert _merge_tree_from_model(model) == merge_tree_scan._merge_tree_from_model(model)
+
+
+class TestTreeDistortionScale:
+    def test_check_scales_with_graph(self):
+        # rounding in d - t_p grows with the lengths: at x1e6 an absolute
+        # -1e-9 floor made these two graphs raise "tree metric exceeded the
+        # graph metric"
+        for i in (1, 6):
+            G0 = random_graph(EnsembleSpec(seed=0), i)
+            p = GraphPoint(vertex=G0.vertices[0])
+            want = tree_distortion(G0, p, 0.05 * diameter(G0)).value
+            G = MetricGraph(G0.vertices, [(e.id, e.u, e.v, e.length * 1e6) for e in G0.edges])
+            got = tree_distortion(G, p, 0.05 * diameter(G)).value
+            assert got == pytest.approx(want * 1e6, rel=1e-6)

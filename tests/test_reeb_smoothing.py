@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricgraph import (
     GraphPoint,
     MetricGraph,
     betti_after_smoothing,
+    delta_n_bounds,
     diameter,
     epsilon_smoothing,
     minimal_cycle_basis,
@@ -13,6 +15,8 @@ from metricgraph import (
     smoothed_distance,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+
+from oracles import smoothing_levels
 
 TOL = 1e-9
 
@@ -173,3 +177,108 @@ class TestErrors:
         S = epsilon_smoothing(theta, GraphPoint(vertex="u"), 0.5)
         with pytest.raises(ValueError):
             quotient_correspondence(theta, S, 0.0)
+
+
+@st.composite
+def smoothing_cases(draw):
+    """(G, p, eps): an ensemble graph with beta <= 6, a vertex or interior
+    basepoint, and eps at 0, at random, or at or 1e-6 either side of a
+    Betti-drop threshold 1.5 a(k)."""
+    spec = EnsembleSpec(seed=draw(st.integers(0, 10_000)), count=1,
+                        vertex_range=(2, 12), beta1_range=(0, 6))
+    G = random_graph(spec, 0)
+    if G.edges and draw(st.booleans()):
+        e = draw(st.sampled_from(G.edges))
+        p = G.canonical(GraphPoint(edge=e.id, offset=draw(st.floats(0.05, 0.95)) * e.length))
+    else:
+        p = GraphPoint(vertex=draw(st.sampled_from(G.vertices)))
+    choices = [st.just(0.0), st.floats(0.0, 1.2 * diameter(G))]
+    if G.betti1:
+        thr = 1.5 * persistence_sequence(G).a(draw(st.integers(1, G.betti1)))
+        choices.append(st.sampled_from([thr, thr - 1e-6, thr + 1e-6]))
+    return G, p, draw(st.one_of(*choices))
+
+
+class TestLevelOracle:
+    """The slot sweep against the earlier per-level smoothing."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(smoothing_cases())
+    def test_matches_per_level_smoothing(self, case):
+        G, p, eps = case
+        S = epsilon_smoothing(G, p, eps)
+        T = smoothing_levels.epsilon_smoothing(G, p, eps)
+        assert S.to_json_obj() == T.to_json_obj()
+        mesh = max(0.1 * diameter(G), G.total_length / 100.0)
+        corr = quotient_correspondence(G, S, mesh)
+        left, right, DX, DY = smoothing_levels.correspondence_parts(G, T, mesh)
+        assert list(corr.left) == left
+        assert list(corr.right) == right
+        assert np.array_equal(corr.DX, DX)
+        assert np.array_equal(corr.DY, DY)
+
+
+def scaled(G, k):
+    return MetricGraph(G.vertices, [(e.id, e.u, e.v, e.length * k) for e in G.edges])
+
+
+def assert_same_shape(S, T):
+    assert S.graph.betti1 == T.graph.betti1
+    assert sorted(S.level.values()) == pytest.approx(sorted(T.level.values()), rel=1e-12)
+    assert (sorted(e.length for e in S.graph.edges)
+            == pytest.approx(sorted(e.length for e in T.graph.edges), rel=1e-12))
+
+
+class TestSmallScale:
+    @pytest.mark.parametrize("k", [1e-6, 1e-9])
+    def test_smoothing_and_delta_do_not_crash(self, k):
+        # per-level float windows with absolute tolerances used to miss
+        # model elements at these scales (KeyError in _locate, or an
+        # interval component missing from a bounding band)
+        for i in range(20):
+            G = scaled(random_graph(EnsembleSpec(seed=0), i), k)
+            p = GraphPoint(vertex=G.vertices[0])
+            S = epsilon_smoothing(G, p, 0.3 * diameter(G))
+            assert S.level[S.base_class] == 0.0
+            rep = delta_n_bounds(G, 0, p)
+            assert rep.lower <= rep.upper
+
+
+class TestSmoothingShapeInvariance:
+    """Betti number, levels and edge lengths of S do not depend on names,
+    edge order or a subdivided edge."""
+
+    @staticmethod
+    def cases():
+        spec = EnsembleSpec(seed=83, count=8, beta1_range=(1, 4))
+        for i in range(8):
+            G = random_graph(spec, i)
+            seq = persistence_sequence(G)
+            for eps in (0.0, 0.3 * diameter(G), 1.5 * seq.a(1) + 1e-6):
+                yield G, eps
+
+    def test_relabel_and_reorder(self):
+        for G, eps in self.cases():
+            vmap = {v: f"w{len(G.vertices) - k}" for k, v in enumerate(G.vertices)}
+            emap = {e.id: f"f{len(G.edges) - k}" for k, e in enumerate(G.edges)}
+            H = MetricGraph([vmap[v] for v in G.vertices],
+                            [(emap[e.id], vmap[e.u], vmap[e.v], e.length)
+                             for e in reversed(G.edges)])
+            e = G.edges[0]
+            p = GraphPoint(edge=e.id, offset=0.4 * e.length)
+            q = GraphPoint(edge=emap[e.id], offset=0.4 * e.length)
+            assert_same_shape(epsilon_smoothing(G, p, eps), epsilon_smoothing(H, q, eps))
+            v = G.vertices[-1]
+            assert_same_shape(epsilon_smoothing(G, GraphPoint(vertex=v), eps),
+                              epsilon_smoothing(H, GraphPoint(vertex=vmap[v]), eps))
+
+    def test_subdivide_edge(self):
+        for G, eps in self.cases():
+            e = G.edges[-1]
+            H = MetricGraph(list(G.vertices) + ["mid"],
+                            [x for x in ((d.id, d.u, d.v, d.length) for d in G.edges)
+                             if x[0] != e.id]
+                            + [("h1", e.u, "mid", e.length / 2.0),
+                               ("h2", "mid", e.v, e.length / 2.0)])
+            p = GraphPoint(vertex=G.vertices[0])
+            assert_same_shape(epsilon_smoothing(G, p, eps), epsilon_smoothing(H, p, eps))
