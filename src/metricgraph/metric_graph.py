@@ -344,7 +344,9 @@ def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
         D[sub] = np.minimum(D[sub], direct)
 
     np.fill_diagonal(D, 0.0)
-    return D
+    # c_a + VD + c_b is summed in another order for (i, j) than for (j, i),
+    # so the two can differ by an ulp; both are lengths of real paths
+    return np.minimum(D, D.T)
 
 
 # -- diameter (exact) ------------------------------------------------------

@@ -65,6 +65,19 @@ class TestOracle:
                 R.DX.tolist(), R.DY.tolist(), pairs)
 
 
+def test_verify_nets_symmetric():
+    # the nets verify's hyperbolicity rows use; an asymmetric finite_metric
+    # once made the kernel and the oracle read different triangles
+    for seed in range(10, 30):
+        spec = EnsembleSpec(seed=seed, count=10)
+        for i in range(spec.count):
+            G = random_graph(spec, i)
+            mesh = max(diameter(G) / 12.0, G.total_length / 150.0)
+            D = finite_metric(G, epsilon_net(G, mesh))
+            assert (D == D.T).all(), (seed, i)
+            assert hyperbolicity(D) == four_point.four_point_delta(D.tolist()), (seed, i)
+
+
 class TestSymmetry:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(metrics(min_n=4), st.randoms(use_true_random=False))
