@@ -25,6 +25,8 @@ from .metric_graph import (
 
 _MAX_EXACT = 7
 _MAX_HYP_NET = 400
+_HYP_SEED = 128        # longest pairs that hyperbolicity compares all against all
+_HYP_BLOCK = 1 << 14   # splits per later block of hyperbolicity's scan
 
 
 @dataclass(frozen=True)
@@ -224,35 +226,76 @@ def brute_force_dgh(DX, DY, pointed: Optional[Tuple[int, int]] = None,
     return value, pairs
 
 
+def _split_gaps(U, I, J, S, c0: int, c1: int) -> float:
+    """Largest gap over the splits {pair b, pair a} with c0 <= b < c1 and
+    a < c1, in the sorted pair order (I, J, S).
+
+    A split's gap is its sum minus the larger of its quadruple's two other
+    pair-sums, with the float operations of the all-pairs loop; on a
+    symmetric U it does not matter which of the two pairs comes first.
+    """
+    w = c1 - c0
+    W = U[np.concatenate((I[c0:c1], J[c0:c1]))]  # rows: k of each new pair, then l
+    XI = np.take(W, I[:c1], axis=1)              # U[k, i] over U[l, i]
+    XJ = np.take(W, J[:c1], axis=1)              # U[k, j] over U[l, j]
+    c = np.add(XI[:w], XJ[w:], out=XI[:w])       # d(i,k) + d(j,l)
+    np.maximum(c, np.add(XI[w:], XJ[:w], out=XI[w:]), out=c)  # d(i,l) + d(j,k)
+    gap = np.add(S[c0:c1, None], S[:c1], out=XJ[:w])
+    gap -= c
+    return float(gap.max())
+
+
 def hyperbolicity(D) -> float:
     """Four-point hyperbolicity constant of a finite metric.
 
-    Max over quadruples of (largest pair-sum - second largest)/2, computed
-    over all unordered pairs of point-pairs: the split of a quadruple with
-    the largest sum is the only one with a positive gap, and quadruples with
-    repeated points contribute nothing positive.
+    Max over quadruples of (largest pair-sum - second largest)/2. Only the
+    strict upper triangle of D is read: D[i, j] with i < j is the distance
+    of i and j (the rest is only checked to be finite). The split of a
+    quadruple with the largest sum is the only one with a positive gap, so
+    the result is the largest gap over all unordered pairs of point-pairs.
+
+    The pairs are sorted by decreasing distance and visited in that order,
+    each against all longer pairs; the longest ``_HYP_SEED`` are first
+    compared all against all. The scan stops by the lemma of Cohen, Coudert
+    and Lancin ("On computing the Gromov hyperbolicity", ACM JEA 2015): a
+    split {ab, cd} has gap g = S - max(S', S'') <= min(d(a,b), d(c,d)). For
+    g <= ((S - S') + (S - S''))/2, and the triangle inequalities d(c,d) <=
+    d(c,a) + d(a,d) and d(c,d) <= d(c,b) + d(b,d) bound that by d(a,b). So
+    once the next pair's distance s has s + margin <= best, no split with
+    it or any later pair can beat best. D need not be a metric: where the
+    triangle inequality fails by at most tau = max D[i,k] - D[i,j] - D[j,k]
+    (rounded nets break it by ulps) the lemma gives min + tau, and the
+    margin 2*tau + 16 ulps of the largest entry also covers the rounding of
+    tau and of each gap. Every split that is evaluated uses the float
+    operations of the all-pairs loop, so the result is ``==`` to it.
     """
-    D = np.ascontiguousarray(D, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError("distance matrix must be square")
     if not np.isfinite(D).all():
         raise ValueError("distance matrix must be finite")
     n = D.shape[0]
     if n < 4:
         return 0.0
     iu, ju = np.triu_indices(n, k=1)
-    s = D[iu, ju]
-    m = len(iu)
-    best = 0.0
-    for a in range(m - 1):
-        i, j = int(iu[a]), int(ju[a])
-        kk, ll = iu[a + 1:], ju[a + 1:]
-        sums = s[a] + s[a + 1:]
-        c1 = D[i, kk] + D[j, ll]
-        c2 = D[i, ll] + D[j, kk]
-        gap = sums - np.maximum(c1, c2)
-        g = float(gap.max(initial=0.0))
-        if g > best:
-            best = g
-    return best / 2.0
+    U = np.zeros((n, n))
+    U[iu, ju] = D[iu, ju]
+    U += U.T
+    order = np.argsort(-U[iu, ju], kind="stable")
+    I, J = iu[order], ju[order]
+    S = U[I, J]
+    tau = max(float((U - U[:, j, None] - U[j]).max()) for j in range(n))
+    margin = 2.0 * tau + 16.0 * np.spacing(np.abs(S).max())
+    # pairs with s + margin > best are a prefix of the order; -(S + margin)
+    # is ascending, so searchsorted counts them
+    bound = -(S + margin)
+    best, c0, c1 = 0.0, 0, min(len(S), _HYP_SEED)
+    while True:
+        best = max(best, _split_gaps(U, I, J, S, c0, c1))
+        alive = int(np.searchsorted(bound, -best))
+        if c1 >= alive:
+            return best / 2.0
+        c0, c1 = c1, min(alive, c1 + max(1, _HYP_BLOCK // c1))
 
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:

@@ -251,6 +251,11 @@ class TestHyperbolicity:
         with pytest.raises(ValueError, match="coarser mesh"):
             hyp_graph(c12, 0.005)
 
+    @pytest.mark.parametrize("shape", [(5, 3), (5,), (3, 5), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            hyperbolicity(np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [3, 5])
     def test_rejects_non_finite(self, bad, n):

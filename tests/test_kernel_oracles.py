@@ -1,14 +1,27 @@
 """The finite-metric kernels: exact agreement with the plain-loop oracles,
 and the symmetries that must leave them unchanged."""
 
+import json
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import metricgraph
-from metricgraph import Correspondence, diameter, epsilon_net, finite_metric, hyperbolicity
+from metricgraph import (
+    Correspondence,
+    diameter,
+    epsilon_net,
+    finite_metric,
+    graph_from_json_obj,
+    graph_to_json_obj,
+    hyperbolicity,
+)
+from metricgraph import gh_bounds
 from metricgraph.harness import EnsembleSpec, random_graph
 
-from oracles import four_point
+from oracles import four_point, four_point_pairs
 
 from conftest import random_euclidean_metric
 
@@ -76,6 +89,115 @@ def test_verify_nets_symmetric():
             D = finite_metric(G, epsilon_net(G, mesh))
             assert (D == D.T).all(), (seed, i)
             assert hyperbolicity(D) == four_point.four_point_delta(D.tolist()), (seed, i)
+
+
+# hyperbolicity's block sizes: the library's, and tiny ones under which a
+# five-point space already crosses several blocks of the pruned scan
+SCANS = {"library": (gh_bounds._HYP_SEED, gh_bounds._HYP_BLOCK), "tiny": (2, 4)}
+
+
+@contextmanager
+def scan_blocks(name):
+    saved = gh_bounds._HYP_SEED, gh_bounds._HYP_BLOCK
+    gh_bounds._HYP_SEED, gh_bounds._HYP_BLOCK = SCANS[name]
+    try:
+        yield
+    finally:
+        gh_bounds._HYP_SEED, gh_bounds._HYP_BLOCK = saved
+
+
+def gh_net(seed, n_v, beta, points):
+    """The net that perfbench's gh-nets workload hands to ``mgraph hyp``:
+    the first graph of the ensemble after a JSON round trip, at about the
+    smallest mesh whose net has at most ``points`` points."""
+    spec = EnsembleSpec(seed=seed, vertex_range=(n_v, n_v), beta1_range=(beta, beta))
+    G = graph_from_json_obj(json.loads(json.dumps(graph_to_json_obj(random_graph(spec, 0)))))
+    lo, hi = 0.0, max(e.length for e in G.edges)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if len(epsilon_net(G, mid)) <= points:
+            hi = mid
+        else:
+            lo = mid
+    return finite_metric(G, epsilon_net(G, hi))
+
+
+def mirrored_upper(D):
+    upper = np.triu(D, 1)
+    return upper + upper.T
+
+
+class TestPrunedHyperbolicity:
+    """The pruned scan against the all-pairs loop it replaced and the
+    quadruple loop, on metrics and on matrices that are not metrics."""
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    @pytest.mark.parametrize("kind", ["euclidean", "quarter-rounded", "uniform"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24))
+    def test_oracles(self, kind, scan, seed, n):
+        rng = np.random.default_rng(seed)
+        D = random_euclidean_metric(rng, n)
+        if kind == "quarter-rounded":
+            D = np.round(4.0 * D) / 4.0  # breaks the triangle inequality
+        elif kind == "uniform":
+            D = mirrored_upper(rng.random((n, n)))  # far from any metric
+        with scan_blocks(scan):
+            value = hyperbolicity(D)
+        assert value == four_point_pairs.hyperbolicity(D)
+        assert value == four_point.four_point_delta(D.tolist())
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 24), lower=st.booleans(),
+           rounded=st.booleans())
+    def test_one_ulp_in_one_triangle(self, scan, seed, n, lower, rounded):
+        rng = np.random.default_rng(seed)
+        D = random_euclidean_metric(rng, n)
+        if rounded:
+            D = np.round(4.0 * D) / 4.0
+        tri = np.tril_indices(n, -1) if lower else np.triu_indices(n, 1)
+        pick = rng.random(len(tri[0])) < 0.5
+        rows, cols = tri[0][pick], tri[1][pick]
+        toward = np.where(rng.random(len(rows)) < 0.5, -np.inf, np.inf)
+        D[rows, cols] = np.nextafter(D[rows, cols], toward)
+        with scan_blocks(scan):
+            value = hyperbolicity(D)
+        M = mirrored_upper(D)
+        assert value == four_point_pairs.hyperbolicity(M)
+        assert value == four_point.four_point_delta(M.tolist())
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_winning_split_holds_the_shortest_pair(self, scan):
+        # only {ab, cd} has a positive gap, 4 - 3.5, and cd is the shortest
+        # pair, so the scan must run to the very last pair
+        D = np.zeros((4, 4))
+        for (i, j), d in {(0, 1): 3.0, (2, 3): 1.0, (0, 2): 1.25, (1, 3): 1.25,
+                          (0, 3): 1.75, (1, 2): 1.75}.items():
+            D[i, j] = D[j, i] = d
+        with scan_blocks(scan):
+            assert hyperbolicity(D) == 0.25 == four_point_pairs.hyperbolicity(D)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n_v, beta, points", [(30, 5, 60), (60, 10, 110), (100, 15, 160)])
+    def test_gh_nets(self, seed, n_v, beta, points):
+        D = gh_net(seed, n_v, beta, points)
+        assert D.shape == (points, points)
+        value = hyperbolicity(D)
+        assert value == four_point_pairs.hyperbolicity(D)
+        if points == 60:  # the quadruple loop takes minutes at 160 points
+            assert value == four_point.four_point_delta(D.tolist())
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(metrics(min_n=4, max_n=24), st.integers(-30, 30), st.randoms(use_true_random=False))
+    def test_scaling_and_relabelling(self, scan, D, k, rnd):
+        perm = list(range(len(D)))
+        rnd.shuffle(perm)
+        with scan_blocks(scan):
+            value = hyperbolicity(D)
+            assert hyperbolicity(D * 2.0**k) == 2.0**k * value
+            assert hyperbolicity(D[np.ix_(perm, perm)]) == value
 
 
 class TestSymmetry:
