@@ -134,6 +134,7 @@ class MetricGraph:
         # source vertex -> its shortest-path tree; see _sp_tree
         self._dist_cache: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
         self._diam_cache: Optional[float] = None
+        self._seq_cache: Optional[object] = None  # see persistence_sequence
         # keyed by canonical basepoint; see _monotone_model and build_merge_tree
         self._model_cache: Dict[GraphPoint, "MonotoneModel"] = {}
         self._tree_cache: Dict[GraphPoint, object] = {}

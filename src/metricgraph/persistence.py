@@ -305,9 +305,12 @@ def minimal_cycle_basis(G: MetricGraph) -> List[float]:
 
 
 def persistence_sequence(G: MetricGraph) -> PersistenceSequence:
-    """Cycle-basis lengths, non-increasing, each divided by 3."""
-    lens = minimal_cycle_basis(G)
-    return PersistenceSequence(entries=tuple(x / 3.0 for x in reversed(lens)))
+    """Cycle-basis lengths, non-increasing, each divided by 3. Built once
+    per graph."""
+    if G._seq_cache is None:
+        lens = minimal_cycle_basis(G)
+        G._seq_cache = PersistenceSequence(entries=tuple(x / 3.0 for x in reversed(lens)))
+    return G._seq_cache
 
 
 # -- bottleneck distance -----------------------------------------------------

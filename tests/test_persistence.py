@@ -263,6 +263,10 @@ class TestPersistenceSequence:
         s = persistence_sequence(theta)
         assert s.entries == pytest.approx((4.0 / 3.0, 1.0))
 
+    def test_built_once_per_graph(self, theta):
+        first = persistence_sequence(theta)
+        assert persistence_sequence(theta) is first
+
     def test_at_most_betti_entries(self):
         spec = EnsembleSpec(seed=131, count=10)
         for i in range(10):
