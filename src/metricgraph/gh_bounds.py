@@ -278,12 +278,12 @@ def hyperbolicity(D) -> float:
     if n < 4:
         return 0.0
     iu, ju = np.triu_indices(n, k=1)
+    s = D[iu, ju]
     U = np.zeros((n, n))
-    U[iu, ju] = D[iu, ju]
+    U[iu, ju] = s
     U += U.T
-    order = np.argsort(-U[iu, ju], kind="stable")
-    I, J = iu[order], ju[order]
-    S = U[I, J]
+    order = np.argsort(-s, kind="stable")
+    I, J, S = iu[order], ju[order], s[order]
     tau = max(float((U - U[:, j, None] - U[j]).max()) for j in range(n))
     margin = 2.0 * tau + 16.0 * np.spacing(np.abs(S).max())
     # pairs with s + margin > best are a prefix of the order; -(S + margin)
