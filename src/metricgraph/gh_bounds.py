@@ -52,23 +52,29 @@ class Correspondence:
             raise ValueError("distance matrices must be finite")
         if not self.pairs:
             raise ValueError("correspondence has no pairs")
-        seen_l, seen_r = set(), set()
-        for (a, b) in self.pairs:
-            if not (0 <= a < n and 0 <= b < m):
-                raise ValueError(f"pair ({a}, {b}) is out of range")
-            seen_l.add(a)
-            seen_r.add(b)
-        if len(seen_l) != n or len(seen_r) != m:
+        P = np.asarray(self.pairs, dtype=np.int64)
+        if P.ndim != 2 or P.shape[1] != 2:
+            raise ValueError("pairs must be (left index, right index) pairs")
+        a, b = P[:, 0], P[:, 1]
+        bad = (a < 0) | (a >= n) | (b < 0) | (b >= m)
+        if bad.any():
+            a0, b0 = P[np.argmax(bad)].tolist()
+            raise ValueError(f"pair ({a0}, {b0}) is out of range")
+        if not (np.bincount(a, minlength=n).all() and np.bincount(b, minlength=m).all()):
             raise ValueError("correspondence must cover both point lists")
+        object.__setattr__(self, "_pair_idx", P)  # the pairs as a (k, 2) array
 
     @property
     def distortion(self) -> float:
         """Max |d_X(x,x') - d_Y(y,y')| over all pairs of related pairs."""
-        P = np.asarray(self.pairs, dtype=np.int64)
+        DX = np.asarray(self.DX, dtype=np.float64)
+        DY = np.asarray(self.DY, dtype=np.float64)
+        P = self._pair_idx
+        if len(P) == len(DX) == len(DY) and (P == np.arange(len(P))[:, None]).all():
+            # the identity relation: no gather needed
+            return float(np.abs(DX - DY).max())
         px, py = P[:, 0], P[:, 1]
-        A = np.asarray(self.DX, dtype=np.float64)[np.ix_(px, px)]
-        B = np.asarray(self.DY, dtype=np.float64)[np.ix_(py, py)]
-        return float(np.abs(A - B).max())
+        return float(np.abs(DX[np.ix_(px, px)] - DY[np.ix_(py, py)]).max())
 
     def to_json_obj(self) -> dict:
         from .metric_graph import point_to_json_obj
@@ -91,12 +97,11 @@ def r_extension(corr: Correspondence, r: float) -> Correspondence:
     """
     if not r >= 0:
         raise ValueError("r must be >= 0")
-    pa = np.asarray([a for (a, _) in corr.pairs], dtype=np.int64)
-    pb = np.asarray([b for (_, b) in corr.pairs], dtype=np.int64)
+    pa, pb = corr._pair_idx[:, 0], corr._pair_idx[:, 1]
     # cost[i, j] = min over related (a, b) of DX[i, a] + DY[j, b]
     cost = (corr.DX[:, pa][:, None, :] + corr.DY[:, pb][None, :, :]).min(axis=2)
-    keep = np.argwhere(cost <= r + 1e-12)
-    pairs = tuple(sorted((int(i), int(j)) for (i, j) in keep))
+    # argwhere lists the pairs in sorted (row-major) order
+    pairs = tuple(map(tuple, np.argwhere(cost <= r + 1e-12).tolist()))
     out = Correspondence(left=corr.left, right=corr.right,
                          DX=corr.DX, DY=corr.DY, pairs=pairs)
     if out.distortion > corr.distortion + 2.0 * r + 1e-9:
@@ -300,11 +305,10 @@ def hyperbolicity(D) -> float:
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:
     """Hyperbolicity of a mesh-net of G, with its approximation error 4*mesh."""
-    diam = diameter(G)
-    if diam <= 0:
+    if not G.edges:
         return 0.0, 0.0
     if mesh is None:
-        mesh = 0.05 * diam
+        mesh = 0.05 * diameter(G)
     net = epsilon_net(G, mesh)
     if len(net) > _MAX_HYP_NET:
         raise ValueError(

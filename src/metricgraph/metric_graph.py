@@ -118,6 +118,7 @@ class MetricGraph:
             raise ValueError("graph must have at least one vertex")
 
         self._vertices: Tuple[str, ...] = tuple(sorted(vset))
+        self._vidx: Dict[str, int] = {v: k for k, v in enumerate(self._vertices)}
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
         self._edge_tuple: Tuple[Edge, ...] = tuple(final)
         self._loop_halves = loop_halves
@@ -133,6 +134,9 @@ class MetricGraph:
         self._check_connected()
         # source vertex -> its shortest-path tree; see _sp_tree
         self._dist_cache: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
+        # V x V table of the trees' distance rows, in vertex order; see _vd_rows
+        self._vd = np.empty((len(self._vertices), len(self._vertices)))
+        self._vd_filled = np.zeros(len(self._vertices), dtype=bool)
         self._diam_cache: Optional[float] = None
         self._seq_cache: Optional[object] = None  # see persistence_sequence
         # keyed by canonical basepoint; see _monotone_model and build_merge_tree
@@ -191,9 +195,12 @@ class MetricGraph:
                 raise ValueError(f"unknown vertex: {pt.vertex}")
             return pt if pt.offset == 0.0 else GraphPoint(vertex=pt.vertex)
         e = self.edge(pt.edge)
-        if isinstance(pt.offset, bool):
+        t = pt.offset
+        if type(t) is float and TOL < t < e.length - TOL:
+            return pt  # already canonical
+        if isinstance(t, bool):
             raise ValueError(f"offset on edge {e.id} must be a number, not a bool")
-        t = float(pt.offset)
+        t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"offset {t} on edge {e.id} is not finite")
         if t < -TOL or t > e.length + TOL:
@@ -243,6 +250,18 @@ class MetricGraph:
 
     def _vertex_dists(self, source: str) -> Dict[str, float]:
         return self._sp_tree(source)[0]
+
+    def _vd_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The V x V vertex-distance table, with row k (the ``_sp_tree``
+        distances from vertex k, in vertex order) filled for every k in
+        ``rows``. Rows are filled on first use and kept, so only the trees
+        of the requested roots are built. The raw rows are not exactly
+        symmetric: two roots' trees can sum one path in different orders."""
+        for k in rows[~self._vd_filled[rows]].tolist():
+            dist = self._sp_tree(self._vertices[k])[0]
+            self._vd[k] = [dist[w] for w in self._vertices]
+            self._vd_filled[k] = True
+        return self._vd
 
     def _exits(self, pt: GraphPoint) -> List[Tuple[str, float]]:
         """(vertex, cost to reach it) pairs through which geodesics from pt
@@ -299,54 +318,57 @@ def f_values(G: MetricGraph, p: GraphPoint) -> Dict[str, float]:
 def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
     """Pairwise distance matrix of the given points (numpy array).
 
-    Duplicate points are fine; the result is then a pseudometric.
+    Duplicate points are fine; the result is then a pseudometric. A point
+    leaves its carrier through two exits (vertex, cost): the ends of its
+    edge, or its own vertex twice at cost 0. With VD the vertex distances,
+    P[i, w] = min_k (c_ik + VD[exit_ik, w]) over the exit vertices w, and
+    D[i, j] = min_k (P[i, exit_jk] + c_jk). Rounding is monotone, so this
+    is the min over the four exit routes summed left to right. VD[a, b] is
+    read from the tree of the lower-index root of the two, and only the
+    exit vertices' trees are built.
     """
     pts = [G.canonical(p) for p in points]
     n = len(pts)
-    vidx = {v: i for i, v in enumerate(G.vertices)}
-    need = sorted({v for p in pts for (v, _) in G._exits(p)})
-    vd = {v: G._vertex_dists(v) for v in need}
-
-    # exit representation: up to two (vertex, cost) rows per point
-    exit_v = np.zeros((n, 2), dtype=np.int64)
-    exit_c = np.zeros((n, 2), dtype=np.float64)
+    vidx, edges = G._vidx, G._edges
+    ev: List[Tuple[int, int]] = []
+    ec: List[Tuple[float, float]] = []
+    # per point, the index of the first point on its edge (-1 at a vertex)
+    on: List[int] = []
+    first: Dict[str, int] = {}
     for i, p in enumerate(pts):
-        ex = G._exits(p)
-        if len(ex) == 1:
-            ex = [ex[0], ex[0]]
-        for k, (v, c) in enumerate(ex):
-            exit_v[i, k] = vidx[v]
-            exit_c[i, k] = c
+        if p.vertex is not None:
+            k = vidx[p.vertex]
+            ev.append((k, k))
+            ec.append((0.0, 0.0))
+            on.append(-1)
+        else:
+            e = edges[p.edge]
+            ev.append((vidx[e.u], vidx[e.v]))
+            ec.append((p.offset, e.length - p.offset))
+            on.append(first.setdefault(p.edge, i))
+    exit_v = np.array(ev, dtype=np.int64).reshape(n, 2)
+    exit_c = np.array(ec, dtype=np.float64).reshape(n, 2)
 
-    nv = len(G.vertices)
-    VD = np.zeros((nv, nv), dtype=np.float64)
-    for v in need:
-        row = vd[v]
-        VD[vidx[v], :] = [row[w] for w in G.vertices]
-    for v in need:  # symmetrize the rows we filled
-        VD[:, vidx[v]] = VD[vidx[v], :]
-
-    D = np.full((n, n), np.inf)
-    for ka in range(2):
-        for kb in range(2):
-            cand = (exit_c[:, ka][:, None] + VD[np.ix_(exit_v[:, ka], exit_v[:, kb])]
-                    + exit_c[:, kb][None, :])
-            np.minimum(D, cand, out=D)
+    # the exit vertices, ascending, and each exit's index among them
+    used = np.zeros(len(vidx), dtype=bool)
+    used[exit_v] = True
+    need = np.flatnonzero(used)
+    x0, x1 = (np.cumsum(used) - 1)[exit_v].T
+    W = G._vd_rows(need)[need[:, None], need]
+    W = np.where(need[:, None] > need, W.T, W)
+    P = np.minimum(exit_c[:, :1] + W[x0], exit_c[:, 1:] + W[x1])
+    D = np.minimum(P[:, x0] + exit_c[:, 0], P[:, x1] + exit_c[:, 1])
 
     # direct along a shared edge can beat every exit route
-    by_edge: Dict[str, List[int]] = {}
-    for i, p in enumerate(pts):
-        if not p.is_vertex():
-            by_edge.setdefault(p.edge, []).append(i)
-    for eid, idxs in by_edge.items():
-        off = np.array([pts[i].offset for i in idxs])
-        direct = np.abs(off[:, None] - off[None, :])
-        sub = np.ix_(idxs, idxs)
-        D[sub] = np.minimum(D[sub], direct)
+    if first:
+        on_a = np.array(on)
+        off = exit_c[:, 0]
+        np.minimum(D, np.abs(off[:, None] - off), out=D,
+                   where=(on_a[:, None] == on_a) & (on_a >= 0)[:, None])
 
     np.fill_diagonal(D, 0.0)
-    # c_a + VD + c_b is summed in another order for (i, j) than for (j, i),
-    # so the two can differ by an ulp; both are lengths of real paths
+    # the routes for (i, j) and (j, i) are summed in other orders, so the
+    # two can differ by an ulp; both are lengths of real paths
     return np.minimum(D, D.T)
 
 
@@ -411,13 +433,12 @@ def diameter(G: MetricGraph) -> float:
     if not G._edge_tuple:
         G._diam_cache = 0.0
         return 0.0
-    vidx = {v: k for k, v in enumerate(G.vertices)}
+    vidx = G._vidx
     es = G.edges
     # the kernel's tolerances are set for lengths near 1, so it runs on
     # lengths divided by G._unit; the result then scales exactly with G
     unit = G._unit
-    D = np.array([[row[w] for w in G.vertices]
-                  for row in map(G._vertex_dists, G.vertices)]) / unit
+    D = G._vd_rows(np.arange(len(G.vertices))) / unit
     eu = np.array([vidx[e.u] for e in es])
     ev = np.array([vidx[e.v] for e in es])
     L = np.array([e.length for e in es]) / unit

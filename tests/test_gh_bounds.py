@@ -26,6 +26,7 @@ from metricgraph import (
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph.persistence import _VR_MAX_POINTS
 
+from oracles import four_point
 from oracles.dgh_exhaustive import dgh_all_relations
 
 from conftest import random_euclidean_metric
@@ -181,7 +182,87 @@ class TestCorrespondence:
                            pairs=((0, 0), (1, 1)), DX=DX, DY=DY)
 
 
+    def test_identity_distortion_matches_gather(self):
+        # the identity relation is read without a gather; listing its pairs
+        # in another order takes the gather path over the same entries
+        spec = EnsembleSpec(seed=5, count=4)
+        for i in range(spec.count):
+            G = random_graph(spec, i)
+            DX = finite_metric(G, epsilon_net(G, diameter(G) / 8.0))
+            n = len(DX)
+            DY = np.round(DX, 1)
+            ident = tuple((k, k) for k in range(n))
+            R = Correspondence(left=tuple(range(n)), right=tuple(range(n)),
+                               DX=DX, DY=DY, pairs=ident)
+            shuffled = Correspondence(left=R.left, right=R.right, DX=DX, DY=DY,
+                                      pairs=ident[::-1])
+            assert R.distortion == shuffled.distortion
+            assert R.distortion == four_point.relation_distortion(
+                DX.tolist(), DY.tolist(), ident)
+
+    def test_unsorted_and_duplicate_pairs(self):
+        rng = np.random.default_rng(71)
+        DX = random_euclidean_metric(rng, 3)
+        DY = random_euclidean_metric(rng, 2)
+        pairs = ((2, 1), (0, 0), (1, 1), (0, 0), (2, 1))
+        R = Correspondence(left=(0, 1, 2), right=(0, 1), DX=DX, DY=DY, pairs=pairs)
+        assert R.pairs == pairs
+        assert R.distortion == four_point.relation_distortion(
+            DX.tolist(), DY.tolist(), pairs)
+
+    @pytest.mark.parametrize("pairs, message", [
+        (((0, 0), (1, 1), (-1, 0), (5, 0)), "pair (-1, 0) is out of range"),
+        (((0, 0), (1, 2), (1, 1)), "pair (1, 2) is out of range"),
+        (((0, 0), (0, 1)), "correspondence must cover both point lists"),
+        (((0, 1), (1, 1)), "correspondence must cover both point lists"),
+        ((), "correspondence has no pairs"),
+        (((0, 0, 1), (1, 1, 0)), "pairs must be (left index, right index) pairs"),
+    ])
+    def test_error_messages(self, pairs, message):
+        D = random_euclidean_metric(np.random.default_rng(73), 2)
+        with pytest.raises(ValueError) as err:
+            Correspondence(left=(0, 1), right=(0, 1), DX=D, DY=D.copy(), pairs=pairs)
+        assert str(err.value) == message
+
+    def test_shape_message(self):
+        D = random_euclidean_metric(np.random.default_rng(79), 3)
+        with pytest.raises(ValueError) as err:
+            Correspondence(left=(0, 1), right=(0, 1, 2), DX=D, DY=D, pairs=((0, 0),))
+        assert str(err.value) == "distance matrices do not match the point lists"
+
+
+def extension_pairs(corr, r):
+    """r_extension's relation as a loop over all (i, j), with its sums."""
+    return tuple((i, j) for i in range(len(corr.left)) for j in range(len(corr.right))
+                 if min(corr.DX[i, a] + corr.DY[j, b] for (a, b) in corr.pairs) <= r + 1e-12)
+
+
 class TestRExtension:
+    def test_pairs_match_loop(self):
+        # the inputs of the tests below
+        rng = np.random.default_rng(53)
+        cases = []
+        for seed, n, m, pairs in [(43, 4, 4, tuple((i, i) for i in range(4))),
+                                  (47, 4, 3, ((0, 0), (1, 1), (2, 2), (3, 0)))]:
+            g = np.random.default_rng(seed)
+            DX, DY = random_euclidean_metric(g, n), random_euclidean_metric(g, m)
+            cases.append((DX, DY, pairs, (0.0, float(DX.max() + DY.max()))))
+        for _ in range(6):
+            n = int(rng.integers(3, 6))
+            m = int(rng.integers(3, 6))
+            DX = random_euclidean_metric(rng, n)
+            DY = random_euclidean_metric(rng, m)
+            pairs = sorted({(i, int(rng.integers(0, m))) for i in range(n)}
+                           | {(int(rng.integers(0, n)), j) for j in range(m)})
+            cases.append((DX, DY, tuple(pairs), (0.0, 0.1, 0.5, 1.0)))
+        for DX, DY, pairs, radii in cases:
+            corr = Correspondence(left=tuple(range(len(DX))), right=tuple(range(len(DY))),
+                                  pairs=pairs, DX=DX, DY=DY)
+            for r in radii:
+                out = r_extension(corr, r)
+                assert out.pairs == extension_pairs(corr, r)
+                assert all(type(k) is int for pair in out.pairs for k in pair)
+
     def test_zero_radius_is_identity(self):
         rng = np.random.default_rng(43)
         DX = random_euclidean_metric(rng, 4)
@@ -250,6 +331,23 @@ class TestHyperbolicity:
     def test_mesh_cap(self, c12):
         with pytest.raises(ValueError, match="coarser mesh"):
             hyp_graph(c12, 0.005)
+
+    @pytest.mark.parametrize("mesh", [None, 0.5])
+    def test_one_vertex_graph(self, mesh):
+        assert hyp_graph(MetricGraph(["a"], []), mesh) == (0.0, 0.0)
+
+    def test_given_mesh_skips_diameter(self):
+        spec = EnsembleSpec(seed=11, count=5)
+        for i in range(spec.count):
+            G = random_graph(spec, i)
+            mesh = G.total_length / 40.0
+            value, err = hyp_graph(G, mesh)
+            assert G._diam_cache is None
+            assert (value, err) == (hyperbolicity(finite_metric(G, epsilon_net(G, mesh))),
+                                    4.0 * mesh)
+            default = 0.05 * diameter(G)
+            assert hyp_graph(G) == (
+                hyperbolicity(finite_metric(G, epsilon_net(G, default))), 4.0 * default)
 
     @pytest.mark.parametrize("shape", [(5, 3), (5,), (3, 5), (2, 2, 2)])
     def test_rejects_non_square(self, shape):

@@ -42,7 +42,7 @@ from metricgraph.metric_graph import (
 )
 
 from conftest import TINY_PARALLEL, random_point, tie_graphs
-from oracles import theta_routes
+from oracles import finite_metric_exits, theta_routes
 
 TOL = 1e-9
 
@@ -134,6 +134,22 @@ class TestDistance:
             theta.canonical(pt)
         with pytest.raises(ValueError, match="offset"):
             distance(theta, pt, GraphPoint(vertex="u"))
+
+    def test_canonical_interior_point_returned_as_is(self, theta):
+        pt = GraphPoint(edge="e3", offset=1.25)
+        assert theta.canonical(pt) is pt
+        # other offsets are converted or snapped as before
+        wide = GraphPoint(edge="e3", offset=np.float64(1.25))
+        assert type(theta.canonical(wide).offset) is float
+        assert theta.canonical(wide) == pt
+        assert type(theta.canonical(GraphPoint(edge="e3", offset=1)).offset) is float
+        assert theta.canonical(GraphPoint(edge="e3", offset=3)) == GraphPoint(vertex="v")
+        assert theta.canonical(GraphPoint(edge="e3", offset=3.0 - TOL / 2)) == GraphPoint(vertex="v")
+        assert theta.canonical(GraphPoint(edge="e3", offset=TOL)) == GraphPoint(vertex="u")
+        with pytest.raises(ValueError, match="outside edge"):
+            theta.canonical(GraphPoint(edge="e3", offset=3.5))
+        with pytest.raises(ValueError, match="unknown edge"):
+            theta.canonical(GraphPoint(edge="zz", offset=1.25))
 
 
 class TestFValues:
@@ -239,6 +255,27 @@ def point_pairs(draw, G):
     a = vertex() if kind != "ii" else interior(draw(edge))
     b = vertex() if kind == "vv" else interior(draw(edge))
     return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
+def point_lists(draw, G):
+    """Up to 12 points of G: vertices, interior points (several may share an
+    edge), offsets within TOL of an end, np.float64 offsets and repeats."""
+    pts = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["vertex", "interior", "near end", "float64", "repeat"]))
+        if kind == "repeat" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "vertex" or not G.edges:
+            pts.append(GraphPoint(vertex=draw(st.sampled_from(G.vertices))))
+        else:
+            e = draw(st.sampled_from(G.edges))
+            if kind == "near end":
+                t = draw(st.sampled_from([0.0, e.length])) + draw(st.floats(-TOL, TOL))
+            else:
+                t = draw(st.floats(0.0, 1.0)) * e.length
+            pts.append(GraphPoint(edge=e.id, offset=np.float64(t) if kind == "float64" else t))
+    return pts
 
 
 class TestShortestPathProperties:
@@ -380,6 +417,38 @@ class TestFiniteMetric:
         D = finite_metric(theta, [u, u, GraphPoint(vertex="v")])
         assert D[0, 1] == 0.0
         assert abs(D[0, 2] - D[1, 2]) < TOL
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(tie_graphs(), ensemble_graphs()), st.integers(-30, 30),
+           st.randoms(use_true_random=False), st.sampled_from(["cold", "full", "part"]),
+           st.data())
+    def test_matches_exit_gathers(self, graph, k, rnd, warm, data):
+        # scaled by 2^k and relabelled, which changes the vertex order and
+        # so which root's tree each table entry is read from
+        verts, edges = graph
+        names = [f"r{i}" for i in range(len(verts))]
+        rnd.shuffle(names)
+        name = dict(zip(verts, names))
+        G = MetricGraph([name[v] for v in verts],
+                        [(i, name[u], name[v], L * 2.0 ** k) for (i, u, v, L) in edges])
+        pts = data.draw(point_lists(G))
+        if warm == "full":
+            diameter(G)  # fills the whole table first
+        elif warm == "part":
+            finite_metric(G, pts[::2])  # fills some of the rows first
+        D = finite_metric(G, pts)
+        assert np.array_equal(D, finite_metric_exits.finite_metric(G, pts))
+        assert np.array_equal(D, finite_metric(G, pts))
+        assert D.shape == (len(pts), len(pts))
+
+    def test_builds_only_the_exits_trees(self):
+        spec = EnsembleSpec(seed=1, count=1, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        a, b = G.edges[0], G.edges[-1]
+        D = finite_metric(G, [GraphPoint(edge=a.id, offset=a.length / 2.0),
+                              GraphPoint(edge=b.id, offset=b.length / 3.0)])
+        assert D.shape == (2, 2)
+        assert len(G._dist_cache) <= 4
 
 
 class TestJson:
