@@ -60,7 +60,6 @@ from .metric_graph import (
     point_to_json_obj,
     points_equal,
     shortest_path,
-    simplify_path,
 )
 from .persistence import (
     Barcode,
@@ -141,7 +140,6 @@ __all__ = [
     "save_graph",
     "seq_distance",
     "shortest_path",
-    "simplify_path",
     "smoothed_distance",
     "t_p",
     "tree_distortion",

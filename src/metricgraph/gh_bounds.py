@@ -16,11 +16,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .metric_graph import (
+    REL_TOL,
     GraphPoint,
     MetricGraph,
     diameter,
     epsilon_net,
     finite_metric,
+    length_unit,
 )
 
 _MAX_EXACT = 7
@@ -93,18 +95,22 @@ def r_extension(corr: Correspondence, r: float) -> Correspondence:
     The result lives on the same point lists, contains the original pairs
     (take x0 = x, y0 = y), and its distortion exceeds the original by at
     most 2r. With r = 0 it is the original relation; once r reaches the sum
-    of the diameters every pair is related.
+    of the diameters every pair is related. Costs and distortions are
+    compared to the tolerance of the length unit of the largest of r and
+    the distances.
     """
     if not r >= 0:
         raise ValueError("r must be >= 0")
+    tol = REL_TOL * length_unit(max(r, float(np.abs(corr.DX).max()),
+                                    float(np.abs(corr.DY).max())))
     pa, pb = corr._pair_idx[:, 0], corr._pair_idx[:, 1]
     # cost[i, j] = min over related (a, b) of DX[i, a] + DY[j, b]
     cost = (corr.DX[:, pa][:, None, :] + corr.DY[:, pb][None, :, :]).min(axis=2)
     # argwhere lists the pairs in sorted (row-major) order
-    pairs = tuple(map(tuple, np.argwhere(cost <= r + 1e-12).tolist()))
+    pairs = tuple(map(tuple, np.argwhere(cost <= r + tol).tolist()))
     out = Correspondence(left=corr.left, right=corr.right,
                          DX=corr.DX, DY=corr.DY, pairs=pairs)
-    if out.distortion > corr.distortion + 2.0 * r + 1e-9:
+    if out.distortion > corr.distortion + 2.0 * r + tol:
         raise AssertionError("extension distortion exceeded dis + 2r")
     return out
 
@@ -320,7 +326,8 @@ def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, floa
 @dataclass(frozen=True)
 class BoundReport:
     """A certified interval for a quantity, with the candidate bounds that
-    produced it."""
+    produced it. The bounds may cross by the tolerance of their length
+    unit."""
 
     quantity: str
     lower: float
@@ -328,7 +335,8 @@ class BoundReport:
     certificates: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-9:
+        tol = REL_TOL * length_unit(max(abs(self.lower), abs(self.upper)))
+        if self.lower > self.upper + tol:
             raise AssertionError(
                 f"inconsistent bounds for {self.quantity}: "
                 f"{self.lower} > {self.upper}")
@@ -421,8 +429,9 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
 
     eps_star = 1.5 * a_next
     S = epsilon_smoothing(G, p, eps_star)
-    bump = 1e-6
-    while S.graph.betti1 > n and bump < 1e-2:
+    # bumps of 1e-6 up to 1e-2 length units
+    bump = 1e-6 * G._unit
+    while S.graph.betti1 > n and bump < 1e-2 * G._unit:
         S = epsilon_smoothing(G, p, eps_star + bump)
         bump *= 10.0
     if S.graph.betti1 <= n:

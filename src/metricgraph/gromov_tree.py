@@ -16,7 +16,6 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
-    TOL,
     _model_f,
     _monotone_model,
     _to_model_point,
@@ -81,6 +80,7 @@ class TreeDistortionResult(NamedTuple):
 def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     H, f = model.graph, model.f
     order = sorted(H.vertices, key=lambda v: (-f[v], v))
+    tol = H._tol
 
     parent_uf: Dict[str, str] = {}
 
@@ -102,7 +102,7 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     while i < len(order):
         j = i
         lvl = f[order[i]]
-        while j < len(order) and lvl - f[order[j]] <= TOL:
+        while j < len(order) and lvl - f[order[j]] <= tol:
             j += 1
         group = order[i:j]
         i = j
@@ -246,8 +246,8 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
             tp = flev[i] + flev[j] - 2.0 * m
             gap = D[i, j] - tp
             # rounding in d - t_p grows with the lengths, so the slack is
-            # measured in G's length unit
-            if gap < -1e-9 * G._unit:
+            # G's tolerance
+            if gap < -G._tol:
                 raise AssertionError("tree metric exceeded the graph metric")
             if gap > worst:
                 worst = gap

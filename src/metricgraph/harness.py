@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +36,7 @@ from .gromov_tree import (
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
-    TOL,
+    REL_TOL,
     diameter,
     distance,
     epsilon_net,
@@ -146,7 +146,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One verified inequality: passes when left <= right + 1e-9."""
+    """One verified inequality: passes when left <= right + tol, where tol
+    is the tolerance of the instance graph (REL_TOL of its length unit)."""
 
     check: str
     anchor: str
@@ -155,6 +156,7 @@ class ReportRow:
     right: float
     skipped: bool = False
     note: str = ""
+    _tol: float = field(default=REL_TOL, repr=False)
 
     @property
     def slack(self) -> float:
@@ -162,13 +164,13 @@ class ReportRow:
 
     @property
     def passed(self) -> bool:
-        return self.skipped or self.slack >= -TOL
+        return self.skipped or self.slack >= -self._tol
 
     @property
     def status(self) -> str:
         if self.skipped:
             return "skipped"
-        return "true" if self.slack >= -TOL else "false"
+        return "true" if self.slack >= -self._tol else "false"
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -239,16 +241,17 @@ _SKIP_MARKER = "coarser mesh"
 
 def default_eps_grid(G: MetricGraph) -> List[float]:
     """Smoothing scales worth probing: 0, both sides of every Betti-drop
-    threshold, and the diameter."""
+    threshold (0.1 length units away), and the diameter."""
     seq = persistence_sequence(G)
+    unit = G._unit
     vals = {0.0, diameter(G)}
     for k in range(1, G.betti1 + 1):
         thr = 1.5 * seq.a(k)
-        vals.add(max(0.0, thr - 0.1))
-        vals.add(thr + 0.1)
+        vals.add(max(0.0, thr - 0.1 * unit))
+        vals.add(thr + 0.1 * unit)
     out: List[float] = []
     for v in sorted(vals):
-        if not out or v - out[-1] > 1e-12:
+        if not out or v - out[-1] > 1e-12 * unit:
             out.append(v)
     return out
 
@@ -283,7 +286,7 @@ def _pointed_dgh_upper(G: MetricGraph, p: GraphPoint,
     search on 5-point farthest-point subsets plus their covering radii."""
     subs = []
     for (graph, base) in ((G, p), (H, q)):
-        coarse = max(diameter(graph) / 6.0, 1e-6)
+        coarse = max(diameter(graph) / 6.0, 1e-6 * graph._unit)
         net = [base] + [x for x in epsilon_net(graph, coarse)
                         if x != graph.canonical(base)]
         D = finite_metric(graph, net)
@@ -311,11 +314,13 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
             suffix: str = "", note: str = "") -> None:
         rows.append(ReportRow(check=check, anchor=anchor,
                               instance=inst + suffix,
-                              left=float(left), right=float(right), note=note))
+                              left=float(left), right=float(right), note=note,
+                              _tol=G._tol))
 
     def skip(check: str, anchor: str, why: str) -> None:
         rows.append(ReportRow(check=check, anchor=anchor, instance=inst,
-                              left=0.0, right=0.0, skipped=True, note=why))
+                              left=0.0, right=0.0, skipped=True, note=why,
+                              _tol=G._tol))
 
     # --- geodesic decomposition and length identities
     n_pairs = 12
@@ -341,7 +346,7 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
     # --- smoothing Betti thresholds and monotonicity
     worst_thr = 0
     for k in range(1, beta + 1):
-        eps_k = 1.5 * seq.a(k) + 1e-6
+        eps_k = 1.5 * seq.a(k) + 1e-6 * G._unit
         worst_thr = max(worst_thr, betti_after_smoothing(G, p, eps_k) - (k - 1))
     row("betti drop at thresholds", "prop:smoothingbetti", worst_thr, 0)
 
@@ -447,10 +452,11 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
            corrupt: bool = False) -> VerificationReport:
     """Run every inequality check over the spec's ensemble.
 
-    Rows compare the two sides of an inequality; a row fails when
-    left > right + 1e-9. Checks that would exceed a resource cap are
-    reported as skipped. ``corrupt`` appends a deliberately failing row
-    (used by the self-test)."""
+    Rows compare the two sides of an inequality; a row fails when left
+    exceeds right by more than the instance graph's tolerance, REL_TOL of
+    its length unit, so the report scales with the lengths. Checks that
+    would exceed a resource cap are reported as skipped. ``corrupt``
+    appends a deliberately failing row (used by the self-test)."""
     rows: List[ReportRow] = []
     instances: List[Tuple[str, MetricGraph, GraphPoint]] = []
     for i in range(spec.count):
@@ -470,7 +476,7 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
         rows.append(ReportRow(check="quotient stability sandwich",
                               anchor="thm:reebstability",
                               instance=f"{inst_g}+{inst_h}",
-                              left=left, right=right))
+                              left=left, right=right, _tol=max(G._tol, H._tol)))
 
     if corrupt:
         rows.append(ReportRow(check="self-test-corrupted", anchor="self-test",

@@ -6,8 +6,12 @@ changes nothing metrically but keeps both endpoints of every stored edge
 distinct, which the sweep algorithms downstream rely on.
 
 Points of the geodesic space are either vertices or interior positions
-(edge id, offset from the edge's u endpoint). All float comparisons use an
-absolute tolerance of 1e-9.
+(edge id, offset from the edge's u endpoint).
+
+Tolerances are relative: a float comparison allows REL_TOL of the length
+unit of its input, the power of two given by ``length_unit``. A graph's
+unit comes from its longest edge, so scaling every length by 2^k scales
+every tolerance, and every result, by exactly 2^k.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-TOL = 1e-9
+REL_TOL = 1e-9
+
+
+def length_unit(x: float) -> float:
+    """The power of two 2^e with 2^e <= |x| < 2^(e + 1), or 1 for x = 0.
+    Multiplying by it is exact, so a tolerance of REL_TOL * length_unit(x)
+    scales exactly with x."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class EdgePath:
     coordinates; a full traversal runs 0 -> length or length -> 0. Partial
     steps are allowed at the two ends of the path. Consecutive steps join at
     a shared vertex, or at a shared interior coordinate when both steps lie
-    on the same edge (which arises transiently while simplifying).
+    on the same edge.
 
     An empty path is a constant path; ``anchor`` then records where it sits.
     """
@@ -122,10 +133,9 @@ class MetricGraph:
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
         self._edge_tuple: Tuple[Edge, ...] = tuple(final)
         self._loop_halves = loop_halves
-        # the power of two that puts the longest edge in [1, 2): scaling by
-        # it is exact, so tolerances measured in it scale exactly with G
-        self._unit = math.ldexp(
-            1.0, math.frexp(max((e.length for e in final), default=1.0))[1] - 1)
+        # the length unit of the longest edge, and the graph's tolerance
+        self._unit = length_unit(max((e.length for e in final), default=1.0))
+        self._tol = REL_TOL * self._unit
         adj: Dict[str, List[str]] = {v: [] for v in self._vertices}
         for e in final:
             adj[e.u].append(e.id)
@@ -188,27 +198,26 @@ class MetricGraph:
     # -- points ------------------------------------------------------------
 
     def canonical(self, pt: GraphPoint) -> GraphPoint:
-        """Normalize a point: offsets within TOL of an endpoint become that
-        vertex. Validates the reference."""
+        """Normalize a point: offsets within the graph's tolerance of an
+        endpoint become the nearer endpoint. Validates the reference."""
         if pt.vertex is not None:
             if pt.vertex not in self._adj:
                 raise ValueError(f"unknown vertex: {pt.vertex}")
             return pt if pt.offset == 0.0 else GraphPoint(vertex=pt.vertex)
         e = self.edge(pt.edge)
-        t = pt.offset
-        if type(t) is float and TOL < t < e.length - TOL:
+        t, tol = pt.offset, self._tol
+        if type(t) is float and tol < t < e.length - tol:
             return pt  # already canonical
         if isinstance(t, bool):
             raise ValueError(f"offset on edge {e.id} must be a number, not a bool")
         t = float(t)
         if not math.isfinite(t):
             raise ValueError(f"offset {t} on edge {e.id} is not finite")
-        if t < -TOL or t > e.length + TOL:
+        if t < -tol or t > e.length + tol:
             raise ValueError(f"offset {t} outside edge {e.id} of length {e.length}")
-        if t <= TOL:
-            return GraphPoint(vertex=e.u)
-        if t >= e.length - TOL:
-            return GraphPoint(vertex=e.v)
+        if t <= tol or t >= e.length - tol:
+            # an edge shorter than 2 tol has both ends in reach
+            return GraphPoint(vertex=e.u if t <= e.length - t else e.v)
         return GraphPoint(edge=e.id, offset=t)
 
     # -- shortest paths ----------------------------------------------------
@@ -272,13 +281,13 @@ class MetricGraph:
         return [(e.u, pt.offset), (e.v, e.length - pt.offset)]
 
 
-def points_equal(G: MetricGraph, a: GraphPoint, b: GraphPoint, tol: float = TOL) -> bool:
+def points_equal(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> bool:
     ca, cb = G.canonical(a), G.canonical(b)
     if ca.is_vertex() != cb.is_vertex():
         return False
     if ca.is_vertex():
         return ca.vertex == cb.vertex
-    return ca.edge == cb.edge and abs(ca.offset - cb.offset) <= tol
+    return ca.edge == cb.edge and abs(ca.offset - cb.offset) <= G._tol
 
 
 def _best_route(G: MetricGraph, ca: GraphPoint,
@@ -511,25 +520,27 @@ def validate_path(G: MetricGraph, path: EdgePath):
         G.canonical(path.anchor)
         return
     n = len(path.steps)
+    tol = G._tol
     for idx, (eid, a, b) in enumerate(path.steps):
         e = G.edge(eid)
         for c in (a, b):
-            if c < -TOL or c > e.length + TOL:
+            if c < -tol or c > e.length + tol:
                 raise ValueError(f"step {idx}: coordinate {c} outside edge {eid}")
-        if abs(b - a) <= TOL:
+        # a full traversal is a step whatever its length
+        if abs(b - a) <= tol and {a, b} != {0.0, e.length}:
             raise ValueError(f"step {idx}: zero-length step on edge {eid}")
         if 0 < idx < n - 1:
-            full = (abs(a) <= TOL and abs(b - e.length) <= TOL) or \
-                   (abs(b) <= TOL and abs(a - e.length) <= TOL)
+            full = (abs(a) <= tol and abs(b - e.length) <= tol) or \
+                   (abs(b) <= tol and abs(a - e.length) <= tol)
             if not full:
                 # interior coordinates are allowed mid-path only where two
                 # consecutive steps sit on one edge and meet exactly
                 prev_ok = path.steps[idx - 1][0] == eid and \
-                    abs(path.steps[idx - 1][2] - a) <= TOL
+                    abs(path.steps[idx - 1][2] - a) <= tol
                 next_ok = path.steps[idx + 1][0] == eid and \
-                    abs(path.steps[idx + 1][1] - b) <= TOL
-                start_v = abs(a) <= TOL or abs(a - e.length) <= TOL
-                end_v = abs(b) <= TOL or abs(b - e.length) <= TOL
+                    abs(path.steps[idx + 1][1] - b) <= tol
+                start_v = abs(a) <= tol or abs(a - e.length) <= tol
+                end_v = abs(b) <= tol or abs(b - e.length) <= tol
                 if not ((start_v or prev_ok) and (end_v or next_ok)):
                     raise ValueError(f"step {idx}: partial traversal inside the path")
     for idx in range(n - 1):
@@ -581,34 +592,35 @@ def path_from_traversals(G: MetricGraph, start_vertex: str, edge_ids: Sequence[s
     return EdgePath(steps=tuple(steps))
 
 
-# path simplification --------------------------------------------------------
+# simple paths ---------------------------------------------------------------
 
 def _point_key(G: MetricGraph, pt: GraphPoint):
     c = G.canonical(pt)
     if c.is_vertex():
         return ("v", c.vertex)
-    return ("e", c.edge, round(c.offset / TOL))
+    return ("e", c.edge, round(c.offset / G._tol))
 
 
 def _occurrences(G: MetricGraph, steps: List[Tuple[str, float, float]], pt: GraphPoint) -> List[float]:
     """Arclength positions at which the path passes through pt."""
     c = G.canonical(pt)
+    tol = G._tol
     pos: List[float] = []
     acc = 0.0
     for (eid, a, b) in steps:
         if c.is_vertex():
             e = G.edge(eid)
             for (coord, vtx) in ((0.0, e.u), (e.length, e.v)):
-                if vtx == c.vertex and min(a, b) - TOL <= coord <= max(a, b) + TOL:
+                if vtx == c.vertex and min(a, b) - tol <= coord <= max(a, b) + tol:
                     pos.append(acc + abs(coord - a))
-        elif c.edge == eid and min(a, b) - TOL <= c.offset <= max(a, b) + TOL:
+        elif c.edge == eid and min(a, b) - tol <= c.offset <= max(a, b) + tol:
             pos.append(acc + abs(c.offset - a))
         acc += abs(b - a)
     # merge positions that coincide (step junctions)
     pos.sort()
     merged: List[float] = []
     for x in pos:
-        if not merged or x - merged[-1] > TOL:
+        if not merged or x - merged[-1] > tol:
             merged.append(x)
     return merged
 
@@ -637,73 +649,10 @@ def _repeat_candidates(G: MetricGraph, steps: List[Tuple[str, float, float]]) ->
                 continue
             lo = max(lo_i, min(aj, bj))
             hi = min(hi_i, max(aj, bj))
-            if hi - lo >= -TOL:
+            if hi - lo >= -G._tol:
                 add(GraphPoint(edge=ei, offset=lo))
                 add(GraphPoint(edge=ei, offset=hi))
     return pts
-
-
-def _cut(G: MetricGraph, steps: List[Tuple[str, float, float]], lo: float, hi: float) -> List[Tuple[str, float, float]]:
-    """Remove the arclength range (lo, hi) from the path, keeping [0, lo]
-    and [hi, total]."""
-    out: List[Tuple[str, float, float]] = []
-    acc = 0.0
-    for (eid, a, b) in steps:
-        ln = abs(b - a)
-        sgn = 1.0 if b >= a else -1.0
-        s0, s1 = acc, acc + ln
-        for (klo, khi) in ((max(s0, 0.0), min(s1, lo)), (max(s0, hi), s1)):
-            if khi - klo > TOL:
-                ca = a + sgn * (klo - s0)
-                cb = a + sgn * (khi - s0)
-                out.append((eid, ca, cb))
-        acc = s1
-    # merge same-direction continuations on one edge
-    merged: List[Tuple[str, float, float]] = []
-    for st in out:
-        if merged and merged[-1][0] == st[0] and abs(merged[-1][2] - st[1]) <= TOL \
-                and (merged[-1][2] - merged[-1][1]) * (st[2] - st[1]) > 0:
-            merged[-1] = (st[0], merged[-1][1], st[2])
-        else:
-            merged.append(st)
-    return merged
-
-
-def _earliest_repeat(G: MetricGraph, steps: List[Tuple[str, float, float]]):
-    """(first, last) arclength positions of the best repeated point, or
-    None if the path is injective."""
-    best = None
-    for pt in _repeat_candidates(G, steps):
-        occ = _occurrences(G, steps, pt)
-        if len(occ) >= 2:
-            key = (occ[0], -occ[-1])
-            if best is None or key < best[0]:
-                best = (key, occ[0], occ[-1])
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def simplify_path(G: MetricGraph, path: EdgePath) -> EdgePath:
-    """Excise detours until the path is injective.
-
-    Among all repeated points, the one met earliest along the path is
-    excised first, cutting through to its last occurrence. A closed loop
-    collapses to the constant path at its start point.
-    """
-    validate_path(G, path)
-    start = path_start(G, path)
-    steps = list(path.steps)
-    for _ in range(4 * (len(steps) + 2) ** 2):
-        hit = _earliest_repeat(G, steps)
-        if hit is None:
-            break
-        steps = _cut(G, steps, hit[0], hit[1])
-    else:
-        raise AssertionError("path simplification did not terminate")
-    if not steps:
-        return EdgePath(steps=(), anchor=start)
-    return EdgePath(steps=tuple(steps))
 
 
 def is_simple_path(G: MetricGraph, path: EdgePath) -> bool:
@@ -716,7 +665,7 @@ def is_simple_path(G: MetricGraph, path: EdgePath) -> bool:
     for pt in _repeat_candidates(G, steps):
         occ = _occurrences(G, steps, pt)
         if len(occ) >= 2:
-            if len(occ) == 2 and occ[0] <= TOL and occ[-1] >= total - TOL:
+            if len(occ) == 2 and occ[0] <= G._tol and occ[-1] >= total - G._tol:
                 continue  # simple loop closure
             return False
     return True
@@ -796,17 +745,20 @@ def _build_monotone_model(G: MetricGraph, cp: GraphPoint) -> MonotoneModel:
     f0 = G0._vertex_dists(p0)
 
     # split each edge at the interior point farthest from p along it
+    tol = G._tol
     for e0 in G0.edges:
         tstar = (e0.length + f0[e0.v] - f0[e0.u]) / 2.0
-        if TOL < tstar < e0.length - TOL:
+        if tol < tstar < e0.length - tol:
             heid, a = host0[e0.id]  # back to host coordinates
             counter = len(cuts.setdefault(heid, []))
             cuts[heid].append((a + tstar, f"{heid}|t{counter}"))
 
     H, host, newv, host_of = _build_from_cuts(G, cuts)
     f = H._vertex_dists(p0)
-    for e in H.edges:  # slopes must be +-1 now
-        if abs(abs(f[e.u] - f[e.v]) - e.length) > 5e-9:
+    # slopes must be +-1 now, up to the 2 tol of a split left out above and
+    # the rounding of f
+    for e in H.edges:
+        if abs(abs(f[e.u] - f[e.v]) - e.length) > 5.0 * tol:
             raise AssertionError(f"edge {e.id} is not monotone after subdivision")
     return MonotoneModel(graph=H, f=dict(f), p_vertex=p0, host_segments=host,
                          new_vertices=newv, host_of=host_of)
@@ -827,7 +779,7 @@ def _to_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
     if pt.vertex is not None:
         return H.canonical(GraphPoint(vertex=pt.vertex))
     for (a, b, mid, uu, vv) in model.host_segments[pt.edge]:
-        if a - TOL <= pt.offset <= b + TOL:
+        if a - H._tol <= pt.offset <= b + H._tol:
             return H.canonical(GraphPoint(edge=mid, offset=pt.offset - a))
     raise ValueError(f"point {pt} not covered by the subdivision")
 
@@ -853,7 +805,10 @@ def _from_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
 
 
 def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, float, float]]:
-    """Transfer a path on the host graph to steps on the model graph."""
+    """Transfer a path on the host graph to steps on the model graph. A
+    segment the step covers whole is kept whatever its length; of the rest,
+    overlaps within the model's tolerance are dropped."""
+    tol = model.graph._tol
     out: List[Tuple[str, float, float]] = []
     for (eid, a, b) in path.steps:
         segs = model.host_segments[eid]
@@ -861,7 +816,7 @@ def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, floa
         lo, hi = min(a, b), max(a, b)
         for (sa, sb, mid, uu, vv) in order:
             ov_lo, ov_hi = max(sa, lo), min(sb, hi)
-            if ov_hi - ov_lo <= TOL:
+            if ov_hi - ov_lo <= tol and (ov_lo, ov_hi) != (sa, sb):
                 continue
             if a <= b:
                 out.append((mid, ov_lo - sa, ov_hi - sa))
@@ -873,7 +828,9 @@ def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, floa
 def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> List[EdgePath]:
     """Split a simple path into maximal pieces on which distance-from-p is
     strictly monotone. Piece boundaries can sit at interior points of G's
-    edges (the turning points), so pieces may start or end mid-edge."""
+    edges (the turning points), so pieces may start or end mid-edge. A step
+    too short to move distance-from-p in floating point joins its
+    neighbouring piece."""
     if not is_simple_path(G, path):
         raise ValueError("path is not simple")
     if not path.steps:
@@ -888,9 +845,10 @@ def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> Lis
         e = H.edge(mid)
         up = f[e.v] - f[e.u]  # +-length
         delta = up * (b - a) / e.length
-        sgn = 1 if delta > 0 else -1
-        if signs and signs[-1] == sgn:
+        sgn = (delta > 0) - (delta < 0)
+        if signs and (sgn == 0 or signs[-1] in (0, sgn)):
             runs[-1].append((mid, a, b))
+            signs[-1] = signs[-1] or sgn
         else:
             runs.append([(mid, a, b)])
             signs.append(sgn)
@@ -905,7 +863,7 @@ def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> Lis
         for (mid, a, b) in run:
             ca, cb = host_coord(mid, a), host_coord(mid, b)
             heid = model.host_of[mid][0]
-            if gsteps and gsteps[-1][0] == heid and abs(gsteps[-1][2] - ca) <= TOL:
+            if gsteps and gsteps[-1][0] == heid and abs(gsteps[-1][2] - ca) <= G._tol:
                 gsteps[-1] = (heid, gsteps[-1][1], cb)
             else:
                 gsteps.append((heid, ca, cb))
@@ -962,7 +920,8 @@ def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     if not cb.is_vertex():
         e = G.edge(cb.edge)
         steps.append((cb.edge, 0.0 if arrive == e.u else e.length, cb.offset))
-    steps = [s for s in steps if abs(s[2] - s[1]) > TOL]
+    # canonical interior points lie more than tol inside their edges, so
+    # only a full traversal can be short, and it stays a step
     return EdgePath(steps=tuple(steps))
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .metric_graph import TOL, MetricGraph
+from .metric_graph import REL_TOL, MetricGraph, length_unit
 
 _VR_MAX_POINTS = 300
 
@@ -50,7 +50,7 @@ class Barcode:
 @dataclass(frozen=True)
 class PersistenceSequence:
     """Non-increasing, finite, positive entries; a(n) for n past the end
-    is 0."""
+    is 0. Order is checked to the tolerance of the first entry's unit."""
 
     entries: Tuple[float, ...] = ()
 
@@ -62,8 +62,9 @@ class PersistenceSequence:
             if x <= 0:
                 raise ValueError("sequence entries must be positive")
         object.__setattr__(self, "entries", tuple(float(x) for x in self.entries))
+        tol = REL_TOL * length_unit(self.entries[0]) if self.entries else 0.0
         for i in range(len(self.entries) - 1):
-            if self.entries[i] < self.entries[i + 1] - TOL:
+            if self.entries[i] < self.entries[i + 1] - tol:
                 raise ValueError("sequence must be non-increasing")
 
     def a(self, n: int) -> float:
@@ -111,7 +112,8 @@ def vr_h1_barcode(D) -> Barcode:
 
     Uses the 2-skeleton with closed grading: a simplex is present at scale r
     when its diameter is <= r. All births and deaths are entries of D. Bars
-    shorter than 1e-9 are discarded.
+    no longer than REL_TOL of the length unit of D's largest entry are
+    discarded; the same tolerance checks symmetry and signs.
 
     Only the upper triangle of D is read: edge (i, j) with i < j has value
     D[i, j], and edges are ordered by (D[i, j], i, j), triangles by (largest
@@ -132,9 +134,10 @@ def vr_h1_barcode(D) -> Barcode:
         raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
     if not np.isfinite(D).all():
         raise ValueError("distance matrix must be finite")
-    if n and np.max(np.abs(D - D.T)) > TOL:
+    tol = REL_TOL * length_unit(float(np.abs(D).max(initial=0.0)))
+    if n and np.max(np.abs(D - D.T)) > tol:
         raise ValueError("distance matrix must be symmetric")
-    if n and np.min(D) < -TOL:
+    if n and np.min(D) < -tol:
         raise ValueError("distance matrix must be nonnegative")
     if n < 3:
         return Barcode(degree=1, bars=())
@@ -211,7 +214,7 @@ def vr_h1_barcode(D) -> Barcode:
     paired = np.fromiter(pivot_of.values(), dtype=np.int64, count=len(pivot_of))
     death = values[np.fromiter(pivot_of, dtype=np.int64, count=len(pivot_of))
                    // n ** 3]
-    keep = death - birth[paired] > TOL
+    keep = death - birth[paired] > tol
     return Barcode(degree=1, bars=tuple(zip(birth[paired][keep].tolist(),
                                             death[keep].tolist())))
 
@@ -329,11 +332,11 @@ def _feasible(bars1, bars2, t: float) -> bool:
         row = []
         for j in range(size):
             if i < n and j < m:
-                ok = _linf(bars1[i], bars2[j]) <= t + 1e-12
+                ok = _linf(bars1[i], bars2[j]) <= t
             elif i < n:
-                ok = (bars1[i][1] - bars1[i][0]) / 2.0 <= t + 1e-12
+                ok = (bars1[i][1] - bars1[i][0]) / 2.0 <= t
             elif j < m:
-                ok = (bars2[j][1] - bars2[j][0]) / 2.0 <= t + 1e-12
+                ok = (bars2[j][1] - bars2[j][0]) / 2.0 <= t
             else:
                 ok = True
             if ok:
@@ -362,13 +365,16 @@ def bottleneck_distance(b1: Barcode, b2: Barcode) -> float:
     """Exact bottleneck distance between two finite barcodes.
 
     Binary search over candidate thresholds: all pairwise endpoint gaps and
-    all half-lengths. The optimum is always one of these.
+    all half-lengths. The optimum is always one of these. Costs are compared
+    to the tolerance of the length unit of the largest endpoint.
     """
     for bc in (b1, b2):
         for (b, d) in bc.bars:
             if not (math.isfinite(b) and math.isfinite(d)):
                 raise ValueError("bottleneck distance needs finite bars")
     bars1, bars2 = list(b1.bars), list(b2.bars)
+    tol = REL_TOL * length_unit(max((abs(x) for bar in bars1 + bars2 for x in bar),
+                                    default=0.0))
     cands = {0.0}
     for bar in bars1:
         cands.add((bar[1] - bar[0]) / 2.0)
@@ -379,11 +385,11 @@ def bottleneck_distance(b1: Barcode, b2: Barcode) -> float:
             cands.add(_linf(x, y))
     ordered = sorted(cands)
     lo, hi = 0, len(ordered) - 1
-    if _feasible(bars1, bars2, ordered[0]):
+    if _feasible(bars1, bars2, ordered[0] + tol):
         return ordered[0]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _feasible(bars1, bars2, ordered[mid]):
+        if _feasible(bars1, bars2, ordered[mid] + tol):
             hi = mid
         else:
             lo = mid

@@ -7,12 +7,13 @@ classes are the components of the band {x : t - eps <= d(p, x) <= t} of the
 monotone subdivision, so S is read off a sweep of the band across the
 critical levels {f(v)} and {f(v) + eps}.
 
-The sweep runs on integer slots. Critical values closer than _CRIT_MERGE
-merge into one level; slot 2k is the k-th merged level and slot 2k + 1 the
-open interval above it. Each critical value is mapped to its slot once and
-no float is compared after that: a model vertex or edge lies in the band
-from the slot of its lowest f to the slot of its highest f + eps, so the
-band moves by per-slot enter and leave lists. The components at even slots
+The sweep runs on integer slots. Critical values closer than 100 times the
+model graph's tolerance merge into one level, so the merging scales with G;
+slot 2k is the k-th merged level and slot 2k + 1 the open interval above
+it. Each critical value is mapped to its slot once and no float is compared
+after that: a model vertex or edge lies in the band from the slot of its
+lowest f to the slot of its highest f + eps, so the band moves by per-slot
+enter and leave lists. The components at even slots
 are the vertices of S before pass-through vertices dissolve. Each component
 at an odd slot is an edge joining the components that hold it at the two
 neighbouring even slots, which always contain it.
@@ -31,7 +32,6 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
-    TOL,
     _from_model_point,
     _model_f,
     _monotone_model,
@@ -41,9 +41,6 @@ from .metric_graph import (
     finite_metric,
 )
 from .gh_bounds import Correspondence
-
-# a critical value within this of the first value of a run joins its slot
-_CRIT_MERGE = 1e-7
 
 _Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
 
@@ -110,10 +107,12 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
     model = _monotone_model(G, p)
     H, f = model.graph, model.f
 
+    # a critical value within gap of the first value of a run joins its slot
+    gap = 100.0 * H._tol
     criticals: List[float] = []
     slot: Dict[float, int] = {}  # critical value -> its even slot
     for x in sorted({x for v in H.vertices for x in (f[v], f[v] + eps)}):
-        if not criticals or x - criticals[-1] > _CRIT_MERGE:
+        if not criticals or x - criticals[-1] > gap:
             criticals.append(x)
         slot[x] = 2 * len(criticals) - 2
     n_slots = 2 * len(criticals) - 1
@@ -199,12 +198,13 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     lvl = _model_f(model, mp)
     crit = S._criticals
 
-    # snap to the first critical level within _CRIT_MERGE, else take the
+    # snap to the first critical level within the merge gap, else take the
     # open interval that holds lvl
+    gap = 100.0 * model.graph._tol
     k = bisect_left(crit, lvl)
-    if k > 0 and abs(lvl - crit[k - 1]) <= _CRIT_MERGE:
+    if k > 0 and abs(lvl - crit[k - 1]) <= gap:
         s = 2 * k - 2
-    elif k < len(crit) and abs(lvl - crit[k]) <= _CRIT_MERGE:
+    elif k < len(crit) and abs(lvl - crit[k]) <= gap:
         s = 2 * k
     else:
         s = 2 * k - 1
@@ -231,8 +231,9 @@ def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
         elem = S._rep[(cs.vertex, 2 * bisect_left(crit, lvl))]
     else:
         lvl = S.level[S.graph.edge(cs.edge).u] + cs.offset
-        # the first interval whose closure, widened by TOL, holds lvl
-        elem = S._rep[(cs.edge, 2 * bisect_left(crit, lvl - TOL) - 1)]
+        # the first interval whose closure, widened by the tolerance that
+        # put cs inside its edge, holds lvl
+        elem = S._rep[(cs.edge, 2 * bisect_left(crit, lvl - S.graph._tol) - 1)]
     if elem[0] == "v":
         return _from_model_point(model, GraphPoint(vertex=elem[1]))
     e = model.graph.edge(elem[1])

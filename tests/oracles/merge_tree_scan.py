@@ -8,7 +8,7 @@ finds a new node's children by checking every root of the previous level.
 from typing import Dict, List, Optional
 
 from metricgraph.gromov_tree import MergeTree, TreeNode
-from metricgraph.metric_graph import TOL, MonotoneModel
+from metricgraph.metric_graph import MonotoneModel
 
 
 def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
@@ -35,7 +35,7 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     while i < len(order):
         j = i
         lvl = f[order[i]]
-        while j < len(order) and lvl - f[order[j]] <= TOL:
+        while j < len(order) and lvl - f[order[j]] <= H._tol:
             j += 1
         group = order[i:j]
         i = j

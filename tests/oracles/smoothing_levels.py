@@ -2,7 +2,8 @@
 
 ``epsilon_smoothing`` recomputes the band {t - eps <= f <= t} from scratch at
 every merged critical level t and at every interval midpoint, classifying
-model elements against the window with the 1e-9 point tolerance.
+model elements against the window with the model graph's tolerance, and
+merging critical values within 100 of those tolerances.
 ``_locate`` and ``_represent`` find classes by scanning the per-level
 provenance lists. The slot sweep in ``metricgraph.reeb_smoothing`` must give
 the same quotient and the same correspondence on generic inputs.
@@ -17,7 +18,6 @@ from metricgraph.metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
-    TOL,
     _from_model_point,
     _model_f,
     _monotone_model,
@@ -25,8 +25,6 @@ from metricgraph.metric_graph import (
     epsilon_net,
     finite_metric,
 )
-
-_CRIT_MERGE = 1e-7
 
 _Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
 
@@ -70,13 +68,14 @@ def _band_components(model: MonotoneModel, lo: float, hi: float) -> Dict[_Elem, 
     and model edges meeting the band; edges touch only through shared
     in-band vertices."""
     H, f = model.graph, model.f
+    tol = H._tol
     elems: List[_Elem] = []
     for v in H.vertices:
-        if lo - TOL <= f[v] <= hi + TOL:
+        if lo - tol <= f[v] <= hi + tol:
             elems.append(("v", v))
     for e in H.edges:
         elo, ehi = min(f[e.u], f[e.v]), max(f[e.u], f[e.v])
-        if elo <= hi + TOL and ehi >= lo - TOL:
+        if elo <= hi + tol and ehi >= lo - tol:
             elems.append(("e", e.id))
     parent: Dict[_Elem, _Elem] = {x: x for x in elems}
 
@@ -114,11 +113,12 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> LevelSmoothi
         raise ValueError("eps must be >= 0")
     model = _monotone_model(G, p)
     f = model.f
+    tol = model.graph._tol
 
     raw = sorted({x for v in model.graph.vertices for x in (f[v], f[v] + eps)})
     criticals: List[float] = []
     for x in raw:
-        if not criticals or x - criticals[-1] > _CRIT_MERGE:
+        if not criticals or x - criticals[-1] > 100.0 * tol:
             criticals.append(x)
     K = len(criticals)
 
@@ -206,7 +206,7 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> LevelSmoothi
         name = f"s{k}"
         chain_name[c] = name
         lo, hi = pv_level[bot], pv_level[top]
-        if hi - lo <= TOL:
+        if hi - lo <= tol:
             raise AssertionError("zero-length smoothed edge")
         edges.append((name, vname[bot], vname[top], hi - lo))
         edge_bottom[name] = lo
@@ -243,7 +243,7 @@ def _locate(S: LevelSmoothing, x: GraphPoint) -> GraphPoint:
 
     snap = None
     for k, c in enumerate(crit):
-        if abs(lvl - c) <= _CRIT_MERGE:
+        if abs(lvl - c) <= 100.0 * model.graph._tol:
             snap = k
             break
     elem: _Elem = ("v", mp.vertex) if mp.is_vertex() else ("e", mp.edge)
@@ -277,8 +277,9 @@ def _represent(S: LevelSmoothing, sigma: GraphPoint) -> GraphPoint:
     else:
         lvl = S._edge_bottom[cs.edge] + cs.offset
         crit = S._criticals
+        tol = S.graph._tol
         k = 0
-        while k < len(crit) - 1 and not (crit[k] - TOL <= lvl <= crit[k + 1] + TOL):
+        while k < len(crit) - 1 and not (crit[k] - tol <= lvl <= crit[k + 1] + tol):
             k += 1
         pe = next(j for j, name in enumerate(S._pe_final)
                   if name == cs.edge and S._int_elems[k].get(S._pe_elems[j][0]) == j)

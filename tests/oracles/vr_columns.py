@@ -5,9 +5,10 @@ This is the library's earlier implementation. It sorts every edge by
 entries, i, j, k), with i < j < k, and reduces each triangle's boundary
 column, held as a Python-int bitmask over the edge order, until its lowest
 edge is new. The pair (lowest edge, triangle) is a bar (D[i,j], triangle
-value) when it is longer than TOL. Like the library it reads only the upper
-triangle of D, so the coboundary reduction must agree with it exactly (==)
-even on a matrix that is asymmetric by an ulp.
+value) when it is longer than REL_TOL of the length unit of D's largest
+entry. Like the library it reads only the upper triangle of D, so the
+coboundary reduction must agree with it exactly (==) even on a matrix that
+is asymmetric by an ulp.
 
 It costs O(n^3) triangles as Python tuples, so keep n small.
 """
@@ -17,7 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from metricgraph import Barcode
-from metricgraph.metric_graph import TOL
+from metricgraph.metric_graph import REL_TOL, length_unit
 
 
 def h1_barcode(D) -> Barcode:
@@ -26,6 +27,7 @@ def h1_barcode(D) -> Barcode:
     if n < 3:
         return Barcode(degree=1, bars=())
 
+    tol = REL_TOL * length_unit(float(np.abs(D).max()))
     edges = sorted(((D[i, j], i, j) for i in range(n) for j in range(i + 1, n)),
                    key=lambda t: (t[0], t[1], t[2]))
     eidx = {(i, j): k for k, (_, i, j) in enumerate(edges)}
@@ -47,7 +49,7 @@ def h1_barcode(D) -> Barcode:
                 pivots[low] = col
                 paired += 1
                 birth = edges[low][0]
-                if val - birth > TOL:
+                if val - birth > tol:
                     bars.append((birth, val))
                 break
             col ^= other

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,17 @@ class TestVerify:
         assert a == b
         header = a.splitlines()[0]
         assert header == "check,anchor,instance,left,right,slack,pass"
+
+    # the unit-scale reports, byte for byte, as the absolute tolerances
+    # gave them (recorded with numpy 2.4)
+    @pytest.mark.parametrize("seed, digest", [
+        (10, "abe80e25839440630087777ad23f3d5c420f83835f00ebcd9f8c988077b4d89f"),
+        (11, "036c8597ead7bda3b38f71dd7ae0717d878add51b0c2b7de491d8c5ed4ffde30"),
+        (12, "ed12f2e9b0664f6984574a3d1c90dfef5bbbcb8ef8bddf4dd1197ccf0eb6d106"),
+    ])
+    def test_csv_pinned(self, seed, digest):
+        csv = verify(EnsembleSpec(seed=seed, count=10)).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
     def test_json_obj_shape(self):
         spec = EnsembleSpec(seed=4, count=2)

@@ -29,7 +29,6 @@ from metricgraph import (
     quotient_correspondence,
     r_extension,
     shortest_path,
-    simplify_path,
     tree_distortion,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
@@ -199,21 +198,44 @@ class TestMonotoneSubdivision:
 
 
 class TestPaths:
-    def test_simplify_identity(self, theta):
-        gamma = path_from_traversals(theta, "u", ["e1"])
-        assert simplify_path(theta, gamma) == gamma
+    def test_simple_loop_accepted(self, theta):
+        assert is_simple_path(theta, path_from_traversals(theta, "u", ["e1"]))
+        assert is_simple_path(theta, path_from_traversals(theta, "u", ["e1", "e2"]))
 
-    def test_simplify_backtrack(self):
-        G = segment(3.0)
-        gamma = path_from_traversals(G, "u", ["e", "e", "e"])
-        out = simplify_path(G, gamma)
-        assert is_simple_path(G, out)
-        assert abs(path_length(G, out) - 3.0) < TOL
+    def test_edge_shorter_than_tolerance(self):
+        # steps shorter than the tolerance used to be dropped, leaving
+        # v -> w as a path with no steps and no anchor, which every path
+        # consumer rejected
+        G = MetricGraph(["u", "v", "w"], [("e1", "u", "v", 1.0), ("e2", "v", "w", 1e-10)])
+        v, w = GraphPoint(vertex="v"), GraphPoint(vertex="w")
+        for a, b in ((v, w), (w, GraphPoint(vertex="u")),
+                     (GraphPoint(edge="e1", offset=0.5), w)):
+            gamma = shortest_path(G, a, b)
+            validate_path(G, gamma)
+            assert path_start(G, gamma) == a and path_end(G, gamma) == b
+            assert path_length(G, gamma) == distance(G, a, b)
+            for p in (GraphPoint(vertex="u"), v, w):
+                segs = monotone_decomposition(G, p, gamma)
+                assert sum(path_length(G, s) for s in segs) == pytest.approx(
+                    path_length(G, gamma), rel=1e-12)
+                assert f_variation(G, p, gamma) == pytest.approx(
+                    path_length(G, gamma), rel=1e-6)
+        with pytest.raises(ValueError, match="zero-length step"):
+            validate_path(G, EdgePath(steps=(("e2", 0.0, 0.0),)))
 
-    def test_simplify_loop_to_constant(self, theta):
-        gamma = path_from_traversals(theta, "u", ["e1", "e2"])
-        out = simplify_path(theta, gamma)
-        assert path_length(theta, out) == 0.0
+    def test_step_below_rounding_joins_its_piece(self):
+        # along e2, d(u, .) moves by less than an ulp of 1, so the step has
+        # no direction; it must not split the one increasing piece
+        G = MetricGraph(["u", "v", "w", "x"], [("e1", "u", "v", 1.0),
+                                               ("e2", "v", "w", 1e-17),
+                                               ("e3", "w", "x", 1.0)])
+        u, x = GraphPoint(vertex="u"), GraphPoint(vertex="x")
+        gamma = shortest_path(G, u, x)
+        assert len(gamma.steps) == 3
+        assert monotone_decomposition(G, u, gamma) == [gamma]
+        # a path that starts with the flat step
+        gamma = shortest_path(G, GraphPoint(vertex="v"), x)
+        assert monotone_decomposition(G, u, gamma) == [gamma]
 
     def test_shortest_path_realizes_distance(self):
         spec = EnsembleSpec(seed=37, count=6)
@@ -260,7 +282,8 @@ def point_pairs(draw, G):
 @st.composite
 def point_lists(draw, G):
     """Up to 12 points of G: vertices, interior points (several may share an
-    edge), offsets within TOL of an end, np.float64 offsets and repeats."""
+    edge), offsets within the graph's tolerance of an end, np.float64
+    offsets and repeats."""
     pts = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["vertex", "interior", "near end", "float64", "repeat"]))
@@ -271,7 +294,7 @@ def point_lists(draw, G):
         else:
             e = draw(st.sampled_from(G.edges))
             if kind == "near end":
-                t = draw(st.sampled_from([0.0, e.length])) + draw(st.floats(-TOL, TOL))
+                t = draw(st.sampled_from([0.0, e.length])) + draw(st.floats(-G._tol, G._tol))
             else:
                 t = draw(st.floats(0.0, 1.0)) * e.length
             pts.append(GraphPoint(edge=e.id, offset=np.float64(t) if kind == "float64" else t))
@@ -298,11 +321,12 @@ class TestShortestPathProperties:
 
     @pytest.mark.parametrize("k", [-60, 0, 60])
     def test_tiny_parallel_edges(self, k):
-        # paths drop steps shorter than TOL, so only the distance is checked
         s = 2.0 ** k
         verts, edges = TINY_PARALLEL
         G = MetricGraph(verts, [(i, u, v, L * s) for (i, u, v, L) in edges])
-        assert distance(G, GraphPoint(vertex="x"), GraphPoint(vertex="y")) == 1e-17 * s
+        x, y = GraphPoint(vertex="x"), GraphPoint(vertex="y")
+        assert distance(G, x, y) == 1e-17 * s
+        assert shortest_path(G, x, y) == EdgePath(steps=(("b", 0.0, 1e-17 * s),))
 
 
 class TestMonotoneDecomposition:
