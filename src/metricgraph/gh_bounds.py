@@ -19,9 +19,11 @@ from .metric_graph import (
     REL_TOL,
     GraphPoint,
     MetricGraph,
+    checked_distances,
     diameter,
     epsilon_net,
     finite_metric,
+    is_index,
     length_unit,
 )
 
@@ -119,122 +121,99 @@ def brute_force_dgh(DX, DY, pointed: Optional[Tuple[int, int]] = None,
                     witness: bool = False):
     """Exact Gromov-Hausdorff distance between two finite metrics.
 
-    Views a correspondence as an assignment of a nonempty subset of right
-    points to each left point. The optimal distortion is one of the finitely
-    many values |DX[i,j] - DY[a,b]|, so the search binary-searches that value
-    and answers feasibility by a depth-first assignment with compatibility
-    and coverage pruning. With ``pointed`` the pair (i0, j0) is forced into
-    the correspondence. Capped at 7 points per side.
+    Every covering relation contains graph(f) u graph(g)^T for maps
+    f: X -> Y and g: Y -> X, and distortion is monotone under inclusion
+    (Kalton and Ostrovskii, "Distances between Banach spaces", Forum Math.
+    1999), so the search runs over map pairs; g is needed only outside the
+    image of f. The least distortion is one of the gaps |DX[i, i2] -
+    DY[a, b]|, binary-searched upward from the largest over pairs on either
+    side of the least gap to a pair on the other. At a threshold, two
+    related pairs are compatible when their gap is within it both ways.
+    Feasibility gives each left point an image, then each right point
+    outside the image a left, always the point with the fewest compatible
+    choices first; every placed pair narrows these choices, kept as
+    bitmasks. A branch is cut when a left point has no image left, or an
+    uncovered right point has no compatible left, neither a remaining left
+    to map to it nor one to be its g. ``pointed=(i0, j0)`` fixes f(i0) = j0.
+
+    The matrices must be finite and square with a zero diagonal, and
+    symmetric and nonnegative to REL_TOL of their largest entry's unit; at
+    most 7 points per side. With ``witness`` the relation found comes too,
+    as sorted pairs that cover both sides, hold the pointed pair and have
+    distortion exactly twice the value.
     """
-    DX = np.asarray(DX, dtype=np.float64)
-    DY = np.asarray(DY, dtype=np.float64)
-    for D in (DX, DY):
-        if D.ndim != 2 or D.shape[0] != D.shape[1]:
-            raise ValueError("distance matrix must be square")
-        if not np.isfinite(D).all():
-            raise ValueError("distance matrix must be finite")
+    DX, DY = checked_distances(DX), checked_distances(DY)
+    if np.diagonal(DX).any() or np.diagonal(DY).any():
+        raise ValueError("distance matrix must have a zero diagonal")
     n, m = DX.shape[0], DY.shape[0]
     if n > _MAX_EXACT or m > _MAX_EXACT:
         raise ValueError(f"too many points for exact search (max {_MAX_EXACT})")
     if n == 0 or m == 0:
         raise ValueError("empty metric space")
+    dom0, cand0 = [(1 << m) - 1] * n, [(1 << n) - 1] * m
+    if pointed is not None:
+        if not (isinstance(pointed, (tuple, list)) and len(pointed) == 2
+                and all(map(is_index, pointed))
+                and 0 <= pointed[0] < n and 0 <= pointed[1] < m):
+            raise ValueError(f"pointed must be two in-range indices, not {pointed!r}")
+        dom0[int(pointed[0])] = 1 << int(pointed[1])
 
-    gaps = np.unique(np.abs(DX.reshape(n, n, 1, 1) - DY.reshape(1, 1, m, m)))
-    full = (1 << m) - 1
-    members = [tuple(j for j in range(m) if s >> j & 1) for s in range(full + 1)]
+    # gap[i, a, i2, b] = |DX[i, i2] - DY[a, b]|
+    gap = np.abs(DX[:, None, :, None] - DY[None, :, None, :])
+    gaps = np.unique(gap)
 
     def feasible(d: float):
-        # cliq[a] = rights within d of a in Y (subsets assigned to one left
-        # point must have Y-diameter <= d because DX[i,i] = 0)
-        cliq = [0] * m
-        for a in range(m):
-            s = 0
-            for b in range(m):
-                if DY[a, b] <= d:
-                    s |= 1 << b
-            cliq[a] = s
-        # ok[i][j][a] = rights b with |DX[i,j] - DY[a,b]| <= d
-        ok = [[[0] * m for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                dij = DX[i, j]
-                for a in range(m):
-                    s = 0
-                    for b in range(m):
-                        if abs(dij - DY[a, b]) <= d:
-                            s |= 1 << b
-                    ok[i][j][a] = s
-        assign = [0] * n
+        ok = gap <= d
+        ok &= ok.transpose(2, 3, 0, 1)  # D is symmetric only to tolerance
+        # rights[i][a][i2] (lefts[i][a][b]): the rights b (lefts i2) with
+        # (i2, b) compatible with (i, a)
+        rights = (ok * (1 << np.arange(m))).sum(axis=3).tolist()
+        lefts = (ok * (1 << np.arange(n))[:, None]).sum(axis=2).tolist()
+        pairs: List[Tuple[int, int]] = []
 
-        def dfs(i: int, covered: int) -> bool:
-            if i == n:
-                return covered == full
-            # rights still allowed for each later left, given the assignment
-            futures = []
-            for i2 in range(i, n):
-                avail = full
-                for j in range(i):
-                    sj = assign[j]
-                    mask = 0
-                    row = ok[i2][j]
-                    for a in range(m):
-                        if avail >> a & 1:
-                            good = True
-                            for b in members[sj]:
-                                if not (row[a] >> b & 1):
-                                    good = False
-                                    break
-                            if good:
-                                mask |= 1 << a
-                    avail = mask
-                if not avail and i2 == i:
-                    return False
-                futures.append(avail)
-            # every uncovered right must fit somewhere in the future
-            rest = 0
-            for s in futures:
-                rest |= s
-            if (full ^ covered) & ~rest:
+        def search(dom, cand, todo, covered) -> bool:
+            # a remaining left that can map to b is in cand[b], so an empty
+            # cand[b] leaves b uncovered for good
+            uncovered = [b for b in range(m) if not covered >> b & 1]
+            if not all(dom[i] for i in todo) or not all(cand[b] for b in uncovered):
                 return False
-            avail = futures[0]
-            if pointed is not None and i == pointed[0]:
-                if not (avail >> pointed[1] & 1):
-                    return False
-            cand = [s for s in range(1, full + 1)
-                    if (s & ~avail) == 0
-                    and all((s & ~cliq[a]) == 0 for a in members[s])]
-            if pointed is not None and i == pointed[0]:
-                cand = [s for s in cand if s >> pointed[1] & 1]
-            cand.sort(key=lambda s: -bin(s).count("1"))
-            for s in cand:
-                assign[i] = s
-                if dfs(i + 1, covered | s):
+            if todo:
+                i = min(todo, key=lambda k: dom[k].bit_count())
+                moves = [(i, a) for a in range(m) if dom[i] >> a & 1]
+                todo = [k for k in todo if k != i]
+            elif uncovered:
+                b = min(uncovered, key=lambda k: cand[k].bit_count())
+                moves = [(i, b) for i in range(n) if cand[b] >> i & 1]
+            else:
+                return True
+            for (i, a) in moves:
+                pairs.append((i, a))
+                if search([x & y for x, y in zip(dom, rights[i][a])],
+                          [x & y for x, y in zip(cand, lefts[i][a])],
+                          todo, covered | 1 << a):
                     return True
-            assign[i] = 0
+                pairs.pop()
             return False
 
-        if dfs(0, 0):
-            return list(assign)
-        return None
+        return sorted(pairs) if search(dom0, cand0, list(range(n)), 0) else None
 
-    lo, hi = 0, len(gaps) - 1
-    if feasible(float(gaps[lo])) is not None:
-        hi = lo
+    # every pair of points on one side is related to some pair on the
+    # other, so no gap below the largest of these least gaps is feasible
+    lower = max(gap.min(axis=(0, 2)).max(), gap.min(axis=(1, 3)).max())
+    lo, hi = int(np.searchsorted(gaps, lower)), len(gaps) - 1
+    found = {}
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(float(gaps[mid])) is not None:
-            hi = mid
-        else:
+        found[mid] = feasible(gaps[mid])
+        if found[mid] is None:
             lo = mid + 1
-    best = float(gaps[hi])
-    solution = feasible(best)
-    if solution is None:
-        raise AssertionError("search found no covering correspondence")
-    value = best / 2.0
+        else:
+            hi = mid
+    value = float(gaps[hi]) / 2.0
     if not witness:
         return value
-    pairs = tuple(sorted((i, j) for i in range(n) for j in members[solution[i]]))
-    return value, pairs
+    # at the largest gap every pair is compatible, so there is a relation
+    return value, tuple(found.get(hi) or feasible(gaps[hi]))
 
 
 def _split_gaps(U, I, J, S, c0: int, c1: int) -> float:
@@ -404,6 +383,8 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
     from .persistence import persistence_sequence
     from .reeb_smoothing import epsilon_smoothing, quotient_correspondence
 
+    if not is_index(n):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if mesh is not None and not mesh > 0:

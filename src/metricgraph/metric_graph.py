@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -32,6 +33,27 @@ def length_unit(x: float) -> float:
     Multiplying by it is exact, so a tolerance of REL_TOL * length_unit(x)
     scales exactly with x."""
     return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
+
+
+def checked_distances(D) -> np.ndarray:
+    """D as a float array, if it is square and finite, and symmetric and
+    nonnegative to REL_TOL of the length unit of its largest entry."""
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError("distance matrix must be square")
+    if not np.isfinite(D).all():
+        raise ValueError("distance matrix must be finite")
+    tol = REL_TOL * length_unit(float(np.abs(D).max(initial=0.0)))
+    if np.abs(D - D.T).max(initial=0.0) > tol:
+        raise ValueError("distance matrix must be symmetric")
+    if D.min(initial=0.0) < -tol:
+        raise ValueError("distance matrix must be nonnegative")
+    return D
+
+
+def is_index(x) -> bool:
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .metric_graph import REL_TOL, MetricGraph, length_unit
+from .metric_graph import REL_TOL, MetricGraph, checked_distances, is_index, length_unit
 
 _VR_MAX_POINTS = 300
 
@@ -69,6 +69,8 @@ class PersistenceSequence:
 
     def a(self, n: int) -> float:
         """1-indexed accessor; zero beyond the stored entries."""
+        if not is_index(n):
+            raise ValueError(f"index must be an integer, not {n!r}")
         if n < 1:
             raise ValueError("index is 1-based")
         return self.entries[n - 1] if n <= len(self.entries) else 0.0
@@ -126,19 +128,11 @@ def vr_h1_barcode(D) -> Barcode:
     an apparent pair (e, t) and needs no reduction; only the other columns
     are reduced, as sorted arrays of triangle keys.
     """
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError("distance matrix must be square")
+    D = checked_distances(D)
     n = D.shape[0]
     if n > _VR_MAX_POINTS:
         raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
-    if not np.isfinite(D).all():
-        raise ValueError("distance matrix must be finite")
     tol = REL_TOL * length_unit(float(np.abs(D).max(initial=0.0)))
-    if n and np.max(np.abs(D - D.T)) > tol:
-        raise ValueError("distance matrix must be symmetric")
-    if n and np.min(D) < -tol:
-        raise ValueError("distance matrix must be nonnegative")
     if n < 3:
         return Barcode(degree=1, bars=())
 

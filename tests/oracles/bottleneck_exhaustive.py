@@ -50,3 +50,12 @@ if __name__ == "__main__":
     print("{(0,10),(3,4)} vs {(1,9)}:", bottleneck([(0, 10), (3, 4)], [(1, 9)]))
     print("empty vs empty:", bottleneck([], []))
     print("{(0,2),(0,2)} vs {(0,2)}:", bottleneck([(0, 2), (0, 2)], [(0, 2)]))
+
+    # a bar (b, d) is (d - b) / 2 from the diagonal
+    assert bottleneck([(0, 4)], []) == 2.0
+    assert bottleneck([(0, 4)], [(0, 3)]) == 1.0
+    assert bottleneck([(1, 4), (2, 3)], [(1, 4)]) == 0.5
+    assert bottleneck([(0, 10), (3, 4)], [(1, 9)]) == 1.0
+    assert bottleneck([], []) == 0.0
+    assert bottleneck([(0, 2), (0, 2)], [(0, 2)]) == 1.0
+    print("expected values: ok")

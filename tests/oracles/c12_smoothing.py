@@ -70,3 +70,7 @@ if __name__ == "__main__":
         print(f"eps={eps}: beta1={beta1}  strand-interval~{two:.2f} "
               f"(cycle~{2 * two:.2f})  stem-interval~{one:.2f}")
         print("   runs:", [(round(a, 3), round(b, 3), c) for a, b, c in runs])
+        # the cycle survives below eps = 6 and shrinks to length 12 - 2 eps
+        assert beta1 == (1 if eps < 6.0 else 0)
+        assert abs(two - max(0.0, 6.0 - eps)) < 0.02
+    print("expected values: ok")

@@ -5,7 +5,8 @@ R of X x Y of dis(R), dis(R) = max |dX(x,x') - dY(y,y')| over pairs in R.
 
 Two enumerations are provided and cross-checked:
   * all_relations: every subset of X x Y that covers both factors
-    (2^(n*m) masks, feasible for n*m <= 16)
+    (2^(n*m) masks, feasible for n*m <= 16), optionally only those that
+    contain a given pair
   * function_pairs: R = graph(f) u graph(g) over all f: X->Y, g: Y->X.
     Every covering relation contains such a sub-relation, and dis is
     monotone under inclusion, so the minima agree.
@@ -24,12 +25,16 @@ def dis(R, DX, DY):
     return out
 
 
-def dgh_all_relations(DX, DY):
+def dgh_all_relations(DX, DY, pointed=None):
+    """With pointed=(i0, j0), only relations that contain (i0, j0)."""
     n, m = len(DX), len(DY)
     assert n * m <= 16
     pairs = [(i, j) for i in range(n) for j in range(m)]
+    need = 0 if pointed is None else 1 << pairs.index(tuple(pointed))
     best = float("inf")
     for mask in range(1, 1 << (n * m)):
+        if mask & need != need:
+            continue
         R = [pairs[k] for k in range(n * m) if mask >> k & 1]
         if len({x for x, _ in R}) < n or len({y for _, y in R}) < m:
             continue
@@ -79,3 +84,13 @@ if __name__ == "__main__":
         b = dgh_function_pairs(DX, DY)
         assert abs(a - b) < 1e-12, (trial, a, b)
     print("30 random trials: all-relations minimum == function-pair minimum")
+
+    for trial in range(10):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 4)
+        DX = _metric_from_points([(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(n)])
+        DY = _metric_from_points([(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(m)])
+        a = dgh_all_relations(DX, DY)
+        b = min(dgh_all_relations(DX, DY, pointed=(0, j)) for j in range(m))
+        assert a == b, (trial, a, b)
+    print("10 random trials: minimum == minimum over the pointed pairs (0, j)")

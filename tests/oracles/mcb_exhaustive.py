@@ -106,3 +106,8 @@ if __name__ == "__main__":
          ("bc", "b", "c", 1.0), ("bd", "b", "d", 1.0), ("cd", "c", "d", 1.0)],
     )
     print("K4 unit lengths:", minimum_cycle_basis_lengths(*k4))
+
+    assert minimum_cycle_basis_lengths(*theta) == [3.0, 4.0]
+    assert minimum_cycle_basis_lengths(*c12) == [12.0]
+    assert minimum_cycle_basis_lengths(*k4) == [3.0, 3.0, 3.0]
+    print("expected values: ok")

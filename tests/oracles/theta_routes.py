@@ -91,3 +91,15 @@ if __name__ == "__main__":
     print("cycle space lengths =", cycle_space_lengths())
     print("minimum cycle basis lengths =", minimum_cycle_basis())
     print("persistence sequence =", sorted((x / 3 for x in minimum_cycle_basis()), reverse=True))
+
+    # theta(1, 2, 3) from u: d(u, v) = 1; f peaks at t = 1.5 on e2 and t = 2
+    # on e3; the loop v-e2-u-e3-v moves f by 0.5 + 1.5 + 2 + 1 = 5
+    assert vertex_distance() == 1 and f_on_edge("e1", LENGTHS["e1"]) == 1
+    assert peak("e1") is None
+    assert peak("e2") == (Fraction(3, 2), Fraction(3, 2))
+    assert peak("e3") == (2, 2)
+    assert monotone_segment_count_and_variation() == (4, 5)
+    assert gromov_product_v_peak3() == 1
+    assert sorted(cycle_space_lengths()) == [3, 4, 5]
+    assert sorted(minimum_cycle_basis()) == [3, 4]
+    print("expected values: ok")

@@ -202,3 +202,13 @@ if __name__ == "__main__":
         print(f"48 pts on C12, beta1({r}) =", beta1_at(c48, r))
     print("48 pts on C12, persistent rank (0.25 -> 3.75) =",
           persistent_beta1(c48, 0.25, 3.75))
+
+    # each circle has one bar, born at the point spacing; on C12 it dies at
+    # a third of the circumference, on C4 when the diagonals fill the square
+    assert h1_barcode(c4) == [(1.0, 2.0)]
+    assert h1_barcode(D3) == []
+    assert h1_barcode(c12) == [(1.0, 4.0)]
+    assert h1_barcode(circle_points(6, 12.0)) == [(2.0, 4.0)]
+    assert [beta1_at(c48, r) for r in (0.25, 2.0, 3.75, 4.0)] == [1, 1, 1, 0]
+    assert persistent_beta1(c48, 0.25, 3.75) == 1
+    print("expected values: ok")

@@ -23,11 +23,11 @@ from metricgraph import (
     r_extension,
     vr_h1_barcode,
 )
-from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.harness import EnsembleSpec, _farthest_point_sample, random_graph
 from metricgraph.persistence import _VR_MAX_POINTS
 
 from oracles import four_point
-from oracles.dgh_exhaustive import dgh_all_relations
+from oracles.dgh_exhaustive import dgh_all_relations, dgh_function_pairs
 
 from conftest import random_euclidean_metric
 
@@ -40,6 +40,40 @@ def _c6():
         vertices=("a", "b"),
         edges=(("h1", "a", "b", 3.0), ("h2", "a", "b", 3.0)),
     )
+
+
+@st.composite
+def metric_pairs(draw, max_points=6, max_product=36):
+    """(DX, DY, pointed): Euclidean metrics of plane points with integer
+    coordinates 0..3 (many equal distances, repeated points among them) or
+    coordinates in steps of 0.01, and a pointed pair or None."""
+    n = draw(st.integers(1, max_points))
+    m = draw(st.integers(1, min(max_points, max_product // n)))
+    coord = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 300).map(lambda k: k / 100)]))
+
+    def metric(k):
+        P = np.array(draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k)),
+                     dtype=np.float64)
+        return np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1))
+
+    DX, DY = metric(n), metric(m)
+    pointed = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)))
+    return DX, DY, pointed
+
+
+def _net_subset(X: MetricGraph, k: int) -> np.ndarray:
+    """Distances of k farthest points of a net of X, from its first vertex:
+    the net of mesh diameter / 6, halved until it has k points."""
+    base = GraphPoint(vertex=X.vertices[0])
+    coarse = diameter(X) / 6.0
+    while True:
+        net = [base] + [x for x in epsilon_net(X, coarse) if x != X.canonical(base)]
+        if len(net) >= k:
+            break
+        coarse /= 2.0
+    D = finite_metric(X, net)
+    idx, _ = _farthest_point_sample(D, k, 0)
+    return D[np.ix_(idx, idx)]
 
 
 class TestBruteForce:
@@ -132,6 +166,126 @@ class TestBruteForce:
         args = (D, good) if side == "DX" else (good, D)
         with pytest.raises(ValueError, match=match):
             brute_force_dgh(*args)
+
+    @pytest.mark.parametrize("pointed", [
+        (5, 0), (0, 5), (0, -1), (-1, 0), (True, 0), (0, False), (0.5, 0),
+        ("0", 0), (0,), (0, 0, 0), 0,
+    ])
+    def test_rejects_bad_pointed(self, pointed):
+        DX = np.array([[0.0, 1.0], [1.0, 0.0]])
+        DY = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match="pointed"):
+            brute_force_dgh(DX, DY, pointed=pointed)
+
+    def test_numpy_pointed_indices(self):
+        rng = np.random.default_rng(41)
+        DX, DY = random_euclidean_metric(rng, 4), random_euclidean_metric(rng, 3)
+        assert brute_force_dgh(DX, DY, pointed=(np.int64(3), np.int32(1))) \
+            == brute_force_dgh(DX, DY, pointed=(3, 1))
+
+    @pytest.mark.parametrize("D, match", [
+        ([[0.0, 1.0], [2.0, 0.0]], "symmetric"),
+        ([[1.0, 1.0], [1.0, 0.0]], "zero diagonal"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+    ], ids=["asymmetric", "diagonal", "negative"])
+    @pytest.mark.parametrize("side", ["DX", "DY"])
+    def test_rejects_non_metric(self, D, match, side):
+        # the asymmetric DX once gave 0.0 against DY = [[0, 2], [2, 0]]
+        good = np.array([[0.0, 2.0], [2.0, 0.0]])
+        args = (np.array(D), good) if side == "DX" else (good, np.array(D))
+        with pytest.raises(ValueError, match=match):
+            brute_force_dgh(*args)
+
+    def test_noise_within_tolerance(self):
+        # asymmetric by less than REL_TOL of the unit: accepted. Two related
+        # pairs must be compatible in both orders, so the witness's
+        # distortion, which reads both, is 2 * value; reading one order
+        # gave a value 5e-13 too small here
+        P = np.array([[2.0, 0.0], [0.0, 2.0]])
+        Q = np.array([[1.0, 1.0], [0.0, 2.0], [1.0, 2.0], [2.0, 2.0]])
+        DX, DY = (np.sqrt(((Z[:, None] - Z[None]) ** 2).sum(-1)) for Z in (P, Q))
+        DX[0, 1] -= 1e-12
+        value, pairs = brute_force_dgh(DX, DY, witness=True)
+        corr = Correspondence(left=(0, 1), right=(0, 1, 2, 3), DX=DX, DY=DY, pairs=pairs)
+        assert corr.distortion == 2.0 * value
+        # negative by less than the tolerance: accepted
+        DZ = np.array([[0.0, 1.0, -1e-12], [1.0, 0.0, 1.0], [-1e-12, 1.0, 0.0]])
+        assert brute_force_dgh(DZ, DZ) == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(metric_pairs(max_points=7, max_product=16))
+    def test_equals_all_relations(self, case):
+        DX, DY, pointed = case
+        assert brute_force_dgh(DX, DY, pointed=pointed) == \
+            dgh_all_relations(DX, DY, pointed=pointed)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(metric_pairs(max_points=7, max_product=12))
+    def test_equals_function_pairs(self, case):
+        DX, DY, _ = case
+        assert brute_force_dgh(DX, DY) == dgh_function_pairs(DX, DY)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(metric_pairs())
+    def test_swap_sides(self, case):
+        DX, DY, pointed = case
+        swapped = None if pointed is None else pointed[::-1]
+        assert brute_force_dgh(DY, DX, pointed=swapped) == \
+            brute_force_dgh(DX, DY, pointed=pointed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(metric_pairs(), st.randoms(use_true_random=False))
+    def test_relabel(self, case, rnd):
+        DX, DY, pointed = case
+        sx, sy = list(range(len(DX))), list(range(len(DY)))
+        rnd.shuffle(sx)
+        rnd.shuffle(sy)
+        moved = None if pointed is None else (sx.index(pointed[0]), sy.index(pointed[1]))
+        assert brute_force_dgh(DX[np.ix_(sx, sx)], DY[np.ix_(sy, sy)], pointed=moved) \
+            == brute_force_dgh(DX, DY, pointed=pointed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(metric_pairs(), st.integers(-30, 30))
+    def test_scaling(self, case, k):
+        DX, DY, pointed = case
+        s = 2.0 ** k
+        assert brute_force_dgh(DX * s, DY * s, pointed=pointed) == \
+            s * brute_force_dgh(DX, DY, pointed=pointed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(metric_pairs(max_points=7, max_product=49))
+    def test_witness_distortion(self, case):
+        DX, DY, pointed = case
+        n, m = len(DX), len(DY)
+        value, pairs = brute_force_dgh(DX, DY, pointed=pointed, witness=True)
+        assert list(pairs) == sorted(set(pairs))
+        assert pointed is None or tuple(pointed) in pairs
+        corr = Correspondence(left=tuple(range(n)), right=tuple(range(m)),
+                              DX=DX, DY=DY, pairs=pairs)
+        assert corr.distortion == 2.0 * value
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(metric_pairs())
+    def test_least_pointed_value(self, case):
+        # every relation relates left point 0 to some right point
+        DX, DY, _ = case
+        assert brute_force_dgh(DX, DY) == \
+            min(brute_force_dgh(DX, DY, pointed=(0, j)) for j in range(len(DY)))
+
+    def test_seven_point_graph_nets(self):
+        # 7-point nets of EnsembleSpec(seed=11, count=4) graphs 2 and 3: the
+        # binary search starts 65 of 484 gaps below the value (130 pointed),
+        # so the feasibility search has infeasible thresholds to refute
+        spec = EnsembleSpec(seed=11, count=4)
+        DX, DY = (_net_subset(random_graph(spec, i), 7) for i in (2, 3))
+        plain, pairs = brute_force_dgh(DX, DY, witness=True)
+        anchored = brute_force_dgh(DX, DY, pointed=(0, 0))
+        assert plain == float.fromhex("0x1.75df859d8e06ap-1")
+        assert anchored == float.fromhex("0x1.d6e53ba616499p-1")
+        corr = Correspondence(left=tuple(range(7)), right=tuple(range(7)),
+                              DX=DX, DY=DY, pairs=pairs)
+        assert corr.distortion == 2.0 * plain
+        assert plain == min(brute_force_dgh(DX, DY, pointed=(0, j)) for j in range(7))
 
 
 class TestCorrespondence:
@@ -417,6 +571,20 @@ class TestDeltaBounds:
         with pytest.raises(ValueError):
             delta_n_bounds(theta, -1, GraphPoint(vertex="u"), mesh=0.05)
 
+    @pytest.mark.parametrize("n", [1.5, True, "1"])
+    def test_non_integer_index_rejected(self, n):
+        # theta(6, 6, 3) has beta = 2, so n = 1.5 once read a(2.5) = 0.0 and
+        # returned the interval [0, 0]
+        G = MetricGraph(["u", "v"], [("a", "u", "v", 6.0), ("b", "u", "v", 6.0),
+                                     ("c", "u", "v", 3.0)])
+        with pytest.raises(ValueError, match="integer"):
+            delta_n_bounds(G, n, GraphPoint(vertex="u"), 0.5)
+
+    def test_numpy_integer_index(self, theta):
+        p = GraphPoint(vertex="u")
+        assert delta_n_bounds(theta, np.int64(1), p, mesh=0.05) == \
+            delta_n_bounds(theta, 1, p, mesh=0.05)
+
     def test_loop_finer_than_mesh(self):
         # the 0.6-loop hides under a 0.4-net, so the merge tree distortion
         # on the net is about 0; the upper bound must still cover a(1)/4
@@ -530,13 +698,12 @@ class TestLowerBound:
     def test_sound_against_exact_nets(self, seed):
         # d_GH(X, net) <= mesh, so by the triangle inequality d_GH(G, H) is
         # at most the exact distance between the nets plus meshG + meshH.
-        # Nets of at most 4 points keep the exact search fast: at 5 to 7
-        # points one pair can take tens of seconds.
+        # The mesh is halved while the net stays at 6 points or fewer.
         G, H = _ensemble_pair(seed, n_v=(2, 3), beta=(0, 2))
         D, mesh = [], []
         for X in (G, H):
             eps = X.total_length
-            while len(epsilon_net(X, eps / 2.0)) <= 4:
+            while len(epsilon_net(X, eps / 2.0)) <= 6:
                 eps /= 2.0
             D.append(finite_metric(X, epsilon_net(X, eps)))
             mesh.append(eps)

@@ -69,6 +69,17 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             s.a(0)
 
+    @pytest.mark.parametrize("n", [1.5, True, "1"])
+    def test_rejects_non_integer_index(self, n):
+        s = PersistenceSequence(entries=(4.0, 2.0))
+        with pytest.raises(ValueError, match="integer"):
+            s.a(n)
+
+    def test_numpy_integer_index(self):
+        s = PersistenceSequence(entries=(4.0, 2.0))
+        assert s.a(np.int64(2)) == 2.0
+        assert s.a(np.int32(3)) == 0.0
+
 
 class TestVrBarcode:
     def test_filled_triangle(self):
