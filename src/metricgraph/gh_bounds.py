@@ -39,7 +39,8 @@ class Correspondence:
 
     ``pairs`` holds index pairs into ``left`` and ``right``; every left and
     every right index must appear at least once. DX and DY are the distance
-    matrices of the two point lists.
+    matrices of the two point lists: finite, with a zero diagonal, and
+    symmetric and nonnegative to REL_TOL of their largest entry's unit.
     """
 
     left: Tuple[GraphPoint, ...]
@@ -52,8 +53,9 @@ class Correspondence:
         n, m = len(self.left), len(self.right)
         if self.DX.shape != (n, n) or self.DY.shape != (m, m):
             raise ValueError("distance matrices do not match the point lists")
-        if not (np.isfinite(self.DX).all() and np.isfinite(self.DY).all()):
-            raise ValueError("distance matrices must be finite")
+        for D in (checked_distances(self.DX), checked_distances(self.DY)):
+            if np.diagonal(D).any():
+                raise ValueError("distance matrix must have a zero diagonal")
         if not self.pairs:
             raise ValueError("correspondence has no pairs")
         P = np.asarray(self.pairs, dtype=np.int64)
@@ -396,8 +398,8 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
                            certificates=(("first betti number already small", 0.0),))
     seq = persistence_sequence(G)
     a_next = seq.a(n + 1)
-    diam = diameter(G)
     if mesh is None:
+        diam = diameter(G)
         mesh = 0.05 * diam if diam > 0 else 1.0
 
     certs: List[Tuple[str, float]] = []

@@ -18,14 +18,24 @@ are the vertices of S before pass-through vertices dissolve. Each component
 at an odd slot is an edge joining the components that hold it at the two
 neighbouring even slots, which always contain it.
 
+The band's components persist from slot to slot, and only the ones that
+change are touched, not the whole band (compare Parsa, "A deterministic
+O(m log m) time algorithm for the Reeb graph", SoCG 2012). An entering
+element merges the components it meets, the smaller relabelled into the
+largest, and a component that loses an element is re-explored, each piece
+that splits off taking a fresh id. Each element logs the slots at which its
+component id changed, and each slot maps its component ids to S, so the
+class of any (slot, element) pair is one bisection away.
+
 Levels run from 0 to max f + eps: the quotient keeps growing above the
 highest point of G, which contributes a hanging tail.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, List, Set, Tuple
 
 from .metric_graph import (
@@ -63,9 +73,11 @@ class SmoothedGraph:
     _source: MetricGraph = field(repr=False)
     _model: MonotoneModel = field(repr=False)
     _criticals: Tuple[float, ...] = field(repr=False)
-    # slot -> model element in the band -> the S vertex or S edge holding
-    # its class
-    _name_of: Tuple[Dict[_Elem, str], ...] = field(repr=False)
+    # model element -> (slots, component ids): from each listed slot on,
+    # until the next, the element's band component has that id
+    _log: Dict[_Elem, Tuple[List[int], List[int]]] = field(repr=False)
+    # slot -> component id -> the S vertex or S edge holding its class
+    _names: Tuple[Dict[int, str], ...] = field(repr=False)
     # (S vertex, its slot) or (S edge, odd slot) -> smallest model element
     # of that class
     _rep: Dict[Tuple[str, int], _Elem] = field(repr=False)
@@ -78,26 +90,16 @@ class SmoothedGraph:
         return obj
 
 
-def _band_components(adj: Dict[_Elem, Tuple[_Elem, ...]], band: Set[_Elem],
-                     base: int) -> Tuple[Dict[_Elem, int], List[_Elem]]:
-    """Components of a band of model elements, where ``adj`` links each
-    edge to its two ends: an edge joins the components of its in-band ends.
-    Returns each element's component, numbered from ``base`` in the order
-    of their smallest elements, and those smallest elements."""
-    comp: Dict[_Elem, int] = {}
-    first: List[_Elem] = []
-    for x in sorted(band):
-        if x in comp:
-            continue
-        c = comp[x] = base + len(first)
-        first.append(x)
-        stack = [x]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y in band and y not in comp:
-                    comp[y] = c
-                    stack.append(y)
-    return comp, first
+def _comp_at(log: Tuple[List[int], List[int]], s: int) -> int:
+    """The component an element's log gives it at slot s: the id of the
+    last entry at or before s."""
+    slots, comps = log
+    return comps[bisect_right(slots, s) - 1]
+
+
+def _class(S: SmoothedGraph, s: int, x: _Elem) -> str:
+    """The S vertex or S edge holding the class of band element x at slot s."""
+    return S._names[s][_comp_at(S._log[x], s)]
 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
@@ -117,38 +119,98 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
         slot[x] = 2 * len(criticals) - 2
     n_slots = 2 * len(criticals) - 1
 
-    enter: List[List[_Elem]] = [[] for _ in range(n_slots)]
-    leave: List[List[_Elem]] = [[] for _ in range(n_slots)]
+    # model elements numbered in sorted order, so a component's smallest
+    # element is its smallest number; an edge is adjacent to its two ends
+    elems = sorted([("v", v) for v in H.vertices] + [("e", e.id) for e in H.edges])
+    num = {x: i for i, x in enumerate(elems)}
+    adj: List[List[int]] = [[] for _ in elems]
+    enter: List[List[int]] = [[] for _ in range(n_slots)]
+    leave: List[List[int]] = [[] for _ in range(n_slots)]
     for v in H.vertices:
-        enter[slot[f[v]]].append(("v", v))
-        leave[slot[f[v] + eps]].append(("v", v))
-    adj: Dict[_Elem, Tuple[_Elem, ...]] = {
-        ("v", v): tuple(("e", eid) for eid in H.incident(v)) for v in H.vertices}
+        enter[slot[f[v]]].append(num[("v", v)])
+        leave[slot[f[v] + eps]].append(num[("v", v)])
     for e in H.edges:
+        i, a, b = num[("e", e.id)], num[("v", e.u)], num[("v", e.v)]
         lo, hi = sorted((f[e.u], f[e.v]))
-        enter[slot[lo]].append(("e", e.id))
-        leave[slot[hi + eps]].append(("e", e.id))
-        adj[("e", e.id)] = (("v", e.u), ("v", e.v))
+        enter[slot[lo]].append(i)
+        leave[slot[hi + eps]].append(i)
+        adj[i] += (a, b)
+        adj[a].append(i)
+        adj[b].append(i)
+
+    # the band's components, kept from slot to slot, and each element's log
+    # of (slot, component id) changes
+    comp: Dict[int, int] = {}       # band element -> component id
+    members: Dict[int, Set[int]] = {}
+    low: Dict[int, int] = {}        # component id -> smallest element
+    log: List[Tuple[List[int], List[int]]] = [([], []) for _ in elems]
+    fresh = count()
+
+    def label(x: int, c: int, s: int) -> None:
+        # a later entry at the same slot overrides, as the lookup bisects right
+        comp[x] = c
+        log[x][0].append(s)
+        log[x][1].append(c)
 
     # provisional vertices (even slots) and edges (odd slots), numbered in
     # sweep order: each one's slot and smallest element, and per slot the
-    # provisional id of every element in the band
+    # provisional id of every live component
     pv_slot: List[int] = []
-    pv_rep: List[_Elem] = []
+    pv_rep: List[int] = []
     pe_slot: List[int] = []
-    pe_rep: List[_Elem] = []
-    ids: List[Dict[_Elem, int]] = []
-    band: Set[_Elem] = set()
+    pe_rep: List[int] = []
+    prov: List[Dict[int, int]] = []
     for s in range(n_slots):
-        band.update(enter[s])
+        for x in enter[s]:
+            touched = {comp[y] for y in adj[x] if y in comp}
+            c = max(touched, key=lambda d: len(members[d]), default=None)
+            if c is None:
+                c = next(fresh)
+                members[c], low[c] = set(), x
+            for d in touched - {c}:
+                for y in members[d]:
+                    label(y, c, s)
+                members[c] |= members.pop(d)
+                low[c] = min(low[c], low.pop(d))
+            members[c].add(x)
+            low[c] = min(low[c], x)
+            label(x, c, s)
         at, reps = (pv_slot, pv_rep) if s % 2 == 0 else (pe_slot, pe_rep)
-        comp, first = _band_components(adj, band, len(reps))
-        at.extend([s] * len(first))
-        reps.extend(first)
-        ids.append(comp)
-        band.difference_update(leave[s])
+        live = sorted(members, key=low.__getitem__)
+        prov.append({c: len(reps) + k for k, c in enumerate(live)})
+        at.extend([s] * len(live))
+        reps.extend(low[c] for c in live)
+        # after slot s the leaving elements go; a component that lost one
+        # is re-explored, and each piece but its largest gets a fresh id
+        hit: Set[int] = set()
+        for x in leave[s]:
+            c = comp.pop(x)
+            members[c].discard(x)
+            hit.add(c)
+        for c in hit:
+            rest = members.pop(c)
+            del low[c]
+            pieces: List[Set[int]] = []
+            while rest:
+                x = rest.pop()
+                piece, stack = {x}, [x]
+                while stack:
+                    for y in adj[stack.pop()]:
+                        if y in rest:
+                            rest.remove(y)
+                            piece.add(y)
+                            stack.append(y)
+                pieces.append(piece)
+            pieces.sort(key=len, reverse=True)
+            for k, piece in enumerate(pieces):
+                d = c if k == 0 else next(fresh)
+                members[d], low[d] = piece, min(piece)
+                if k:
+                    for y in piece:
+                        label(y, d, s + 1)
     pv_level = [criticals[s // 2] for s in pv_slot]
-    pe_ends = [(ids[s - 1][x], ids[s + 1][x]) for s, x in zip(pe_slot, pe_rep)]
+    pe_ends = [(prov[s - 1][_comp_at(log[x], s - 1)], prov[s + 1][_comp_at(log[x], s + 1)])
+               for s, x in zip(pe_slot, pe_rep)]
 
     # pass-through vertices (one edge below, one above) dissolve; the rest
     # are the vertices of S, named in sweep order
@@ -177,17 +239,18 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
     pv_name = [vname[i] if i in vname else pe_name[down[i][0]]
                for i in range(len(pv_slot))]
 
-    name_of = tuple({x: (pe_name if s % 2 else pv_name)[i] for x, i in at.items()}
-                    for s, at in enumerate(ids))
-    rep = {(vname[i], pv_slot[i]): pv_rep[i] for i in kept}
-    rep.update(((pe_name[j], s), x) for j, (s, x) in enumerate(zip(pe_slot, pe_rep)))
+    names = tuple({c: (pe_name if s % 2 else pv_name)[i] for c, i in at.items()}
+                  for s, at in enumerate(prov))
+    rep = {(vname[i], pv_slot[i]): elems[pv_rep[i]] for i in kept}
+    rep.update(((pe_name[j], s), elems[x]) for j, (s, x) in enumerate(zip(pe_slot, pe_rep)))
+    base = log[num[("v", model.p_vertex)]]
 
     return SmoothedGraph(
         graph=MetricGraph([vname[i] for i in kept], edges),
         level={vname[i]: pv_level[i] for i in kept},
-        base_class=name_of[0][("v", model.p_vertex)], eps=eps,
+        base_class=names[0][_comp_at(base, 0)], eps=eps,
         _source=G, _model=model, _criticals=tuple(criticals),
-        _name_of=name_of, _rep=rep,
+        _log=dict(zip(elems, log)), _names=names, _rep=rep,
     )
 
 
@@ -211,7 +274,7 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     # a point of a model element snaps no lower than the element's first
     # slot and no higher than its last, so the lookup cannot miss
     elem: _Elem = ("v", mp.vertex) if mp.is_vertex() else ("e", mp.edge)
-    name = S._name_of[s][elem]
+    name = _class(S, s, elem)
     if name in S.level:
         return GraphPoint(vertex=name)
     t = crit[s // 2] if s % 2 == 0 else lvl

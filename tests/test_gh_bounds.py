@@ -23,6 +23,7 @@ from metricgraph import (
     r_extension,
     vr_h1_barcode,
 )
+from metricgraph import gh_bounds
 from metricgraph.harness import EnsembleSpec, _farthest_point_sample, random_graph
 from metricgraph.persistence import _VR_MAX_POINTS
 
@@ -378,6 +379,20 @@ class TestCorrespondence:
             Correspondence(left=(0, 1), right=(0, 1), DX=D, DY=D.copy(), pairs=pairs)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("bent, message", [
+        ([[5.0, 1.0], [1.0, 0.0]], "zero diagonal"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+        ([[0.0, 1.0], [3.0, 0.0]], "symmetric"),
+    ], ids=["diagonal", "negative", "asymmetric"])
+    @pytest.mark.parametrize("side", ["DX", "DY"])
+    def test_rejects_non_metric(self, bent, message, side):
+        # the identity relation once read distortions 5, 2 and 2 off these
+        D, bent = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(bent)
+        DX, DY = (bent, D) if side == "DX" else (D, bent)
+        with pytest.raises(ValueError, match=message):
+            Correspondence(left=(0, 1), right=(0, 1),
+                           pairs=((0, 0), (1, 1)), DX=DX, DY=DY)
+
     def test_shape_message(self):
         D = random_euclidean_metric(np.random.default_rng(79), 3)
         with pytest.raises(ValueError) as err:
@@ -584,6 +599,16 @@ class TestDeltaBounds:
         p = GraphPoint(vertex="u")
         assert delta_n_bounds(theta, np.int64(1), p, mesh=0.05) == \
             delta_n_bounds(theta, 1, p, mesh=0.05)
+
+    def test_given_mesh_skips_diameter(self, c12_decorated, monkeypatch):
+        # the exact diameter only picks the default mesh
+        def no_diameter(G):
+            raise AssertionError("diameter was computed")
+        monkeypatch.setattr(gh_bounds, "diameter", no_diameter)
+        rep = delta_n_bounds(c12_decorated, 0, GraphPoint(vertex="p"), 0.1)
+        assert rep.upper == pytest.approx(3.2)
+        with pytest.raises(AssertionError, match="diameter"):
+            delta_n_bounds(c12_decorated, 0, GraphPoint(vertex="p"))
 
     def test_loop_finer_than_mesh(self):
         # the 0.6-loop hides under a 0.4-net, so the merge tree distortion

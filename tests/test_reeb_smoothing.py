@@ -15,8 +15,9 @@ from metricgraph import (
     smoothed_distance,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.reeb_smoothing import _class
 
-from oracles import smoothing_levels
+from oracles import smoothing_levels, smoothing_slots
 
 TOL = 1e-9
 
@@ -180,12 +181,12 @@ class TestErrors:
 
 
 @st.composite
-def smoothing_cases(draw):
-    """(G, p, eps): an ensemble graph with beta <= 6, a vertex or interior
-    basepoint, and eps at 0, at random, or at or 1e-6 either side of a
-    Betti-drop threshold 1.5 a(k)."""
+def smoothing_cases(draw, max_vertices=12, max_beta=6):
+    """(G, p, eps): an ensemble graph with at most max_vertices vertices and
+    beta <= max_beta, a vertex or interior basepoint, and eps at 0, at
+    random, or at or 1e-6 either side of a Betti-drop threshold 1.5 a(k)."""
     spec = EnsembleSpec(seed=draw(st.integers(0, 10_000)), count=1,
-                        vertex_range=(2, 12), beta1_range=(0, 6))
+                        vertex_range=(2, max_vertices), beta1_range=(0, max_beta))
     G = random_graph(spec, 0)
     if G.edges and draw(st.booleans()):
         e = draw(st.sampled_from(G.edges))
@@ -216,6 +217,42 @@ class TestLevelOracle:
         assert list(corr.right) == right
         assert np.array_equal(corr.DX, DX)
         assert np.array_equal(corr.DY, DY)
+
+
+class TestSlotOracle:
+    """The incremental sweep against the sweep that labels the whole band
+    at every slot."""
+
+    @staticmethod
+    def assert_same(G, p, eps, mesh):
+        S = epsilon_smoothing(G, p, eps)
+        T = smoothing_slots.epsilon_smoothing(G, p, eps)
+        assert S.to_json_obj() == T.to_json_obj()
+        assert S._rep == T._rep
+        for s, at in enumerate(T._name_of):
+            for x, name in at.items():
+                assert _class(S, s, x) == name, (s, x)
+        corr = quotient_correspondence(G, S, mesh)
+        left, right, DX, DY = smoothing_slots.correspondence_parts(G, T, mesh)
+        assert list(corr.left) == left
+        assert list(corr.right) == right
+        assert np.array_equal(corr.DX, DX)
+        assert np.array_equal(corr.DY, DY)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(smoothing_cases(max_vertices=60, max_beta=20))
+    def test_matches_whole_band_sweep(self, case):
+        G, p, eps = case
+        self.assert_same(G, p, eps, max(0.1 * diameter(G), G.total_length / 100.0))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cli_large_graph(self, seed):
+        # the V=300, beta=40 graph and the eps and mesh of the cli-large
+        # benchmark workload
+        spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        eps = 1.5 * persistence_sequence(G).a(1)
+        self.assert_same(G, GraphPoint(vertex=G.vertices[0]), eps, G.total_length / 150.0)
 
 
 def scaled(G, k):
