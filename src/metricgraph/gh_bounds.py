@@ -19,11 +19,13 @@ from .metric_graph import (
     REL_TOL,
     GraphPoint,
     MetricGraph,
+    check_positive,
     checked_distances,
     diameter,
     epsilon_net,
     finite_metric,
     is_index,
+    is_real,
     length_unit,
 )
 
@@ -103,8 +105,8 @@ def r_extension(corr: Correspondence, r: float) -> Correspondence:
     compared to the tolerance of the length unit of the largest of r and
     the distances.
     """
-    if not r >= 0:
-        raise ValueError("r must be >= 0")
+    if not is_real(r) or not r >= 0:
+        raise ValueError(f"r must be >= 0, not {r!r}")
     tol = REL_TOL * length_unit(max(r, float(np.abs(corr.DX).max()),
                                     float(np.abs(corr.DY).max())))
     pa, pb = corr._pair_idx[:, 0], corr._pair_idx[:, 1]
@@ -240,9 +242,11 @@ def _split_gaps(U, I, J, S, c0: int, c1: int) -> float:
 def hyperbolicity(D) -> float:
     """Four-point hyperbolicity constant of a finite metric.
 
-    Max over quadruples of (largest pair-sum - second largest)/2. Only the
-    strict upper triangle of D is read: D[i, j] with i < j is the distance
-    of i and j (the rest is only checked to be finite). The split of a
+    Max over quadruples of (largest pair-sum - second largest)/2. D must
+    be finite and square with a zero diagonal, and symmetric and
+    nonnegative to REL_TOL of its largest entry's unit, as for
+    ``Correspondence``. Only the strict upper triangle is read: D[i, j]
+    with i < j is the distance of i and j. The split of a
     quadruple with the largest sum is the only one with a positive gap, so
     the result is the largest gap over all unordered pairs of point-pairs.
 
@@ -261,11 +265,9 @@ def hyperbolicity(D) -> float:
     tau and of each gap. Every split that is evaluated uses the float
     operations of the all-pairs loop, so the result is ``==`` to it.
     """
-    D = np.asarray(D, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError("distance matrix must be square")
-    if not np.isfinite(D).all():
-        raise ValueError("distance matrix must be finite")
+    D = checked_distances(D)
+    if np.diagonal(D).any():
+        raise ValueError("distance matrix must have a zero diagonal")
     n = D.shape[0]
     if n < 4:
         return 0.0
@@ -292,6 +294,8 @@ def hyperbolicity(D) -> float:
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:
     """Hyperbolicity of a mesh-net of G, with its approximation error 4*mesh."""
+    if mesh is not None:
+        check_positive("mesh", mesh)
     if not G.edges:
         return 0.0, 0.0
     if mesh is None:
@@ -362,8 +366,7 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
                 mesh: float) -> BoundReport:
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
-    if not mesh > 0:
-        raise ValueError("mesh must be > 0")
+    check_positive("mesh", mesh)
     upper = R.distortion + 2.0 * mesh
     certs = _dgh_lower_certificates(G, H)
     lower = max(v for (_, v) in certs)
@@ -389,8 +392,8 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
         raise ValueError(f"n must be an integer, not {n!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if mesh is not None and not mesh > 0:
-        raise ValueError("mesh must be > 0")
+    if mesh is not None:
+        check_positive("mesh", mesh)
     beta = G.betti1
     name = f"delta_{n}"
     if beta <= n:

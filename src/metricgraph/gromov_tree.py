@@ -19,6 +19,7 @@ from .metric_graph import (
     _model_f,
     _monotone_model,
     _to_model_point,
+    check_positive,
     distance,
     epsilon_net,
     finite_metric,
@@ -212,8 +213,7 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     distortion on the net, so value/2 is reported as tau_upper, an upper
     bound for the Gromov-Hausdorff distance to the tree.
     """
-    if not mesh > 0:
-        raise ValueError("mesh must be > 0")
+    check_positive("mesh", mesh)
     net = epsilon_net(G, mesh)
     model = _monotone_model(G, p)
     tree = _merge_tree(G, p)

@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,6 +54,27 @@ def checked_distances(D) -> np.ndarray:
 def is_index(x) -> bool:
     """True for an integer, numpy's included, that is not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for a real number, numpy's included, that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_positive(name: str, x) -> None:
+    """Raise ValueError unless x is a real number > 0 (inf included) and
+    not a bool."""
+    if not is_real(x) or not x > 0:
+        raise ValueError(f"{name} must be > 0, not {x!r}")
+
+
+class _Tree(NamedTuple):
+    """A shortest-path tree on vertex indices (see ``MetricGraph._sp_tree``)."""
+
+    dist: List[float]   # per vertex, its distance from the root
+    parent: List[int]   # per vertex, the vertex it is reached from (-1 at the root)
+    via: List[int]      # per vertex, the index of its tree edge (-1 at the root)
+    order: List[int]    # the vertices in the order they were settled, root first
 
 
 @dataclass(frozen=True)
@@ -159,13 +180,20 @@ class MetricGraph:
         self._unit = length_unit(max((e.length for e in final), default=1.0))
         self._tol = REL_TOL * self._unit
         adj: Dict[str, List[str]] = {v: [] for v in self._vertices}
-        for e in final:
+        # per vertex index, (neighbour index, length, edge index) of each
+        # incident edge, in the order of _adj
+        iadj: List[List[Tuple[int, float, int]]] = [[] for _ in self._vertices]
+        for k, e in enumerate(final):
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
+            a, b = self._vidx[e.u], self._vidx[e.v]
+            iadj[a].append((b, e.length, k))
+            iadj[b].append((a, e.length, k))
         self._adj = {v: tuple(lst) for v, lst in adj.items()}
+        self._iadj = iadj
         self._check_connected()
-        # source vertex -> its shortest-path tree; see _sp_tree
-        self._dist_cache: Dict[str, Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]] = {}
+        # root vertex index -> its shortest-path tree; see _sp_tree
+        self._dist_cache: Dict[int, _Tree] = {}
         # V x V table of the trees' distance rows, in vertex order; see _vd_rows
         self._vd = np.empty((len(self._vertices), len(self._vertices)))
         self._vd_filled = np.zeros(len(self._vertices), dtype=bool)
@@ -176,17 +204,15 @@ class MetricGraph:
         self._tree_cache: Dict[GraphPoint, object] = {}
 
     def _check_connected(self):
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
+        seen = [False] * len(self._vertices)
+        seen[0] = True
+        stack = [0]
         while stack:
-            v = stack.pop()
-            for eid in self._adj[v]:
-                e = self._edges[eid]
-                w = e.v if e.u == v else e.u
-                if w not in seen:
-                    seen.add(w)
+            for (w, _, _) in self._iadj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-        if len(seen) != len(self._vertices):
+        if not all(seen):
             raise ValueError("graph not connected")
 
     # -- read access -------------------------------------------------------
@@ -244,43 +270,53 @@ class MetricGraph:
 
     # -- shortest paths ----------------------------------------------------
 
-    def _sp_tree(self, source: str) -> Tuple[Dict[str, float], Dict[str, Tuple[str, str]]]:
-        """Shortest-path tree rooted at a vertex, built on first use and
-        cached: (dist, parent). ``dist`` maps every vertex to its distance
-        from source; ``parent`` maps every vertex but source to the
-        (vertex, edge id) it is reached through. Ties go to the first
-        relaxation, in heap order (distance, insertion counter), and an
-        improvement counts only when it exceeds 1e-15 units (``_unit``), so
-        the tree scales exactly with G. Distances, geodesics and the Horton
-        cycle candidates all read this one tree."""
-        tree = self._dist_cache.get(source)
+    def _sp_tree(self, root: int) -> _Tree:
+        """Shortest-path tree rooted at vertex index ``root``, built on first
+        use and cached: per vertex index its distance, parent and tree edge,
+        and the settle order. Dijkstra runs on the integer adjacency list
+        ``_iadj``, each vertex relaxing its edges in construction order. Ties
+        go to the first relaxation, in heap order (distance, insertion
+        counter), and an improvement counts only when it exceeds 1e-15 units
+        (``_unit``), so the tree scales exactly with G. A vertex is settled
+        after its parent, so one pass over ``order`` visits every parent
+        before its children. Distances, geodesics and the Horton cycle
+        candidates all read this one tree; ``_vertex_dists`` reads it by
+        vertex name."""
+        tree = self._dist_cache.get(root)
         if tree is not None:
             return tree
         slack = 1e-15 * self._unit
-        dist: Dict[str, float] = {source: 0.0}
-        parent: Dict[str, Tuple[str, str]] = {}
-        done: Set[str] = set()
-        heap: List[Tuple[float, int, str]] = [(0.0, 0, source)]
+        n = len(self._vertices)
+        dist = [math.inf] * n
+        parent = [-1] * n
+        via = [-1] * n
+        order: List[int] = []
+        adj, pop, push = self._iadj, heapq.heappop, heapq.heappush
+        dist[root] = 0.0
+        heap: List[Tuple[float, int, int]] = [(0.0, 0, root)]
         counter = 1
         while heap:
-            d, _, v = heapq.heappop(heap)
-            if v in done:
+            d, _, v = pop(heap)
+            # each push lowers dist[v] to the pushed value, and a settled
+            # vertex is never improved, so an entry is stale iff d > dist[v]
+            if d > dist[v]:
                 continue
-            done.add(v)
-            for eid in self._adj[v]:
-                e = self._edges[eid]
-                w = e.v if e.u == v else e.u
-                nd = d + e.length
-                if w not in dist or nd < dist[w] - slack:
+            order.append(v)
+            for (w, length, k) in adj[v]:
+                nd = d + length
+                # an unreached w has dist inf, and inf - slack is inf
+                if nd < dist[w] - slack:
                     dist[w] = nd
-                    parent[w] = (v, eid)
-                    heapq.heappush(heap, (nd, counter, w))
+                    parent[w] = v
+                    via[w] = k
+                    push(heap, (nd, counter, w))
                     counter += 1
-        tree = self._dist_cache[source] = (dist, parent)
+        tree = self._dist_cache[root] = _Tree(dist, parent, via, order)
         return tree
 
     def _vertex_dists(self, source: str) -> Dict[str, float]:
-        return self._sp_tree(source)[0]
+        """The distances of ``source``'s tree, keyed by vertex name."""
+        return dict(zip(self._vertices, self._sp_tree(self._vidx[source]).dist))
 
     def _vd_rows(self, rows: np.ndarray) -> np.ndarray:
         """The V x V vertex-distance table, with row k (the ``_sp_tree``
@@ -289,8 +325,7 @@ class MetricGraph:
         of the requested roots are built. The raw rows are not exactly
         symmetric: two roots' trees can sum one path in different orders."""
         for k in rows[~self._vd_filled[rows]].tolist():
-            dist = self._sp_tree(self._vertices[k])[0]
-            self._vd[k] = [dist[w] for w in self._vertices]
+            self._vd[k] = self._sp_tree(k).dist
             self._vd_filled[k] = True
         return self._vd
 
@@ -320,10 +355,11 @@ def _best_route(G: MetricGraph, ca: GraphPoint,
     best: Tuple[float, Optional[str], Optional[str]] = (math.inf, None, None)
     if not ca.is_vertex() and not cb.is_vertex() and ca.edge == cb.edge:
         best = (abs(ca.offset - cb.offset), None, None)
+    vidx = G._vidx
     for (va, costa) in G._exits(ca):
-        dv = G._vertex_dists(va)
+        dv = G._sp_tree(vidx[va]).dist
         for (vb, costb) in G._exits(cb):
-            cand = costa + dv[vb] + costb
+            cand = costa + dv[vidx[vb]] + costb
             if cand < best[0]:
                 best = (cand, va, vb)
     return best
@@ -338,12 +374,12 @@ def f_values(G: MetricGraph, p: GraphPoint) -> Dict[str, float]:
     """Distance from p to every vertex."""
     cp = G.canonical(p)
     if cp.is_vertex():
-        return dict(G._vertex_dists(cp.vertex))
+        return G._vertex_dists(cp.vertex)
     e = G.edge(cp.edge)
-    du = G._vertex_dists(e.u)
-    dv = G._vertex_dists(e.v)
+    du = G._sp_tree(G._vidx[e.u]).dist
+    dv = G._sp_tree(G._vidx[e.v]).dist
     t = cp.offset
-    return {w: min(t + du[w], e.length - t + dv[w]) for w in G.vertices}
+    return {w: min(t + du[k], e.length - t + dv[k]) for k, w in enumerate(G.vertices)}
 
 
 def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
@@ -458,7 +494,29 @@ def _max_min_block(funcs, corners):
 
 def diameter(G: MetricGraph) -> float:
     """Exact diameter of the geodesic space: the max over edge pairs of the
-    min of four affine functions, the routes between a point on each edge."""
+    min of four affine functions, the routes between a point on each edge.
+
+    Every pair (e, e) is evaluated first. The running maximum then takes
+    the min of the four routes at the corner that joins the two ends of
+    the largest table entry, a value the kernel forms when it evaluates
+    that pair, so it starts near the diameter and never exceeds the result.
+    A pair of distinct edges is skipped when its bound plus a margin is
+    below the running maximum. Its routes f1 = s + t + c1 and
+    f4 = -s - t + c4 have opposite slopes, as have f2 and f3, so at every
+    (s, t) the min of the four is at most
+
+        b = min(c1 + c4, c2 + c3) / 2,
+
+    which is l1 + l2 + (the least of the four endpoint distances) or less,
+    up to the trees' slack. The margin covers the kernel's rounding: it
+    forms f1 = fl(w + c1) and f4 = fl(-w + c4) with w = fl(s + t), and
+    when both are positive their sum is c1 + c4 to a relative 2^-53, so
+    their min is at most b (1 + 2^-53) / (1 - 2^-53) < b + 3 ulps of b;
+    the margin is 4 ulps of b. The bound reads the kernel's own c floats,
+    so no skipped pair holds a value above the running maximum, and the
+    result is ``==`` to evaluating every pair. Bounds are formed block by
+    block, so memory stays O(_DIAM_BLOCK).
+    """
     if G._diam_cache is not None:
         return G._diam_cache
     if not G._edge_tuple:
@@ -500,15 +558,31 @@ def diameter(G: MetricGraph) -> float:
             hi = _max_min_block(funcs + [(-1.0, 1.0, 0.0)],
                                 [(zero, zero), (l1, l1), (zero, l1)])
             best = max(best, float(lo.max()), float(hi.max()))
+        # the corner of a pair (i, j), i < j, at the two ends x, y of the
+        # largest table entry: the kernel forms this value there
+        x, y = divmod(int(D.argmax()), len(D))
+        (i, x), (j, y) = sorted((int(np.flatnonzero((eu == z) | (ev == z))[0]), z)
+                                for z in (x, y))
+        if i != j:
+            s = 0.0 if eu[i] == x else L[i]
+            t = 0.0 if eu[j] == y else L[j]
+            best = max(best, float(min(sa * s + sb * t + c
+                                       for (sa, sb, c) in routes(i, j))))
         npairs = m * (m - 1) // 2
         for k0 in range(0, npairs, _DIAM_BLOCK):
             k = np.arange(k0, min(k0 + _DIAM_BLOCK, npairs))
             i = np.searchsorted(starts, k, side="right") - 1
             j = k - starts[i] + i + 1
-            l1, l2, zero = L[i], L[j], np.zeros(len(k))
-            val = _max_min_block(routes(i, j),
-                                 [(zero, zero), (l1, zero), (l1, l2), (zero, l2)])
-            best = max(best, float(val.max()))
+            funcs = routes(i, j)
+            c1, c2, c3, c4 = (c for (_, _, c) in funcs)
+            bound = np.minimum(c1 + c4, c2 + c3) / 2.0
+            keep = bound + 4.0 * np.spacing(bound) >= best
+            if keep.any():
+                i, j = i[keep], j[keep]
+                l1, l2, zero = L[i], L[j], np.zeros(len(i))
+                val = _max_min_block([(sa, sb, c[keep]) for (sa, sb, c) in funcs],
+                                     [(zero, zero), (l1, zero), (l1, l2), (zero, l2)])
+                best = max(best, float(val.max()))
     best *= unit
     G._diam_cache = best
     return best
@@ -523,8 +597,7 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     order with ascending offsets. Covering radius is at most eps/2 along
     each edge, so at most eps in the graph.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
+    check_positive("eps", eps)
     pts: List[GraphPoint] = [GraphPoint(vertex=v) for v in G.vertices]
     for e in G.edges:
         m = int(math.ceil(e.length / eps - 1e-12))
@@ -782,7 +855,7 @@ def _build_monotone_model(G: MetricGraph, cp: GraphPoint) -> MonotoneModel:
     for e in H.edges:
         if abs(abs(f[e.u] - f[e.v]) - e.length) > 5.0 * tol:
             raise AssertionError(f"edge {e.id} is not monotone after subdivision")
-    return MonotoneModel(graph=H, f=dict(f), p_vertex=p0, host_segments=host,
+    return MonotoneModel(graph=H, f=f, p_vertex=p0, host_segments=host,
                          new_vertices=newv, host_of=host_of)
 
 
@@ -921,16 +994,17 @@ def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     if depart is None:  # direct along the shared edge
         return EdgePath(steps=((ca.edge, ca.offset, cb.offset),))
 
-    parent = G._sp_tree(depart)[1]
+    vidx = G._vidx
+    root = vidx[depart]
+    tree = G._sp_tree(root)
     chain: List[Tuple[str, float, float]] = []
-    v = arrive
-    while v != depart:
-        pv, pe = parent[v]
-        e = G._edges[pe]
-        if e.u == pv:
-            chain.append((pe, 0.0, e.length))
+    v = vidx[arrive]
+    while v != root:
+        pv, e = tree.parent[v], G._edge_tuple[tree.via[v]]
+        if vidx[e.u] == pv:
+            chain.append((e.id, 0.0, e.length))
         else:
-            chain.append((pe, e.length, 0.0))
+            chain.append((e.id, e.length, 0.0))
         v = pv
     chain.reverse()
 

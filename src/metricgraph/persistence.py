@@ -248,29 +248,24 @@ def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]
 
 def _horton_candidates(G: MetricGraph) -> List[int]:
     """Each edge closed by the shortest-path tree of each root, as GF(2)
-    edge bitmasks in construction order; tree edges close nothing."""
-    idx = {e.id: k for k, e in enumerate(G.edges)}
+    edge bitmasks in construction order. A vertex's mask, its tree path
+    from the root, is its parent's mask plus its tree edge; parents are
+    settled first, so one pass over the tree's settle order builds every
+    mask. Tree edges close nothing, so only the root's non-tree edges give
+    candidates."""
+    vidx = G._vidx
+    ends = [(vidx[e.u], vidx[e.v]) for e in G.edges]
+    bits = [1 << k for k in range(len(ends))]
     cands: List[int] = []
-    for root in G.vertices:
-        parent = G._sp_tree(root)[1]
-        # a vertex's tree path from root is its parent's plus one edge
-        masks = {root: 0}
-
-        def pmask(v: str) -> int:
-            path = []
-            while v not in masks:
-                path.append(v)
-                v = parent[v][0]
-            m = masks[v]
-            for w in reversed(path):
-                m ^= 1 << idx[parent[w][1]]
-                masks[w] = m
-            return m
-
-        for e in G.edges:
-            m = pmask(e.u) ^ pmask(e.v) ^ (1 << idx[e.id])
-            if m:
-                cands.append(m)
+    for root in range(len(G.vertices)):
+        tree = G._sp_tree(root)
+        parent, via = tree.parent, tree.via
+        masks = [0] * len(parent)
+        for v in tree.order[1:]:
+            masks[v] = masks[parent[v]] ^ bits[via[v]]
+        in_tree = set(via)
+        cands.extend(masks[a] ^ masks[b] ^ bits[k]
+                     for k, (a, b) in enumerate(ends) if k not in in_tree)
     return cands
 
 

@@ -33,10 +33,11 @@ highest point of G, which contributes a hanging tail.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 from .metric_graph import (
     GraphPoint,
@@ -46,9 +47,11 @@ from .metric_graph import (
     _model_f,
     _monotone_model,
     _to_model_point,
+    check_positive,
     distance,
     epsilon_net,
     finite_metric,
+    is_real,
 )
 from .gh_bounds import Correspondence
 
@@ -102,10 +105,25 @@ def _class(S: SmoothedGraph, s: int, x: _Elem) -> str:
     return S._names[s][_comp_at(S._log[x], s)]
 
 
-def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
-    """Smooth (G, p) at scale eps >= 0."""
-    if not eps >= 0:
-        raise ValueError("eps must be >= 0")
+class _Sweep(NamedTuple):
+    """The band sweep of one smoothing, before S is assembled."""
+
+    model: MonotoneModel
+    criticals: List[float]
+    elems: List[_Elem]             # model elements in sorted order
+    log: List[Tuple[List[int], List[int]]]  # per element, see SmoothedGraph._log
+    prov: List[Dict[int, int]]     # per slot, component id -> provisional id
+    pv_slot: List[int]             # per provisional vertex (even slot), its slot
+    pv_rep: List[int]              # ... and its smallest element
+    pe_slot: List[int]             # per provisional edge (odd slot), its slot
+    pe_rep: List[int]              # ... and its smallest element
+    base: int                      # the element of the basepoint's model vertex
+
+
+def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
+    """Sweep the band of (G, p) at scale eps across the slots."""
+    if not is_real(eps) or not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be a finite number >= 0, not {eps!r}")
     model = _monotone_model(G, p)
     H, f = model.graph, model.f
 
@@ -208,6 +226,14 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
                 if k:
                     for y in piece:
                         label(y, d, s + 1)
+    return _Sweep(model, criticals, elems, log, prov, pv_slot, pv_rep, pe_slot, pe_rep,
+                  num[("v", model.p_vertex)])
+
+
+def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
+    """Smooth (G, p) at scale eps: a finite number >= 0."""
+    (model, criticals, elems, log, prov, pv_slot, pv_rep, pe_slot, pe_rep,
+     base) = _sweep(G, p, eps)
     pv_level = [criticals[s // 2] for s in pv_slot]
     pe_ends = [(prov[s - 1][_comp_at(log[x], s - 1)], prov[s + 1][_comp_at(log[x], s + 1)])
                for s, x in zip(pe_slot, pe_rep)]
@@ -243,12 +269,11 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
                   for s, at in enumerate(prov))
     rep = {(vname[i], pv_slot[i]): elems[pv_rep[i]] for i in kept}
     rep.update(((pe_name[j], s), elems[x]) for j, (s, x) in enumerate(zip(pe_slot, pe_rep)))
-    base = log[num[("v", model.p_vertex)]]
 
     return SmoothedGraph(
         graph=MetricGraph([vname[i] for i in kept], edges),
         level={vname[i]: pv_level[i] for i in kept},
-        base_class=names[0][_comp_at(base, 0)], eps=eps,
+        base_class=names[0][_comp_at(log[base], 0)], eps=eps,
         _source=G, _model=model, _criticals=tuple(criticals),
         _log=dict(zip(elems, log)), _names=names, _rep=rep,
     )
@@ -314,7 +339,12 @@ def smoothed_distance(S: SmoothedGraph, x: GraphPoint, y: GraphPoint) -> float:
 
 
 def betti_after_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> int:
-    return epsilon_smoothing(G, p, eps).graph.betti1
+    """First Betti number of the smoothing of (G, p) at scale eps, read
+    from the sweep without assembling S: (provisional edges) -
+    (provisional vertices) + 1, which dissolving the pass-through vertices
+    keeps."""
+    sweep = _sweep(G, p, eps)
+    return len(sweep.pe_slot) - len(sweep.pv_slot) + 1
 
 
 def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Correspondence:
@@ -323,8 +353,7 @@ def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Co
     representative column. Errors on mismatched provenance."""
     if S._source is not G:
         raise ValueError("mismatched provenance: the smoothing was not built from this graph")
-    if not mesh > 0:
-        raise ValueError("mesh must be > 0")
+    check_positive("mesh", mesh)
     net_g = epsilon_net(G, mesh)
     net_s = epsilon_net(S.graph, mesh)
     left = list(net_g) + [_represent(S, q) for q in net_s]

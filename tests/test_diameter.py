@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metricgraph import MetricGraph, diameter, epsilon_net, finite_metric
+from metricgraph import metric_graph
 from metricgraph.harness import EnsembleSpec, random_graph
 
 from oracles import diameter_pairs
@@ -71,6 +72,63 @@ class TestOracle:
 
     def test_no_edges(self):
         assert diameter(MetricGraph(["u"], [])) == 0.0
+
+
+def scaled(G: MetricGraph, k: int) -> MetricGraph:
+    return MetricGraph(list(G.vertices),
+                       [(i, u, v, L * 2.0 ** k) for (i, u, v, L) in edge_tuples(G)])
+
+
+def evaluated_pairs(G: MetricGraph, monkeypatch) -> int:
+    """The number of distinct-edge pairs diameter(G) hands to the kernel."""
+    seen = []
+    kernel = metric_graph._max_min_block
+
+    def counting(funcs, corners):
+        if len(corners) == 4:  # a rectangle; a pair (e, e) has triangles
+            seen.append(len(corners[0][0]))
+        return kernel(funcs, corners)
+
+    monkeypatch.setattr(metric_graph, "_max_min_block", counting)
+    diameter(G)
+    monkeypatch.undo()
+    return sum(seen)
+
+
+class TestPrune:
+    """The bound-pruned scan against the all-pairs oracle: on small graphs,
+    where many pairs survive the bound; where the diameter lies inside an
+    edge; and at the ends of the exponent range the lengths scale over."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(3, 8), st.integers(0, 6),
+           st.sampled_from([-60, 0, 60]))
+    def test_small_ensemble_graphs(self, seed, n_v, beta, k):
+        G = scaled(ensemble_graph(seed, n_v, beta), k)
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_inside_an_edge(self, theta, c12, c12_decorated, k):
+        for G, want in ((theta, 2.5), (c12, 6.0), (c12_decorated, 10.0)):
+            H = scaled(G, k)
+            assert quiet_diameter(H) == diameter_pairs.diameter(H) == want * 2.0 ** k
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(graphs(max_v=30), st.sampled_from([-60, 60]))
+    def test_extreme_scales(self, G, k):
+        H = scaled(G, k)
+        assert quiet_diameter(H) == diameter_pairs.diameter(H) == quiet_diameter(G) * 2.0 ** k
+
+    def test_survivors_are_evaluated(self, theta, monkeypatch):
+        # the diameter of theta lies inside the 2 + 3 cycle, whose pair of
+        # edges must be evaluated
+        assert evaluated_pairs(theta, monkeypatch) >= 1
+        assert diameter(theta) == 2.5
+
+    def test_large_graph_skips_nearly_every_pair(self, monkeypatch):
+        G = ensemble_graph(1, 300, 40)
+        m = len(G.edges)
+        assert evaluated_pairs(G, monkeypatch) <= m * (m - 1) // 2 // 100
 
 
 class TestInvariance:

@@ -523,6 +523,22 @@ class TestHyperbolicity:
         with pytest.raises(ValueError, match="must be square"):
             hyperbolicity(np.ones(shape))
 
+    @pytest.mark.parametrize("i, j, value, match", [
+        (0, 1, -3.0, "nonnegative"),      # used to read 0.0
+        (0, 0, 5.0, "zero diagonal"),     # used to read 0.0
+        (2, 2, 1e-300, "zero diagonal"),
+        (2, 3, 2.0, "symmetric"),         # only the upper triangle was read
+    ])
+    def test_rejects_non_metrics(self, i, j, value, match):
+        # four points at distance 1, with one entry (and its mirror, off
+        # the diagonal) changed; the lower triangle keeps 1 for (2, 3)
+        D = np.ones((4, 4)) - np.eye(4)
+        D[i, j] = value
+        if (i, j) != (2, 3):
+            D[j, i] = value
+        with pytest.raises(ValueError, match=match):
+            hyperbolicity(D)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [3, 5])
     def test_rejects_non_finite(self, bad, n):

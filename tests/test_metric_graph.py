@@ -8,6 +8,7 @@ from metricgraph import (
     EdgePath,
     GraphPoint,
     MetricGraph,
+    betti_after_smoothing,
     delta_n_bounds,
     dghl_bounds,
     distance,
@@ -19,6 +20,7 @@ from metricgraph import (
     finite_metric,
     graph_from_json_obj,
     graph_to_json_obj,
+    hyp_graph,
     is_simple_path,
     minimal_cycle_basis,
     monotone_decomposition,
@@ -507,25 +509,37 @@ def test_diameter_matches_fine_net(theta, c12):
         assert D.max() >= diameter(G) - 0.05
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, True, np.True_])
 @pytest.mark.parametrize("call, name", [
     (lambda G, p, x: epsilon_net(G, x), "eps"),
     (lambda G, p, x: epsilon_smoothing(G, p, x), "eps"),
+    (lambda G, p, x: betti_after_smoothing(G, p, x), "eps"),
     (lambda G, p, x: quotient_correspondence(G, epsilon_smoothing(G, p, 0.5), x), "mesh"),
     (lambda G, p, x: tree_distortion(G, p, x), "mesh"),
     (lambda G, p, x: dghl_bounds(G, G, quotient_correspondence(
         G, epsilon_smoothing(G, p, 0.5), 1.0), x), "mesh"),
     (lambda G, p, x: delta_n_bounds(G, 0, p, x), "mesh"),
+    (lambda G, p, x: hyp_graph(G, x), "mesh"),
     # a bare "r" would also match "correspondence has no pairs"
     (lambda G, p, x: r_extension(quotient_correspondence(
         G, epsilon_smoothing(G, p, 0.5), 1.0), x), "r must be"),
-], ids=["epsilon_net", "epsilon_smoothing", "quotient_correspondence",
-        "tree_distortion", "dghl_bounds", "delta_n_bounds", "r_extension"])
+], ids=["epsilon_net", "epsilon_smoothing", "betti_after_smoothing",
+        "quotient_correspondence", "tree_distortion", "dghl_bounds", "delta_n_bounds",
+        "hyp_graph", "r_extension"])
 def test_bad_scale_rejected(theta, call, name, bad):
     # NaN compares false with everything, so it must fail the check itself,
-    # not slip through to a misleading error further in
+    # not slip through to a misleading error further in; a bool is not a
+    # length, as for edge lengths
     with pytest.raises(ValueError, match=name):
         call(theta, GraphPoint(vertex="u"), bad)
+
+
+@pytest.mark.parametrize("call", [epsilon_smoothing, betti_after_smoothing])
+def test_infinite_eps_rejected(theta, call):
+    # S at an infinite scale has no finite edges; the sweep alone would
+    # read beta = 0 from it
+    with pytest.raises(ValueError, match="eps must be a finite number"):
+        call(theta, GraphPoint(vertex="u"), float("inf"))
 
 
 def test_infinite_mesh_gives_vertex_net(theta):

@@ -19,9 +19,16 @@ from metricgraph import (
     vr_h1_barcode,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.persistence import _horton_candidates
 
 from conftest import TINY_PARALLEL, tie_graphs
-from oracles import bottleneck_exhaustive, mcb_exhaustive, vr_columns, vr_reduction
+from oracles import (
+    bottleneck_exhaustive,
+    horton_walks,
+    mcb_exhaustive,
+    vr_columns,
+    vr_reduction,
+)
 
 TOL = 1e-9
 
@@ -258,6 +265,54 @@ class TestMinimalCycleBasis:
         got = minimal_cycle_basis(MetricGraph(list(vmap.values()), moved))
         want = minimal_cycle_basis(MetricGraph(verts, edges))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def scaled(graph, k):
+    verts, edges = graph
+    return MetricGraph(verts, [(i, u, v, L * 2.0 ** k) for (i, u, v, L) in edges])
+
+
+class TestHortonWalkOracle:
+    """The index-based trees and the one-pass masks against the dict-keyed
+    Dijkstra and the parent-chain walk they replaced."""
+
+    @staticmethod
+    def assert_same(G):
+        names, eids = G.vertices, [e.id for e in G.edges]
+        for r, root in enumerate(names):
+            tree = G._sp_tree(r)
+            dist, parent = horton_walks.sp_tree(G, root)
+            assert dict(zip(names, tree.dist)) == dist
+            assert {names[v]: (names[tree.parent[v]], eids[tree.via[v]])
+                    for v in range(len(names)) if v != r} == parent
+            # every vertex once, root first, each after its parent
+            assert sorted(tree.order) == list(range(len(names)))
+            rank = {v: k for k, v in enumerate(tree.order)}
+            assert tree.order[0] == r
+            assert all(rank[tree.parent[v]] < rank[v] for v in tree.order[1:])
+        assert _horton_candidates(G) == horton_walks.horton_candidates(G)
+        assert minimal_cycle_basis(G) == horton_walks.minimal_cycle_basis(G)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.integers(-60, 60))
+    @example(TINY_PARALLEL, -60)
+    @example(TINY_PARALLEL, 60)
+    def test_tie_graphs(self, graph, k):
+        self.assert_same(scaled(graph, k))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(2, 60), st.integers(0, 20),
+           st.sampled_from([-60, 0, 60]))
+    def test_ensemble_graphs(self, seed, n_v, beta, k):
+        spec = EnsembleSpec(seed=seed, count=1, vertex_range=(n_v, n_v),
+                            beta1_range=(beta, beta))
+        G = random_graph(spec, 0)
+        self.assert_same(scaled((list(G.vertices),
+                                 [(e.id, e.u, e.v, e.length) for e in G.edges]), k))
+
+    def test_large_graph(self):
+        spec = EnsembleSpec(seed=1, count=1, vertex_range=(300, 300), beta1_range=(40, 40))
+        self.assert_same(random_graph(spec, 0))
 
 
 class TestPersistenceSequence:

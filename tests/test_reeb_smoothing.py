@@ -15,6 +15,7 @@ from metricgraph import (
     smoothed_distance,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph import reeb_smoothing
 from metricgraph.reeb_smoothing import _class
 
 from oracles import smoothing_levels, smoothing_slots
@@ -198,6 +199,26 @@ def smoothing_cases(draw, max_vertices=12, max_beta=6):
         thr = 1.5 * persistence_sequence(G).a(draw(st.integers(1, G.betti1)))
         choices.append(st.sampled_from([thr, thr - 1e-6, thr + 1e-6]))
     return G, p, draw(st.one_of(*choices))
+
+
+class TestBettiFromSweep:
+    """betti_after_smoothing reads beta off the sweep without assembling S."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(smoothing_cases(max_vertices=60, max_beta=20))
+    def test_matches_assembled_graph(self, case):
+        G, p, eps = case
+        assert betti_after_smoothing(G, p, eps) == epsilon_smoothing(G, p, eps).graph.betti1
+
+    def test_builds_no_smoothing(self, c12_decorated, monkeypatch):
+        def fail(*args):
+            raise AssertionError("S assembled")
+        # S is the only MetricGraph that reeb_smoothing builds itself
+        monkeypatch.setattr(reeb_smoothing, "epsilon_smoothing", fail)
+        monkeypatch.setattr(reeb_smoothing, "MetricGraph", fail)
+        p = GraphPoint(vertex="p")
+        assert [betti_after_smoothing(c12_decorated, p, eps)
+                for eps in (0.0, 5.9, 6.0)] == [1, 1, 0]
 
 
 class TestLevelOracle:
