@@ -430,9 +430,9 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
         # net term is the one the smoothing certificate carries
         td = tree_distortion(G, p, mesh)
         uppers.append(("merge tree distortion / 2 + 2*mesh",
-                       float(td.value) / 2.0 + 2.0 * mesh))
-        certs.append(("merge tree distortion / 2", float(td.value) / 2.0))
-        certs.append(("tree distortion / 6 (reported)", float(td.value) / 6.0))
+                       td.value / 2.0 + 2.0 * mesh))
+        certs.append(("merge tree distortion / 2", td.value / 2.0))
+        certs.append(("tree distortion / 6 (reported)", td.value / 6.0))
 
     upper = min(v for (_, v) in uppers)
     certs.extend(uppers)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
@@ -71,6 +73,9 @@ class MergeTree:
     def to_json_obj(self) -> dict:
         return {"nodes": [{"id": n.id, "level": n.level, "parent": n.parent}
                           for n in self.nodes]}
+
+
+_TD_BLOCK = 256  # net rows per block in tree_distortion; bounds the temporaries
 
 
 class TreeDistortionResult(NamedTuple):
@@ -212,6 +217,15 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     The identity relation between G and its merge-tree quotient has this
     distortion on the net, so value/2 is reported as tau_upper, an upper
     bound for the Gromov-Hausdorff distance to the tree.
+
+    A pair's merge level is min(f_i, f_j, L), L the level of the LCA of
+    their nodes (see ``bottleneck_m``). A node's level is above its
+    parent's, and the Euler tour between two nodes' first visits stays in
+    their LCA's subtree and visits the LCA, so L is the least level there:
+    a range minimum, two lookups in a sparse table (Bender and
+    Farach-Colton, "The LCA problem revisited", LATIN 2000). The gap is the
+    pair loop's float expression (tests/oracles/tree_distortion_pairs.py),
+    so the two agree ``==``. Blocks of _TD_BLOCK rows bound the temporaries.
     """
     check_positive("mesh", mesh)
     net = epsilon_net(G, mesh)
@@ -219,36 +233,48 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     tree = _merge_tree(G, p)
     D = finite_metric(G, net)
 
-    n = len(net)
+    # the merge tree's Euler tour, and each node's first visit on it
+    kids: List[List[int]] = [[] for _ in tree.nodes]
+    for nd in tree.nodes:
+        if nd.parent is not None:
+            kids[nd.parent].append(nd.id)
+    first = [0] * len(tree.nodes)
+    tour = [tree.root]
+    stack = [(tree.root, iter(kids[tree.root]))]
+    while stack:
+        c = next(stack[-1][1], None)
+        if c is None:
+            stack.pop()
+            if stack:
+                tour.append(stack[-1][0])
+        else:
+            first[c] = len(tour)
+            tour.append(c)
+            stack.append((c, iter(kids[c])))
+    # row k: the least level on each stretch of 2^k tour entries
+    M = len(tour)
+    table = np.full((M.bit_length(), M), np.inf)
+    table[0] = [tree.nodes[v].level for v in tour]
+    for k in range(1, len(table)):
+        half, m = 1 << (k - 1), M - (1 << k) + 1
+        table[k, :m] = np.minimum(table[k - 1, :m], table[k - 1, half:half + m])
+
     places = [_place(G, model, x) for x in net]
-    node_ids = [tree.node_of[u] for (u, _) in places]
-    flev = [fx for (_, fx) in places]
-
-    # cache ancestor chains once; pairwise LCA via the chains
-    chains: List[Dict[int, int]] = []
-    for nid in node_ids:
-        depth: Dict[int, int] = {}
-        k, cur = 0, nid
-        while cur is not None:
-            depth[cur] = k
-            cur = tree.nodes[cur].parent
-            k += 1
-        chains.append(depth)
-
+    at = np.array([first[tree.node_of[u]] for (u, _) in places])
+    f = np.array([fx for (_, fx) in places])
+    n = len(net)
     worst = 0.0
-    for i in range(n):
-        ci = chains[i]
-        for j in range(i + 1, n):
-            cur = node_ids[j]
-            while cur not in ci:
-                cur = tree.nodes[cur].parent
-            m = min(flev[i], flev[j], tree.nodes[cur].level)
-            tp = flev[i] + flev[j] - 2.0 * m
-            gap = D[i, j] - tp
-            # rounding in d - t_p grows with the lengths, so the slack is
-            # G's tolerance
-            if gap < -G._tol:
-                raise AssertionError("tree metric exceeded the graph metric")
-            if gap > worst:
-                worst = gap
+    for b0 in range(0, n - 1, _TD_BLOCK):
+        i = np.arange(b0, min(b0 + _TD_BLOCK, n - 1))[:, None]
+        j = np.arange(b0 + 1, n)
+        lo, hi = np.minimum(at[i], at[j]), np.maximum(at[i], at[j])
+        k = np.frexp(hi - lo + 1)[1] - 1
+        L = np.minimum(table[k, lo], table[k, hi + 1 - (1 << k)])
+        fi, fj = f[i], f[j]
+        gap = (D[i, j] - ((fi + fj) - 2.0 * np.minimum(np.minimum(fi, fj), L)))[j > i]
+        # rounding in d - t_p grows with the lengths, so the slack is
+        # G's tolerance
+        if gap.min() < -G._tol:
+            raise AssertionError("tree metric exceeded the graph metric")
+        worst = max(worst, float(gap.max()))
     return TreeDistortionResult(value=worst, tau_upper=worst / 2.0)

@@ -321,13 +321,49 @@ class MetricGraph:
     def _vd_rows(self, rows: np.ndarray) -> np.ndarray:
         """The V x V vertex-distance table, with row k (the ``_sp_tree``
         distances from vertex k, in vertex order) filled for every k in
-        ``rows``. Rows are filled on first use and kept, so only the trees
-        of the requested roots are built. The raw rows are not exactly
-        symmetric: two roots' trees can sum one path in different orders."""
+        ``rows``. A tree's table is filled whole at once by ``_tree_table``,
+        ``==`` to the trees, as both add each unique path's lengths from its
+        root outward; otherwise rows come from ``_sp_tree`` on first use and
+        are kept, so only the requested roots' trees are built. The raw rows
+        are not exactly symmetric: two roots' trees can sum one path in
+        different orders."""
+        if len(self._edge_tuple) == len(self._vertices) - 1 and not self._vd_filled[0]:
+            self._tree_table()
         for k in rows[~self._vd_filled[rows]].tolist():
             self._vd[k] = self._sp_tree(k).dist
             self._vd_filled[k] = True
         return self._vd
+
+    def _tree_table(self) -> None:
+        """Fill a tree's whole table (E = V - 1) in two sweeps over its
+        preorder from vertex 0, where each subtree is an index range. On a
+        tree, ``_sp_tree(x)`` sets each distance once, from the parent, so
+        its row sums the unique paths from x outward: (0.0 + l1) + l2 + ...
+        Each x in subtree(v) reaches v's parent u through v, and every other
+        x reaches v through u; both sweeps add that path's last edge to its
+        prefix, as the tree does, so the table is ``==`` to the trees' rows."""
+        n = len(self._vertices)
+        order, parent, plen, stack = [], [-1] * n, [0.0] * n, [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for (w, length, _) in self._iadj[v]:
+                if w != parent[v]:
+                    parent[w], plen[w] = v, length
+                    stack.append(w)
+        pos, size = {v: i for i, v in enumerate(order)}, [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        # B[j, i]: the distance from the i-th vertex of the preorder to the j-th
+        B = np.zeros((n, n))
+        steps = [(pos[v], pos[parent[v]], pos[v] + size[v], plen[v]) for v in order[1:]]
+        for (i, q, end, length) in reversed(steps):  # x in subtree(v) to u
+            B[q, i:end] = B[i, i:end] + length
+        for (i, q, end, length) in steps:  # every other x to v
+            B[i, :i] = B[q, :i] + length
+            B[i, end:] = B[q, end:] + length
+        self._vd[np.ix_(order, order)] = B.T
+        self._vd_filled[:] = True
 
     def _exits(self, pt: GraphPoint) -> List[Tuple[str, float]]:
         """(vertex, cost to reach it) pairs through which geodesics from pt
@@ -391,8 +427,10 @@ def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
     P[i, w] = min_k (c_ik + VD[exit_ik, w]) over the exit vertices w, and
     D[i, j] = min_k (P[i, exit_jk] + c_jk). Rounding is monotone, so this
     is the min over the four exit routes summed left to right. VD[a, b] is
-    read from the tree of the lower-index root of the two, and only the
-    exit vertices' trees are built.
+    read from the row of the lower-index root of the two. A tree's whole VD
+    is filled at once by two sweeps, ``==`` to its shortest-path trees (see
+    ``MetricGraph._tree_table``); otherwise only the exit vertices' trees
+    are built.
     """
     pts = [G.canonical(p) for p in points]
     n = len(pts)

@@ -78,3 +78,42 @@ def tie_graphs(draw, max_beta=10):
         twins = draw(st.lists(st.sampled_from(edges), max_size=room))
         edges += [(f"t{k}", u, v, L) for k, (_, u, v, L) in enumerate(twins)]
     return [f"v{k}" for k in range(n)], edges
+
+
+@st.composite
+def trees(draw, max_v=40, scales=(-60, 0, 60)):
+    """Trees as (vertices, edges) with (id, u, v, length) edges: decoded
+    from a Prüfer sequence, or a path, a star or a caterpillar. Lengths are
+    all equal or random, times 2^k for k in ``scales``. Vertex names are
+    shuffled, edge ends swapped and edges reordered, so vertex index order
+    has nothing to do with the tree's shape."""
+    n = draw(st.integers(1, max_v))
+    shape = draw(st.sampled_from(["pruefer", "path", "star", "caterpillar"]))
+    if shape == "pruefer" and n >= 3:
+        code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        degree = [1 + code.count(v) for v in range(n)]
+        pairs = []
+        for v in code:
+            leaf = min(w for w in range(n) if degree[w] == 1)
+            pairs.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        pairs.append(tuple(w for w in range(n) if degree[w] == 1))
+    elif shape == "star":
+        pairs = [(0, k) for k in range(1, n)]
+    elif shape == "caterpillar":
+        spine = draw(st.integers(1, n))
+        pairs = [(k - 1, k) for k in range(1, spine)]
+        pairs += [(draw(st.integers(0, spine - 1)), k) for k in range(spine, n)]
+    else:
+        pairs = [(k - 1, k) for k in range(1, n)]
+    scale = 2.0 ** draw(st.sampled_from(scales))
+    if draw(st.booleans()):
+        lengths = [draw(st.sampled_from([1.0, 0.1, 0.3]))] * len(pairs)
+    else:
+        lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=len(pairs), max_size=len(pairs)))
+    names = draw(st.permutations([f"v{k}" for k in range(n)]))
+    edges = [(f"e{k}", names[u], names[v], L * scale) if draw(st.booleans())
+             else (f"e{k}", names[v], names[u], L * scale)
+             for k, ((u, v), L) in enumerate(zip(pairs, lengths))]
+    return names, draw(st.permutations(edges))

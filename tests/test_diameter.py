@@ -10,6 +10,7 @@ from metricgraph import MetricGraph, diameter, epsilon_net, finite_metric
 from metricgraph import metric_graph
 from metricgraph.harness import EnsembleSpec, random_graph
 
+from conftest import trees
 from oracles import diameter_pairs
 
 TOL = 1e-9
@@ -50,6 +51,18 @@ class TestOracle:
     @given(graphs())
     def test_ensemble_graphs(self, G):
         assert quiet_diameter(G) == diameter_pairs.diameter(G)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(trees(scales=(0,)), st.sampled_from([-60, 60]))
+    def test_trees(self, tree, k):
+        # a tree's table comes from the two-sweep fill, the oracle's
+        # distances from the shortest-path trees. The oracle's candidate
+        # tests are not scale-free: on a 7-vertex path at 2^60 it reads
+        # one ulp below the correctly rounded diameter, so the extreme
+        # scales are checked by covariance instead
+        G = MetricGraph(*tree)
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
+        assert quiet_diameter(scaled(G, k)) == quiet_diameter(G) * 2.0 ** k
 
     def test_fixtures(self, theta, c12, c12_decorated):
         for G in (theta, c12, c12_decorated):

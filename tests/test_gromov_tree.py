@@ -24,7 +24,7 @@ from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph.metric_graph import _monotone_model
 
 from conftest import random_point
-from oracles import bottleneck_maximin, merge_tree_scan
+from oracles import bottleneck_maximin, merge_tree_scan, tree_distortion_pairs
 
 TOL = 1e-9
 
@@ -289,3 +289,50 @@ class TestTreeDistortionScale:
             G = MetricGraph(G0.vertices, [(e.id, e.u, e.v, e.length * 1e6) for e in G0.edges])
             got = tree_distortion(G, p, 0.05 * diameter(G)).value
             assert got == pytest.approx(want * 1e6, rel=1e-6)
+
+
+def assert_matches_pair_loop(G, p, mesh):
+    got = tree_distortion(G, p, mesh)
+    want = tree_distortion_pairs.tree_distortion(G, p, mesh)
+    assert got.value == want.value
+    assert got.tau_upper == want.tau_upper
+    return got
+
+
+class TestTreeDistortionOracle:
+    """The range-min kernel against the pair loop it replaced."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_pair_loop(self, data):
+        # unit lengths put many net points on one merge-tree node, and
+        # many pairs' nodes on one root path
+        spec = EnsembleSpec(seed=data.draw(st.integers(0, 10_000)), count=1,
+                            vertex_range=(1, 60), beta1_range=(0, 20),
+                            length_range=data.draw(st.sampled_from([(0.5, 2.0), (1.0, 1.0)])))
+        G0 = random_graph(spec, 0)
+        k = data.draw(st.sampled_from([-60, 0, 60]))
+        G = MetricGraph(G0.vertices, [(e.id, e.u, e.v, e.length * 2.0 ** k) for e in G0.edges])
+        p = data.draw(graph_points(G)) if G.edges else GraphPoint(vertex=G.vertices[0])
+        frac = data.draw(st.sampled_from([0.05, 0.1, 0.3]))
+        mesh = frac * diameter(G) if G.edges else 2.0 ** k
+        assert_matches_pair_loop(G, p, mesh)
+
+    def test_single_vertex(self):
+        G = MetricGraph(["u"], [])
+        res = assert_matches_pair_loop(G, GraphPoint(vertex="u"), 1.0)
+        assert res == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cli_large_graphs(self, seed):
+        spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        assert_matches_pair_loop(G, GraphPoint(vertex=G.vertices[0]), G.total_length / 150.0)
+
+    def test_returns_python_floats(self):
+        # value and tau_upper used to be numpy float64 (read off D)
+        G = random_graph(EnsembleSpec(seed=3, count=1), 0)
+        res = tree_distortion(G, GraphPoint(vertex=G.vertices[0]), 0.1 * diameter(G))
+        assert res.value > 0.0
+        assert type(res.value) is float
+        assert type(res.tau_upper) is float

@@ -26,6 +26,7 @@ from metricgraph import (
     monotone_decomposition,
     monotone_subdivision,
     path_length,
+    persistence_sequence,
     point_from_json_obj,
     point_to_json_obj,
     quotient_correspondence,
@@ -42,8 +43,8 @@ from metricgraph.metric_graph import (
     validate_path,
 )
 
-from conftest import TINY_PARALLEL, random_point, tie_graphs
-from oracles import finite_metric_exits, theta_routes
+from conftest import TINY_PARALLEL, random_point, tie_graphs, trees
+from oracles import diameter_pairs, finite_metric_exits, theta_routes
 
 TOL = 1e-9
 
@@ -475,6 +476,55 @@ class TestFiniteMetric:
                               GraphPoint(edge=b.id, offset=b.length / 3.0)])
         assert D.shape == (2, 2)
         assert len(G._dist_cache) <= 4
+
+
+def assert_table_is_trees(G: MetricGraph):
+    T = G._vd_rows(np.arange(len(G.vertices)))
+    for k in range(len(G.vertices)):
+        assert T[k].tolist() == G._sp_tree(k).dist, k
+
+
+class TestTreeTable:
+    """A tree's whole vertex-distance table, filled by two sweeps, is ``==``
+    to its shortest-path trees' rows."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(trees())
+    def test_matches_sp_trees(self, tree):
+        assert_table_is_trees(MetricGraph(*tree))
+
+    @pytest.mark.parametrize("k", [-60, 0, 60])
+    def test_smallest_trees(self, k):
+        assert_table_is_trees(MetricGraph(["u"], []))
+        G = MetricGraph(["v", "u"], [("e", "v", "u", 1.5 * 2.0 ** k)])
+        assert_table_is_trees(G)
+        assert G._vd.tolist() == [[0.0, 1.5 * 2.0 ** k], [1.5 * 2.0 ** k, 0.0]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_large_quotients(self, seed):
+        # the tree S that delta_n_bounds(n=0) smooths the cli-large graph to
+        spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        eps = 1.5 * persistence_sequence(G).a(1)
+        S = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), eps).graph
+        assert S.betti1 == 0 and len(S.vertices) > 200
+        assert_table_is_trees(S)
+
+    def test_builds_no_sp_tree(self, monkeypatch):
+        spec = EnsembleSpec(seed=5, count=1, vertex_range=(40, 40), beta1_range=(0, 0))
+        G = random_graph(spec, 0)
+
+        def fail(self, root):
+            raise AssertionError("_sp_tree called")
+
+        monkeypatch.setattr(MetricGraph, "_sp_tree", fail)
+        net = epsilon_net(G, 0.5)
+        D = finite_metric(G, net)
+        diam = diameter(G)
+        monkeypatch.undo()
+        assert np.array_equal(D, finite_metric_exits.finite_metric(G, net))
+        assert diam == diameter_pairs.diameter(G)
+        assert_table_is_trees(G)
 
 
 class TestJson:
