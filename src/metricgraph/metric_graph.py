@@ -74,7 +74,7 @@ class _Tree(NamedTuple):
     dist: List[float]   # per vertex, its distance from the root
     parent: List[int]   # per vertex, the vertex it is reached from (-1 at the root)
     via: List[int]      # per vertex, the index of its tree edge (-1 at the root)
-    order: List[int]    # the vertices in the order they were settled, root first
+    order: List[int]    # every vertex once, root first, each after its parent
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,17 @@ class MetricGraph:
         self._check_connected()
         # root vertex index -> its shortest-path tree; see _sp_tree
         self._dist_cache: Dict[int, _Tree] = {}
+        # the 2-core and the pendant trees, split on first use; see _peel
+        self._up: List[Optional[Tuple[int, float, int]]] = []
+        self._pendant: Optional[List[int]] = None
+        self._dist0: List[float] = []
         # V x V table of the trees' distance rows, in vertex order; see _vd_rows
         self._vd = np.empty((len(self._vertices), len(self._vertices)))
         self._vd_filled = np.zeros(len(self._vertices), dtype=bool)
         self._diam_cache: Optional[float] = None
-        self._seq_cache: Optional[object] = None  # see persistence_sequence
+        # see minimal_cycle_basis and persistence_sequence
+        self._mcb_cache: Optional[Tuple[float, ...]] = None
+        self._seq_cache: Optional[object] = None
         # keyed by canonical basepoint; see _monotone_model and build_merge_tree
         self._model_cache: Dict[GraphPoint, "MonotoneModel"] = {}
         self._tree_cache: Dict[GraphPoint, object] = {}
@@ -270,30 +276,84 @@ class MetricGraph:
 
     # -- shortest paths ----------------------------------------------------
 
+    def _peel(self) -> None:
+        """Split the graph, once, into its 2-core and its pendant trees by
+        peeling leaves (degree 1, parallel edges counted). ``_up[v]`` is
+        (u, length, k) for a pendant vertex v that hangs on u by edge k, and
+        None on the core; ``_pendant`` lists the pendant vertices outward
+        from the core, each after the vertex it hangs on. A tree keeps its
+        last vertex as its core. ``_dist0`` is a tree's starting distances:
+        inf on the core, -inf on the pendant trees, so Dijkstra never
+        reaches a pendant vertex (no length improves on -inf)."""
+        if self._pendant is not None:
+            return
+        iadj = self._iadj
+        deg = list(map(len, iadj))
+        up: List[Optional[Tuple[int, float, int]]] = [None] * len(deg)
+        dist0 = [math.inf] * len(deg)
+        peeled: List[int] = []
+        leaves = [v for v, d in enumerate(deg) if d == 1]
+        for v in leaves:  # grows as vertices become leaves
+            if deg[v] != 1:  # the last vertex of a tree
+                continue
+            for (u, length, k) in iadj[v]:
+                if up[u] is None:  # its one neighbour not yet peeled
+                    break
+            up[v] = (u, length, k)
+            dist0[v] = -math.inf
+            peeled.append(v)
+            deg[v] = 0
+            deg[u] -= 1
+            if deg[u] == 1:
+                leaves.append(u)
+        peeled.reverse()
+        self._up, self._pendant, self._dist0 = up, peeled, dist0
+
     def _sp_tree(self, root: int) -> _Tree:
         """Shortest-path tree rooted at vertex index ``root``, built on first
         use and cached: per vertex index its distance, parent and tree edge,
-        and the settle order. Dijkstra runs on the integer adjacency list
-        ``_iadj``, each vertex relaxing its edges in construction order. Ties
-        go to the first relaxation, in heap order (distance, insertion
-        counter), and an improvement counts only when it exceeds 1e-15 units
-        (``_unit``), so the tree scales exactly with G. A vertex is settled
-        after its parent, so one pass over ``order`` visits every parent
-        before its children. Distances, geodesics and the Horton cycle
-        candidates all read this one tree; ``_vertex_dists`` reads it by
-        vertex name."""
+        and the settle order. Ties go to the first relaxation, in heap order
+        (distance, insertion counter), and an improvement counts only when
+        it exceeds 1e-15 units (``_unit``), so the tree scales exactly with
+        G. Distances, geodesics and the Horton cycle candidates all read
+        this one tree; ``_vertex_dists`` reads it by vertex name.
+
+        Dijkstra runs on the core only (see ``_peel``), on the integer
+        adjacency list ``_iadj``, each vertex relaxing its edges in
+        construction order. A root in a pendant tree first walks up to the
+        core, and Dijkstra starts at the vertex it reaches with the distance
+        the walk gave it. Every other pendant vertex is then set to its
+        parent's distance plus its edge, in one pass outward from the core.
+        This is the tree a Dijkstra over the whole graph builds: a pendant
+        vertex has one path from the root, so it is set once, from its
+        parent (float sums are monotone, so no longer route improves it),
+        and its heap entries relax no core vertex. Leaving them out changes
+        the counters but not the order of the core's entries, so every
+        ``dist``, ``parent`` and ``via`` is ``==`` to the full run's; only
+        ``order`` differs, still root first and each vertex after its
+        parent: the walk, then the core, then the other pendant vertices."""
         tree = self._dist_cache.get(root)
         if tree is not None:
             return tree
+        self._peel()
         slack = 1e-15 * self._unit
         n = len(self._vertices)
-        dist = [math.inf] * n
+        dist = self._dist0.copy()
         parent = [-1] * n
         via = [-1] * n
         order: List[int] = []
+        up = self._up
+        v, d = root, 0.0
+        while up[v] is not None:
+            order.append(v)
+            dist[v] = d
+            u, length, k = up[v]
+            d += length
+            parent[u], via[u] = v, k
+            v = u
         adj, pop, push = self._iadj, heapq.heappop, heapq.heappush
-        dist[root] = 0.0
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, root)]
+        dist[v] = d
+        heap: List[Tuple[float, int, int]] = [(d, 0, v)]
         counter = 1
         while heap:
             d, _, v = pop(heap)
@@ -311,6 +371,14 @@ class MetricGraph:
                     via[w] = k
                     push(heap, (nd, counter, w))
                     counter += 1
+        unset = -math.inf
+        for w in self._pendant:
+            if dist[w] == unset:  # not on the root's walk
+                u, length, k = up[w]
+                dist[w] = dist[u] + length
+                parent[w] = u
+                via[w] = k
+                order.append(w)
         tree = self._dist_cache[root] = _Tree(dist, parent, via, order)
         return tree
 
@@ -324,9 +392,11 @@ class MetricGraph:
         ``rows``. A tree's table is filled whole at once by ``_tree_table``,
         ``==`` to the trees, as both add each unique path's lengths from its
         root outward; otherwise rows come from ``_sp_tree`` on first use and
-        are kept, so only the requested roots' trees are built. The raw rows
-        are not exactly symmetric: two roots' trees can sum one path in
-        different orders."""
+        are kept, so only the requested roots' trees are built. A tree's
+        Dijkstra covers only the 2-core, and its pendant entries are the
+        same sums from the root outward, so every row is ``==`` to a
+        Dijkstra over the whole graph. The raw rows are not exactly
+        symmetric: two roots' trees can sum one path in different orders."""
         if len(self._edge_tuple) == len(self._vertices) - 1 and not self._vd_filled[0]:
             self._tree_table()
         for k in rows[~self._vd_filled[rows]].tolist():

@@ -215,23 +215,25 @@ def vr_h1_barcode(D) -> Barcode:
 
 # -- cycle bases -------------------------------------------------------------
 
-def _mask_weight(G: MetricGraph, mask: int) -> float:
-    es = G.edges
-    total, k = 0.0, 0
+def _mask_weight(lengths: List[float], mask: int) -> float:
+    """The lengths of the mask's edges, summed over its set bits in
+    ascending index order."""
+    total = 0.0
     while mask:
-        if mask & 1:
-            total += es[k].length
-        mask >>= 1
-        k += 1
+        low = mask & -mask
+        total += lengths[low.bit_length() - 1]
+        mask ^= low
     return total
 
 
-def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]:
-    """Pick a minimum-weight independent subset, ties broken by mask."""
-    dec = sorted((_mask_weight(G, m), m) for m in set(candidates))
-    basis: List[int] = []
+def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[float]:
+    """Pick a minimum-weight independent subset, ties broken by mask, and
+    return its weights, ascending."""
+    lengths = [e.length for e in G.edges]
+    dec = sorted((_mask_weight(lengths, m), m) for m in set(candidates))
+    chosen: List[float] = []
     pivots: Dict[int, int] = {}
-    for (_, m) in dec:
+    for (w, m) in dec:
         cur = m
         while cur:
             low = cur.bit_length() - 1
@@ -239,38 +241,49 @@ def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[int]
                 cur ^= pivots[low]
             else:
                 pivots[low] = cur
-                basis.append(m)
+                chosen.append(w)
                 break
-        if len(basis) == beta:
+        if len(chosen) == beta:
             break
-    return basis
+    return chosen
 
 
 def _horton_candidates(G: MetricGraph) -> List[int]:
     """Each edge closed by the shortest-path tree of each root, as GF(2)
-    edge bitmasks in construction order. A vertex's mask, its tree path
-    from the root, is its parent's mask plus its tree edge; parents are
-    settled first, so one pass over the tree's settle order builds every
-    mask. Tree edges close nothing, so only the root's non-tree edges give
-    candidates."""
+    edge bitmasks in construction order. Pendant edges are bridges, so
+    they are in every tree and close nothing: only the core's edges are
+    closed (see ``MetricGraph._peel``), and only the core's vertices get
+    masks. A core vertex's mask is its tree path from the first core
+    vertex the tree settles, its parent's mask plus its tree edge. For a
+    root in a pendant tree, that leaves out the walk up to the core, which
+    both ends of a closed edge share, so the candidate is the same. The
+    tree settles its core in one block after that walk, each parent first,
+    so one pass over the block builds every mask."""
     vidx = G._vidx
-    ends = [(vidx[e.u], vidx[e.v]) for e in G.edges]
-    bits = [1 << k for k in range(len(ends))]
+    G._peel()
+    up, ncore = G._up, len(G.vertices) - len(G._pendant)
+    bits = [1 << k for k in range(len(G.edges))]
+    closable = [(k, a, b) for k, (a, b) in enumerate((vidx[e.u], vidx[e.v]) for e in G.edges)
+                if up[a] is None and up[b] is None]
+    masks = [0] * len(G.vertices)
     cands: List[int] = []
     for root in range(len(G.vertices)):
         tree = G._sp_tree(root)
-        parent, via = tree.parent, tree.via
-        masks = [0] * len(parent)
-        for v in tree.order[1:]:
+        order, parent, via = tree.order, tree.parent, tree.via
+        start = 0
+        while up[order[start]] is not None:
+            start += 1
+        masks[order[start]] = 0
+        for v in order[start + 1:start + ncore]:
             masks[v] = masks[parent[v]] ^ bits[via[v]]
-        in_tree = set(via)
         cands.extend(masks[a] ^ masks[b] ^ bits[k]
-                     for k, (a, b) in enumerate(ends) if k not in in_tree)
+                     for (k, a, b) in closable if via[a] != k and via[b] != k)
     return cands
 
 
 def minimal_cycle_basis(G: MetricGraph) -> List[float]:
-    """Lengths of a minimum-weight GF(2) cycle basis, ascending.
+    """Lengths of a minimum-weight GF(2) cycle basis, ascending. Built once
+    per graph; each call returns a new list.
 
     Horton's theorem (Horton, SIAM J. Comput. 1987): for a root r and an
     edge xy, let C(r, xy) be xy plus the tree paths from r to x and to y in
@@ -286,14 +299,20 @@ def minimal_cycle_basis(G: MetricGraph) -> List[float]:
     a shortest path by at most (V - 1) 1e-15 units, and each returned
     length is within 2 (V - 1) 1e-15 units of the exact one. The unit
     scales with G, so the result scales exactly.
+
+    Every vertex stays a root, pendant ones included: a root's tree on the
+    core depends on the distance at which it enters the core, so it can
+    break a tie otherwise than its attachment's tree and close a cycle
+    whose float weight differs. Each candidate is weighed over its edges
+    in index order.
     """
-    beta = G.betti1
-    if beta == 0:
-        return []
-    basis = _greedy_basis(G, _horton_candidates(G), beta)
-    if len(basis) != beta:
-        raise AssertionError("cycle basis selection is incomplete")
-    return sorted(_mask_weight(G, m) for m in basis)
+    if G._mcb_cache is None:
+        beta = G.betti1
+        weights = _greedy_basis(G, _horton_candidates(G), beta) if beta else []
+        if len(weights) != beta:
+            raise AssertionError("cycle basis selection is incomplete")
+        G._mcb_cache = tuple(weights)
+    return list(G._mcb_cache)
 
 
 def persistence_sequence(G: MetricGraph) -> PersistenceSequence:

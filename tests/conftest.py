@@ -117,3 +117,21 @@ def trees(draw, max_v=40, scales=(-60, 0, 60)):
              else (f"e{k}", names[v], names[u], L * scale)
              for k, ((u, v), L) in enumerate(zip(pairs, lengths))]
     return names, draw(st.permutations(edges))
+
+
+@st.composite
+def pendant_graphs(draw, max_v=30):
+    """``trees()`` plus 1 to 4 chords (self-loops among them) and up to two
+    equal-length parallel twins, as (vertices, edges): a 2-core with
+    pendant trees hanging on it, so roots sit deep inside pendant trees and
+    several pendant trees can hang on one vertex. Chords take the tree's
+    length when its lengths are all equal, so ties abound; otherwise they
+    are random. Lengths are at unit scale."""
+    names, edges = draw(trees(max_v=max_v, scales=(0,)))
+    lengths = {L for (_, _, _, L) in edges}
+    length = st.just(lengths.pop()) if len(lengths) == 1 else st.floats(0.1, 10.0)
+    vertex = st.sampled_from(names)
+    chords = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=4))
+    edges = list(edges) + [(f"c{k}", u, v, draw(length)) for k, (u, v) in enumerate(chords)]
+    twins = draw(st.lists(st.sampled_from(edges), max_size=2))
+    return names, edges + [(f"t{k}", u, v, L) for k, (_, u, v, L) in enumerate(twins)]

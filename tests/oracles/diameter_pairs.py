@@ -10,7 +10,13 @@ fifth function.
 
 This is the library's earlier implementation, one pair at a time. It reads
 the vertex distances from ``G._vertex_dists`` so that it sees the same floats
-as the vectorised kernel, which must agree with it exactly.
+as the vectorised kernel, which must agree with it exactly. Its candidate
+tests use absolute constants set for lengths near 1, so, like the library, it
+runs on lengths divided by the graph's length unit ``G._unit`` (a power of
+two, so the division is exact) and multiplies the result back; the result
+then scales exactly with the graph.
+
+Run as a script, it checks itself against hand-computed diameters.
 """
 
 import math
@@ -73,14 +79,15 @@ def diameter(G):
     if not G.edges:
         return 0.0
     es = G.edges
+    unit = G._unit
     best = 0.0
     for i in range(len(es)):
         e1 = es[i]
-        d_u = G._vertex_dists(e1.u)
-        d_v = G._vertex_dists(e1.v)
+        d_u = {w: x / unit for w, x in G._vertex_dists(e1.u).items()}
+        d_v = {w: x / unit for w, x in G._vertex_dists(e1.v).items()}
         for j in range(i, len(es)):
             e2 = es[j]
-            l1, l2 = e1.length, e2.length
+            l1, l2 = e1.length / unit, e2.length / unit
             funcs = [
                 (1.0, 1.0, d_u[e2.u]),
                 (1.0, -1.0, d_u[e2.v] + l2),
@@ -98,4 +105,42 @@ def diameter(G):
                                       [(0.0, 0.0), (l1, 0.0), (l1, l2), (0.0, l2)])
             if val > best:
                 best = val
-    return best
+    return best * unit
+
+
+if __name__ == "__main__":
+    from metricgraph.metric_graph import MetricGraph
+
+    # theta (1, 2, 3): the farthest pair sits midway round the 2 + 3 cycle
+    theta = MetricGraph(["u", "v"], [("e1", "u", "v", 1.0), ("e2", "u", "v", 2.0),
+                                     ("e3", "u", "v", 3.0)])
+    # a circle of circumference 12: antipodes are 6 apart
+    c12 = MetricGraph(["p", "q"], [("a1", "p", "q", 6.0), ("a2", "p", "q", 6.0)])
+    # stem 2 + circle 12 + tail 2: end to end round half the circle
+    decorated = MetricGraph(["p", "a", "b", "q"],
+                            [("stem", "p", "a", 2.0), ("c1", "a", "b", 6.0),
+                             ("c2", "a", "b", 6.0), ("tail", "b", "q", 2.0)])
+    # a path: its length, end to end
+    path = MetricGraph(list("wxyz"), [("wx", "w", "x", 1.5), ("xy", "x", "y", 2.0),
+                                      ("yz", "y", "z", 0.25)])
+    # a star: its two longest legs
+    star = MetricGraph(list("oabc"), [("a", "o", "a", 1.0), ("b", "o", "b", 4.0),
+                                      ("c", "o", "c", 2.5)])
+    for name, G, want in (("theta", theta, 2.5), ("c12", c12, 6.0),
+                          ("decorated c12", decorated, 10.0), ("path", path, 3.75),
+                          ("star", star, 6.5)):
+        for k in (-60, 0, 60):
+            s = 2.0 ** k
+            H = MetricGraph(G.vertices, [(e.id, e.u, e.v, e.length * s) for e in G.edges])
+            got = diameter(H)
+            assert got == want * s, (name, k, got)
+        print(f"{name}: diameter {want}")
+    # the path v1-v0-v2-v3 scaled by 2^60, which read an ulp short while
+    # the candidate tests ran on unscaled lengths: its diameter is its
+    # length, summed from one end
+    big = [x * 2.0 ** 60 for x in (7.018535345654363, 7.98798761335163, 9.125551732756843)]
+    G = MetricGraph(["v0", "v1", "v2", "v3"], [("c", "v2", "v3", big[2]),
+                                               ("b", "v0", "v2", big[1]),
+                                               ("a", "v0", "v1", big[0])])
+    assert diameter(G) == big[0] + big[1] + big[2] == 2.7822387862912025e19
+    print("expected values: ok")

@@ -6,6 +6,8 @@ c_a + VD + c_b left to right. It rebuilds VD on every call from the
 ``G._vertex_dists`` rows of the exit vertices, symmetrised column by column
 in vertex order, so each entry comes from the row of the lower-index root.
 The point-to-vertex kernel in the library must agree with it exactly.
+
+Run as a script, it checks itself against hand-computed distance matrices.
 """
 
 from typing import Dict, List, Sequence
@@ -65,3 +67,34 @@ def finite_metric(G, points: Sequence):
     # c_a + VD + c_b is summed in another order for (i, j) than for (j, i),
     # so the two can differ by an ulp; both are lengths of real paths
     return np.minimum(D, D.T)
+
+
+if __name__ == "__main__":
+    from metricgraph.metric_graph import GraphPoint, MetricGraph
+
+    # the path a -1- b -2- c -0.5- d; m sits 0.5 past b, q 0.25 past c
+    path = MetricGraph(list("abcd"), [("ab", "a", "b", 1.0), ("bc", "b", "c", 2.0),
+                                      ("cd", "c", "d", 0.5)])
+    pts = [GraphPoint(vertex="a"), GraphPoint(vertex="c"), GraphPoint(edge="bc", offset=0.5),
+           GraphPoint(vertex="d"), GraphPoint(edge="cd", offset=0.25)]
+    want = [[0.0, 3.0, 1.5, 3.5, 3.25],
+            [3.0, 0.0, 1.5, 0.5, 0.25],
+            [1.5, 1.5, 0.0, 2.0, 1.75],
+            [3.5, 0.5, 2.0, 0.0, 0.25],
+            [3.25, 0.25, 1.75, 0.25, 0.0]]
+    assert finite_metric(path, pts).tolist() == want
+    print("path: ok")
+    # theta (1, 2, 3): the midpoints of e2 and e3 are 2.5 apart, each way
+    # round through u or v; two points on one edge meet along it
+    theta = MetricGraph(["u", "v"], [("e1", "u", "v", 1.0), ("e2", "u", "v", 2.0),
+                                     ("e3", "u", "v", 3.0)])
+    pts = [GraphPoint(vertex="u"), GraphPoint(vertex="v"), GraphPoint(edge="e2", offset=1.0),
+           GraphPoint(edge="e3", offset=1.5), GraphPoint(edge="e3", offset=2.5)]
+    want = [[0.0, 1.0, 1.0, 1.5, 1.5],
+            [1.0, 0.0, 1.0, 1.5, 0.5],
+            [1.0, 1.0, 0.0, 2.5, 1.5],
+            [1.5, 1.5, 2.5, 0.0, 1.0],
+            [1.5, 0.5, 1.5, 1.0, 0.0]]
+    assert finite_metric(theta, pts).tolist() == want
+    print("theta: ok")
+    print("expected values: ok")

@@ -4,7 +4,7 @@ transformations that must scale it or leave it unchanged."""
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metricgraph import MetricGraph, diameter, epsilon_net, finite_metric
 from metricgraph import metric_graph
@@ -56,13 +56,18 @@ class TestOracle:
     @given(trees(scales=(0,)), st.sampled_from([-60, 60]))
     def test_trees(self, tree, k):
         # a tree's table comes from the two-sweep fill, the oracle's
-        # distances from the shortest-path trees. The oracle's candidate
-        # tests are not scale-free: on a 7-vertex path at 2^60 it reads
-        # one ulp below the correctly rounded diameter, so the extreme
-        # scales are checked by covariance instead
+        # distances from the shortest-path trees
         G = MetricGraph(*tree)
         assert quiet_diameter(G) == diameter_pairs.diameter(G)
         assert quiet_diameter(scaled(G, k)) == quiet_diameter(G) * 2.0 ** k
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(trees(scales=(-60, 60)))
+    def test_trees_at_extreme_scales(self, tree):
+        # the oracle's candidate tests run on lengths divided by the
+        # graph's unit, as the library's do, so the two agree at 2^+-60
+        G = MetricGraph(*tree)
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
 
     def test_fixtures(self, theta, c12, c12_decorated):
         for G in (theta, c12, c12_decorated):
@@ -128,6 +133,10 @@ class TestPrune:
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(graphs(max_v=30), st.sampled_from([-60, 60]))
+    @example(MetricGraph(["v0", "v1", "v2", "v3"],
+                         [("c", "v2", "v3", 9.125551732756843),
+                          ("b", "v0", "v2", 7.98798761335163),
+                          ("a", "v0", "v1", 7.018535345654363)]), 60)
     def test_extreme_scales(self, G, k):
         H = scaled(G, k)
         assert quiet_diameter(H) == diameter_pairs.diameter(H) == quiet_diameter(G) * 2.0 ** k

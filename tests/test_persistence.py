@@ -19,9 +19,10 @@ from metricgraph import (
     vr_h1_barcode,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph import persistence
 from metricgraph.persistence import _horton_candidates
 
-from conftest import TINY_PARALLEL, tie_graphs
+from conftest import TINY_PARALLEL, pendant_graphs, tie_graphs
 from oracles import (
     bottleneck_exhaustive,
     horton_walks,
@@ -313,6 +314,136 @@ class TestHortonWalkOracle:
     def test_large_graph(self):
         spec = EnsembleSpec(seed=1, count=1, vertex_range=(300, 300), beta1_range=(40, 40))
         self.assert_same(random_graph(spec, 0))
+
+
+# a triangle with two paths hanging on one of its vertices
+TWO_AT_ONE = (["a", "b", "c", "x1", "x2", "y1", "y2", "y3"],
+              [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.0), ("ca", "c", "a", 1.0),
+               ("x1", "a", "x1", 1.0), ("x2", "x1", "x2", 1.0),
+               ("y1", "y1", "a", 1.0), ("y2", "y2", "y1", 1.0), ("y3", "y2", "y3", 1.0)])
+# a bare 4-cycle with a path hanging on each of two opposite vertices
+HANGING_PATHS = (["p", "q", "r", "s", "p1", "p2", "r1"],
+                 [("pq", "p", "q", 0.3), ("qr", "q", "r", 0.1), ("rs", "r", "s", 0.2),
+                  ("sp", "s", "p", 0.3), ("p1", "p", "p1", 0.1), ("p2", "p1", "p2", 0.2),
+                  ("r1", "r1", "r", 0.3)])
+# K4 with one edge doubled: no pendant vertex
+NO_PENDANT = (list("abcd"), [("ab", "a", "b", 1.0), ("ac", "a", "c", 1.0),
+                             ("ad", "a", "d", 1.0), ("bc", "b", "c", 1.0),
+                             ("bd", "b", "d", 1.0), ("cd", "c", "d", 1.0),
+                             ("cd'", "c", "d", 1.0)])
+# a long path: a tree keeps one vertex as its core
+LONG_PATH = ([f"v{k}" for k in range(9)],
+             [(f"e{k}", f"v{k}", f"v{k + 1}", 0.1) for k in range(8)])
+
+
+class TestPendantTrees:
+    """Trees whose Dijkstra covers only the 2-core, with pendant trees
+    walked and filled outside it, against the dict-keyed Dijkstra over the
+    whole graph and the Horton walk."""
+
+    @staticmethod
+    def assert_split(G):
+        # the core is the 2-core: every core vertex has two core edges (a
+        # tree keeps one vertex), every pendant vertex hangs on its parent
+        # by a bridge, and the pendant list runs outward from the core
+        G._peel()
+        core = [v for v in range(len(G.vertices)) if G._up[v] is None]
+        assert sorted(core + G._pendant) == list(range(len(G.vertices)))
+        rank = {v: k for k, v in enumerate(G._pendant)}
+        for v in G._pendant:
+            u, length, k = G._up[v]
+            assert G._up[u] is None or rank[u] < rank[v]
+            assert (u, length, k) in G._iadj[v]
+            assert sum(w == u for (w, _, _) in G._iadj[v]) == 1
+        coreset = set(core)
+        if len(core) > 1 or G.betti1:
+            assert all(sum(w in coreset for (w, _, _) in G._iadj[v]) >= 2 for v in core)
+        else:
+            assert len(core) == 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pendant_graphs(), st.sampled_from([-60, 0, 60]))
+    @example(TWO_AT_ONE, 0)
+    @example(TWO_AT_ONE, 60)
+    @example(HANGING_PATHS, -60)
+    @example(HANGING_PATHS, 0)
+    @example(NO_PENDANT, 0)
+    @example(LONG_PATH, 60)
+    @example((["v0"], []), 0)
+    @example((["v0"], [("l", "v0", "v0", 1.0)]), -60)
+    def test_pendant_graphs(self, graph, k):
+        G = scaled(graph, k)
+        self.assert_split(G)
+        TestHortonWalkOracle.assert_same(G)
+
+    def test_examples_have_their_shape(self):
+        # the pinned examples hang where they say they do
+        for graph, pendant in ((TWO_AT_ONE, 5), (HANGING_PATHS, 3), (NO_PENDANT, 0),
+                               (LONG_PATH, 8)):
+            G = MetricGraph(*graph)
+            G._peel()
+            assert len(G._pendant) == pendant
+        G = MetricGraph(*TWO_AT_ONE)
+        # from the deepest root the walk reaches the core at a, at distance 3
+        tree = G._sp_tree(G._vidx["y3"])
+        a = G._vidx["a"]
+        assert [G._up[G._vidx[v]][0] for v in ("x1", "y1")] == [a, a]
+        assert tree.order[:4] == [G._vidx[v] for v in ("y3", "y2", "y1", "a")]
+        assert tree.dist[a] == 3.0
+
+    def test_large_graphs(self):
+        # the cli-large graphs: a 2-core of under half their vertices
+        for seed in (1, 2):
+            spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+            G = random_graph(spec, 0)
+            TestHortonWalkOracle.assert_same(G)
+            assert len(G._pendant) > len(G.vertices) // 2
+
+
+class TestCycleBasisCache:
+    """One Horton run per graph, whichever of minimal_cycle_basis and
+    persistence_sequence asks first."""
+
+    @staticmethod
+    def once(monkeypatch):
+        real, calls = persistence._horton_candidates, []
+
+        def horton(G):
+            if calls:
+                raise AssertionError("Horton candidates built twice")
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(persistence, "_horton_candidates", horton)
+        return calls
+
+    def test_basis_then_sequence(self, monkeypatch, theta):
+        calls = self.once(monkeypatch)
+        first = minimal_cycle_basis(theta)
+        assert first == [3.0, 4.0]
+        assert persistence_sequence(theta).entries == (4.0 / 3.0, 1.0)
+        again = minimal_cycle_basis(theta)
+        assert again == first and again is not first
+        again.append(0.0)  # a caller's list is its own
+        assert minimal_cycle_basis(theta) == first
+        assert len(calls) == 1
+
+    def test_sequence_then_basis(self, monkeypatch):
+        calls = self.once(monkeypatch)
+        G = random_graph(EnsembleSpec(seed=5, count=1, vertex_range=(40, 40),
+                                      beta1_range=(6, 6)), 0)
+        seq = persistence_sequence(G)
+        lens = minimal_cycle_basis(G)
+        assert tuple(x / 3.0 for x in reversed(lens)) == seq.entries
+        assert lens == horton_walks.minimal_cycle_basis(G)
+        assert len(calls) == 1
+
+    def test_tree_runs_no_horton(self, monkeypatch):
+        calls = self.once(monkeypatch)
+        G = MetricGraph(*LONG_PATH)
+        assert minimal_cycle_basis(G) == []
+        assert persistence_sequence(G).entries == ()
+        assert calls == []
 
 
 class TestPersistenceSequence:
