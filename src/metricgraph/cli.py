@@ -19,6 +19,7 @@ from .harness import EnsembleSpec, load_graph, verify
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
+    default_mesh,
     diameter,
     distance,
     epsilon_net,
@@ -28,8 +29,6 @@ from .metric_graph import (
 )
 from .persistence import persistence_sequence, vr_h1_barcode
 from .reeb_smoothing import epsilon_smoothing
-
-_CSV_COMMANDS = ("verify", "net", "barcode", "seq")
 
 
 def _round_floats(obj):
@@ -76,18 +75,11 @@ def _basepoint(G: MetricGraph, text: Optional[str]) -> GraphPoint:
 
 
 def _default_mesh(G: MetricGraph, mesh: Optional[float]) -> float:
-    if mesh is not None:
-        if not mesh > 0:
-            raise click.UsageError("--mesh must be > 0")
-        return mesh
-    d = diameter(G)
-    return 0.05 * d if d > 0 else 1.0
-
-
-def _check_format(fmt: str, command: str) -> None:
-    if fmt == "csv" and command not in _CSV_COMMANDS:
-        raise click.UsageError(
-            f"csv output is only available for: {', '.join(_CSV_COMMANDS)}")
+    if mesh is None:
+        return default_mesh(diameter(G))
+    if not mesh > 0:
+        raise click.UsageError("--mesh must be > 0")
+    return mesh
 
 
 def _csv_lines(header, rows) -> str:
@@ -147,7 +139,6 @@ def distance_cmd(graph_path: str, points, out: Optional[str]) -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def net(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) -> None:
     """Epsilon-net of the graph."""
-    _check_format(fmt, "net")
     G = _graph(graph_path)
     pts = epsilon_net(G, _default_mesh(G, mesh))
     if fmt == "csv":
@@ -169,7 +160,6 @@ def net(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) ->
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) -> None:
     """Degree-1 Vietoris-Rips barcode of a mesh-net of the graph."""
-    _check_format(fmt, "barcode")
     G = _graph(graph_path)
     m = _default_mesh(G, mesh)
     try:
@@ -192,7 +182,6 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def seq(graph_path: str, out: Optional[str], fmt: str) -> None:
     """Persistence sequence (sorted cycle lengths / 3)."""
-    _check_format(fmt, "seq")
     G = _graph(graph_path)
     s = persistence_sequence(G)
     if fmt == "csv":

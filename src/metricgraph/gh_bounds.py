@@ -21,6 +21,7 @@ from .metric_graph import (
     MetricGraph,
     check_positive,
     checked_distances,
+    default_mesh,
     diameter,
     epsilon_net,
     finite_metric,
@@ -299,7 +300,7 @@ def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, floa
     if not G.edges:
         return 0.0, 0.0
     if mesh is None:
-        mesh = 0.05 * diameter(G)
+        mesh = default_mesh(diameter(G))
     net = epsilon_net(G, mesh)
     if len(net) > _MAX_HYP_NET:
         raise ValueError(
@@ -402,8 +403,7 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
     seq = persistence_sequence(G)
     a_next = seq.a(n + 1)
     if mesh is None:
-        diam = diameter(G)
-        mesh = 0.05 * diam if diam > 0 else 1.0
+        mesh = default_mesh(diameter(G))
 
     certs: List[Tuple[str, float]] = []
     lower = a_next / 4.0

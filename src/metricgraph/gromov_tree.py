@@ -25,6 +25,7 @@ from .metric_graph import (
     distance,
     epsilon_net,
     finite_metric,
+    per_graph,
 )
 
 
@@ -160,11 +161,12 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
 
 
 def _merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
-    cp = G.canonical(p)
-    tree = G._tree_cache.get(cp)
-    if tree is None:
-        tree = G._tree_cache[cp] = _merge_tree_from_model(_monotone_model(G, cp))
-    return tree
+    return _merge_tree_at(G, G.canonical(p))
+
+
+@per_graph
+def _merge_tree_at(G: MetricGraph, cp: GraphPoint) -> MergeTree:
+    return _merge_tree_from_model(_monotone_model(G, cp))
 
 
 def build_merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     REL_TOL,
+    default_mesh,
     diameter,
     distance,
     epsilon_net,
@@ -299,16 +300,15 @@ def _pointed_dgh_upper(G: MetricGraph, p: GraphPoint,
 
 
 def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
-                     mesh: Optional[float], eps_grid: Optional[Sequence[float]],
-                     rows: List[ReportRow]) -> GraphPoint:
+                     mesh: Optional[float], rows: List[ReportRow]) -> GraphPoint:
     beta = G.betti1
     diam = diameter(G)
-    base_mesh = mesh if mesh is not None else 0.05 * diam if diam > 0 else 1.0
+    base_mesh = mesh if mesh is not None else default_mesh(diam)
     # cost guard: keep nets around 200 points even for length-dense graphs
     net_mesh = max(base_mesh, G.total_length / 200.0)
     p = GraphPoint(vertex=G.vertices[int(rng.integers(len(G.vertices)))])
     seq = persistence_sequence(G)
-    grid = list(eps_grid) if eps_grid is not None else default_eps_grid(G)
+    grid = default_eps_grid(G)
 
     def row(check: str, anchor: str, left: float, right: float,
             suffix: str = "", note: str = "") -> None:
@@ -448,7 +448,6 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
 
 
 def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
-           eps_grid: Optional[Sequence[float]] = None,
            corrupt: bool = False) -> VerificationReport:
     """Run every inequality check over the spec's ensemble.
 
@@ -463,7 +462,7 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
         G = random_graph(spec, i)
         inst = f"g{i:03d}"
         rng = np.random.default_rng([abs(int(spec.seed)) + 1, i + 1, 977])
-        p = _verify_instance(G, inst, rng, mesh, eps_grid, rows)
+        p = _verify_instance(G, inst, rng, mesh, rows)
         instances.append((inst, G, p))
 
     # quotient stability across neighbouring instances, sampled sparsely

@@ -16,6 +16,7 @@ every tolerance, and every result, by exactly 2^k.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -66,6 +67,23 @@ def check_positive(name: str, x) -> None:
     not a bool."""
     if not is_real(x) or not x > 0:
         raise ValueError(f"{name} must be > 0, not {x!r}")
+
+
+def per_graph(build):
+    """Memoise ``build(G, *key)`` in ``G._memo[(build, *key)]``: it runs on
+    the first call for a (G, key), and every later call shares its result.
+    The graph is immutable, so a result never goes stale; no caller may
+    mutate one (``_vd_rows`` alone fills its table's rows). Unlike
+    ``functools.lru_cache``, the memo does not keep a graph alive."""
+
+    @functools.wraps(build)
+    def memoised(G, *key):
+        memo, k = G._memo, (build, *key)
+        if k not in memo:
+            memo[k] = build(G, *key)
+        return memo[k]
+
+    return memoised
 
 
 class _Tree(NamedTuple):
@@ -151,7 +169,6 @@ class MetricGraph:
         # split self-loops at the midpoint so every stored edge has two
         # distinct endpoints
         final: List[Edge] = []
-        loop_halves: Dict[str, Tuple[str, str, str]] = {}
         for e in edef:
             if e.u != e.v:
                 final.append(e)
@@ -166,7 +183,6 @@ class MetricGraph:
             vset.add(mid)
             final.append(Edge(a, e.u, mid, e.length / 2.0))
             final.append(Edge(b, mid, e.v, e.length / 2.0))
-            loop_halves[e.id] = (a, b, mid)
 
         if not vset:
             raise ValueError("graph must have at least one vertex")
@@ -175,7 +191,6 @@ class MetricGraph:
         self._vidx: Dict[str, int] = {v: k for k, v in enumerate(self._vertices)}
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
         self._edge_tuple: Tuple[Edge, ...] = tuple(final)
-        self._loop_halves = loop_halves
         # the length unit of the longest edge, and the graph's tolerance
         self._unit = length_unit(max((e.length for e in final), default=1.0))
         self._tol = REL_TOL * self._unit
@@ -192,22 +207,8 @@ class MetricGraph:
         self._adj = {v: tuple(lst) for v, lst in adj.items()}
         self._iadj = iadj
         self._check_connected()
-        # root vertex index -> its shortest-path tree; see _sp_tree
-        self._dist_cache: Dict[int, _Tree] = {}
-        # the 2-core and the pendant trees, split on first use; see _peel
-        self._up: List[Optional[Tuple[int, float, int]]] = []
-        self._pendant: Optional[List[int]] = None
-        self._dist0: List[float] = []
-        # V x V table of the trees' distance rows, in vertex order; see _vd_rows
-        self._vd = np.empty((len(self._vertices), len(self._vertices)))
-        self._vd_filled = np.zeros(len(self._vertices), dtype=bool)
-        self._diam_cache: Optional[float] = None
-        # see minimal_cycle_basis and persistence_sequence
-        self._mcb_cache: Optional[Tuple[float, ...]] = None
-        self._seq_cache: Optional[object] = None
-        # keyed by canonical basepoint; see _monotone_model and build_merge_tree
-        self._model_cache: Dict[GraphPoint, "MonotoneModel"] = {}
-        self._tree_cache: Dict[GraphPoint, object] = {}
+        # everything derived from the graph, keyed by builder; see per_graph
+        self._memo: Dict[tuple, object] = {}
 
     def _check_connected(self):
         seen = [False] * len(self._vertices)
@@ -276,17 +277,16 @@ class MetricGraph:
 
     # -- shortest paths ----------------------------------------------------
 
-    def _peel(self) -> None:
-        """Split the graph, once, into its 2-core and its pendant trees by
-        peeling leaves (degree 1, parallel edges counted). ``_up[v]`` is
+    @per_graph
+    def _peel(self) -> Tuple[List[Optional[Tuple[int, float, int]]], List[int], List[float]]:
+        """The 2-core and the pendant trees, split by peeling leaves (degree 1,
+        parallel edges counted), as (up, pendant, dist0). ``up[v]`` is
         (u, length, k) for a pendant vertex v that hangs on u by edge k, and
-        None on the core; ``_pendant`` lists the pendant vertices outward
+        None on the core; ``pendant`` lists the pendant vertices outward
         from the core, each after the vertex it hangs on. A tree keeps its
-        last vertex as its core. ``_dist0`` is a tree's starting distances:
+        last vertex as its core. ``dist0`` is a tree's starting distances:
         inf on the core, -inf on the pendant trees, so Dijkstra never
         reaches a pendant vertex (no length improves on -inf)."""
-        if self._pendant is not None:
-            return
         iadj = self._iadj
         deg = list(map(len, iadj))
         up: List[Optional[Tuple[int, float, int]]] = [None] * len(deg)
@@ -307,12 +307,12 @@ class MetricGraph:
             if deg[u] == 1:
                 leaves.append(u)
         peeled.reverse()
-        self._up, self._pendant, self._dist0 = up, peeled, dist0
+        return up, peeled, dist0
 
+    @per_graph
     def _sp_tree(self, root: int) -> _Tree:
-        """Shortest-path tree rooted at vertex index ``root``, built on first
-        use and cached: per vertex index its distance, parent and tree edge,
-        and the settle order. Ties go to the first relaxation, in heap order
+        """Shortest-path tree rooted at vertex index ``root``: per vertex
+        index its distance, parent and tree edge, and the settle order. Ties go to the first relaxation, in heap order
         (distance, insertion counter), and an improvement counts only when
         it exceeds 1e-15 units (``_unit``), so the tree scales exactly with
         G. Distances, geodesics and the Horton cycle candidates all read
@@ -332,17 +332,13 @@ class MetricGraph:
         ``dist``, ``parent`` and ``via`` is ``==`` to the full run's; only
         ``order`` differs, still root first and each vertex after its
         parent: the walk, then the core, then the other pendant vertices."""
-        tree = self._dist_cache.get(root)
-        if tree is not None:
-            return tree
-        self._peel()
+        up, pendant, dist0 = self._peel()
         slack = 1e-15 * self._unit
         n = len(self._vertices)
-        dist = self._dist0.copy()
+        dist = dist0.copy()
         parent = [-1] * n
         via = [-1] * n
         order: List[int] = []
-        up = self._up
         v, d = root, 0.0
         while up[v] is not None:
             order.append(v)
@@ -372,40 +368,47 @@ class MetricGraph:
                     push(heap, (nd, counter, w))
                     counter += 1
         unset = -math.inf
-        for w in self._pendant:
+        for w in pendant:
             if dist[w] == unset:  # not on the root's walk
                 u, length, k = up[w]
                 dist[w] = dist[u] + length
                 parent[w] = u
                 via[w] = k
                 order.append(w)
-        tree = self._dist_cache[root] = _Tree(dist, parent, via, order)
-        return tree
+        return _Tree(dist, parent, via, order)
 
     def _vertex_dists(self, source: str) -> Dict[str, float]:
         """The distances of ``source``'s tree, keyed by vertex name."""
         return dict(zip(self._vertices, self._sp_tree(self._vidx[source]).dist))
 
+    @per_graph
+    def _vd_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The V x V vertex-distance table and its mask of filled rows (see
+        ``_vd_rows``); a tree's is filled whole by ``_tree_table``."""
+        n = len(self._vertices)
+        if len(self._edge_tuple) == n - 1:
+            return self._tree_table(), np.ones(n, dtype=bool)
+        return np.empty((n, n)), np.zeros(n, dtype=bool)
+
     def _vd_rows(self, rows: np.ndarray) -> np.ndarray:
         """The V x V vertex-distance table, with row k (the ``_sp_tree``
         distances from vertex k, in vertex order) filled for every k in
-        ``rows``. A tree's table is filled whole at once by ``_tree_table``,
-        ``==`` to the trees, as both add each unique path's lengths from its
-        root outward; otherwise rows come from ``_sp_tree`` on first use and
-        are kept, so only the requested roots' trees are built. A tree's
-        Dijkstra covers only the 2-core, and its pendant entries are the
-        same sums from the root outward, so every row is ``==`` to a
-        Dijkstra over the whole graph. The raw rows are not exactly
-        symmetric: two roots' trees can sum one path in different orders."""
-        if len(self._edge_tuple) == len(self._vertices) - 1 and not self._vd_filled[0]:
-            self._tree_table()
-        for k in rows[~self._vd_filled[rows]].tolist():
-            self._vd[k] = self._sp_tree(k).dist
-            self._vd_filled[k] = True
-        return self._vd
+        ``rows``. A tree's table is filled whole, ``==`` to the trees, as
+        both add each unique path's lengths from its root outward;
+        otherwise rows come from ``_sp_tree`` on first use and are kept, so
+        only the requested roots' trees are built. A tree's Dijkstra covers
+        only the 2-core, and its pendant entries are the same sums from the
+        root outward, so every row is ``==`` to a Dijkstra over the whole
+        graph. The raw rows are not exactly symmetric: two roots' trees can
+        sum one path in different orders."""
+        vd, filled = self._vd_table()
+        for k in rows[~filled[rows]].tolist():
+            vd[k] = self._sp_tree(k).dist
+            filled[k] = True
+        return vd
 
-    def _tree_table(self) -> None:
-        """Fill a tree's whole table (E = V - 1) in two sweeps over its
+    def _tree_table(self) -> np.ndarray:
+        """A tree's whole table (E = V - 1), in two sweeps over its
         preorder from vertex 0, where each subtree is an index range. On a
         tree, ``_sp_tree(x)`` sets each distance once, from the parent, so
         its row sums the unique paths from x outward: (0.0 + l1) + l2 + ...
@@ -432,8 +435,8 @@ class MetricGraph:
         for (i, q, end, length) in steps:  # every other x to v
             B[i, :i] = B[q, :i] + length
             B[i, end:] = B[q, end:] + length
-        self._vd[np.ix_(order, order)] = B.T
-        self._vd_filled[:] = True
+        at = [pos[v] for v in range(n)]  # each vertex's place in the preorder
+        return B.T[np.ix_(at, at)]
 
     def _exits(self, pt: GraphPoint) -> List[Tuple[str, float]]:
         """(vertex, cost to reach it) pairs through which geodesics from pt
@@ -600,6 +603,7 @@ def _max_min_block(funcs, corners):
     return np.where(ok, val, -np.inf).max(axis=0)
 
 
+@per_graph
 def diameter(G: MetricGraph) -> float:
     """Exact diameter of the geodesic space: the max over edge pairs of the
     min of four affine functions, the routes between a point on each edge.
@@ -625,10 +629,7 @@ def diameter(G: MetricGraph) -> float:
     result is ``==`` to evaluating every pair. Bounds are formed block by
     block, so memory stays O(_DIAM_BLOCK).
     """
-    if G._diam_cache is not None:
-        return G._diam_cache
     if not G._edge_tuple:
-        G._diam_cache = 0.0
         return 0.0
     vidx = G._vidx
     es = G.edges
@@ -691,12 +692,16 @@ def diameter(G: MetricGraph) -> float:
                 val = _max_min_block([(sa, sb, c[keep]) for (sa, sb, c) in funcs],
                                      [(zero, zero), (l1, zero), (l1, l2), (zero, l2)])
                 best = max(best, float(val.max()))
-    best *= unit
-    G._diam_cache = best
-    return best
+    return best * unit
 
 
 # -- nets -------------------------------------------------------------------
+
+def default_mesh(diam: float) -> float:
+    """The mesh used where none is given, from the graph's diameter: 0.05 x
+    the diameter, or 1.0 for a graph with no edges (diameter 0)."""
+    return 0.05 * diam if diam > 0 else 1.0
+
 
 def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     """Vertices plus equally spaced interior points at spacing <= eps.
@@ -881,7 +886,7 @@ class MonotoneModel:
     """Subdivision of a graph on which d(p, .) is affine with slope +-1
     along every edge.
 
-    Built once per (graph, canonical basepoint) and cached on the graph, so
+    Built once per (graph, canonical basepoint) in the graph's memo, so
     every caller shares one instance: it and its dicts must not be mutated.
     """
 
@@ -930,15 +935,11 @@ def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -
 
 
 def _monotone_model(G: MetricGraph, p: GraphPoint) -> MonotoneModel:
-    """The monotone subdivision of (G, p), built on first use and cached on
-    G under the canonical basepoint."""
-    cp = G.canonical(p)
-    model = G._model_cache.get(cp)
-    if model is None:
-        model = G._model_cache[cp] = _build_monotone_model(G, cp)
-    return model
+    """The monotone subdivision of (G, p), memoised under canonical p."""
+    return _build_monotone_model(G, G.canonical(p))
 
 
+@per_graph
 def _build_monotone_model(G: MetricGraph, cp: GraphPoint) -> MonotoneModel:
     cuts: Dict[str, List[Tuple[float, str]]] = {}
     if not cp.is_vertex():

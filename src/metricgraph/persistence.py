@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .metric_graph import REL_TOL, MetricGraph, checked_distances, is_index, length_unit
+from .metric_graph import REL_TOL, MetricGraph, checked_distances, is_index, length_unit, per_graph
 
 _VR_MAX_POINTS = 300
 
@@ -260,8 +260,8 @@ def _horton_candidates(G: MetricGraph) -> List[int]:
     tree settles its core in one block after that walk, each parent first,
     so one pass over the block builds every mask."""
     vidx = G._vidx
-    G._peel()
-    up, ncore = G._up, len(G.vertices) - len(G._pendant)
+    up, pendant, _ = G._peel()
+    ncore = len(G.vertices) - len(pendant)
     bits = [1 << k for k in range(len(G.edges))]
     closable = [(k, a, b) for k, (a, b) in enumerate((vidx[e.u], vidx[e.v]) for e in G.edges)
                 if up[a] is None and up[b] is None]
@@ -306,22 +306,24 @@ def minimal_cycle_basis(G: MetricGraph) -> List[float]:
     whose float weight differs. Each candidate is weighed over its edges
     in index order.
     """
-    if G._mcb_cache is None:
-        beta = G.betti1
-        weights = _greedy_basis(G, _horton_candidates(G), beta) if beta else []
-        if len(weights) != beta:
-            raise AssertionError("cycle basis selection is incomplete")
-        G._mcb_cache = tuple(weights)
-    return list(G._mcb_cache)
+    return list(_cycle_lengths(G))
 
 
+@per_graph
+def _cycle_lengths(G: MetricGraph) -> Tuple[float, ...]:
+    beta = G.betti1
+    weights = _greedy_basis(G, _horton_candidates(G), beta) if beta else []
+    if len(weights) != beta:
+        raise AssertionError("cycle basis selection is incomplete")
+    return tuple(weights)
+
+
+@per_graph
 def persistence_sequence(G: MetricGraph) -> PersistenceSequence:
     """Cycle-basis lengths, non-increasing, each divided by 3. Built once
     per graph."""
-    if G._seq_cache is None:
-        lens = minimal_cycle_basis(G)
-        G._seq_cache = PersistenceSequence(entries=tuple(x / 3.0 for x in reversed(lens)))
-    return G._seq_cache
+    lens = minimal_cycle_basis(G)
+    return PersistenceSequence(entries=tuple(x / 3.0 for x in reversed(lens)))
 
 
 # -- bottleneck distance -----------------------------------------------------

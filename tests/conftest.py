@@ -34,6 +34,12 @@ def c12_decorated():
                ("tail", "b", "q", 2.0)])
 
 
+def memo_keys(G: MetricGraph, builder) -> list:
+    """The keys under which G's memo holds results of the memoised
+    ``builder``, in the order they were built."""
+    return [k[1:] for k in G._memo if k[0] is builder.__wrapped__]
+
+
 def random_euclidean_metric(rng: np.random.Generator, n: int) -> np.ndarray:
     P = rng.random((n, 3))
     D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(-1))

@@ -8,6 +8,8 @@ edge without p in its interior, d(p, .) is a minimum of functions of slope
 vertices. (On the edge through p it is not concave, which is why p is made a
 vertex too.) Shares nothing with the library's monotone subdivision or merge
 tree.
+
+Run as a script, it checks itself against hand-derived values.
 """
 
 from metricgraph import GraphPoint, MetricGraph, distance
@@ -63,3 +65,25 @@ def bottleneck(G, p, x, y):
         if vx in parent and vy in parent and find(vx) == find(vy):
             return f[v]
     raise AssertionError("x and y never connected")
+
+
+if __name__ == "__main__":
+    # the 12-cycle from p: f = d(p, .) runs 0 -> 6 -> 0 around it
+    c12 = MetricGraph(["p", "q"], [("arc1", "p", "q", 6.0), ("arc2", "p", "q", 6.0)])
+    p, q = GraphPoint(vertex="p"), GraphPoint(vertex="q")
+    x, y = GraphPoint(edge="arc1", offset=3.0), GraphPoint(edge="arc2", offset=3.0)
+    # mirror points at level 3 meet over q, so the path's lowest point is
+    # an end: m_p = 3; through p the path would dip to 0
+    assert bottleneck(c12, p, x, y) == 3.0
+    # p itself is at level 0, so every path from it has minimum 0
+    assert bottleneck(c12, p, p, q) == 0.0
+    # two points on one arc: the arc between them stays above the lower
+    assert bottleneck(c12, p, x, GraphPoint(edge="arc1", offset=5.0)) == 3.0
+    assert bottleneck(c12, p, q, q) == 6.0
+    # the theta graph (edges 1, 2, 3) from u: the peaks of e2 (1.5) and e3
+    # (2) are joined only through u (0) or v (1), so m_p = 1
+    theta = MetricGraph(["u", "v"], [("e1", "u", "v", 1.0), ("e2", "u", "v", 2.0),
+                                     ("e3", "u", "v", 3.0)])
+    assert bottleneck(theta, GraphPoint(vertex="u"), GraphPoint(edge="e2", offset=1.5),
+                      GraphPoint(edge="e3", offset=2.0)) == 1.0
+    print("expected values: ok")

@@ -3,6 +3,8 @@
 For each level group it rebuilds the map from union-find roots to nodes and
 finds a new node's children by checking every root of the previous level.
 ``metricgraph.gromov_tree._merge_tree_from_model`` must build the same tree.
+
+Run as a script, it checks itself against hand-derived trees.
 """
 
 from typing import Dict, List, Optional
@@ -99,3 +101,35 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
         for v in n.members:
             node_of[v] = n.id
     return MergeTree(nodes=nodes, root=remap[live[0]], node_of=node_of)
+
+
+if __name__ == "__main__":
+    from metricgraph.metric_graph import GraphPoint, MetricGraph, _monotone_model
+
+    def shape(G, p):
+        """(level, parent's level, member count) of every node, sorted."""
+        tree = _merge_tree_from_model(_monotone_model(G, GraphPoint(vertex=p)))
+        return sorted((n.level, None if n.parent is None else tree.nodes[n.parent].level,
+                       len(n.members)) for n in tree.nodes)
+
+    # the 12-cycle from p: f has one maximum, q at 6, and the superlevel set
+    # stays connected down to p, so the tree is a level-0 root (p) with one
+    # level-6 child (q)
+    c12 = MetricGraph(["p", "q"], [("arc1", "p", "q", 6.0), ("arc2", "p", "q", 6.0)])
+    assert shape(c12, "p") == [(0.0, None, 1), (6.0, 0.0, 1)]
+    # the theta graph (edges 1, 2, 3) from u: f(v) = 1 and the longer edges
+    # peak at their midpoints of the u-v loop, at 1.5 and 2. The two peaks
+    # are separate components until v joins them at level 1, and u closes
+    # the root at 0
+    theta = MetricGraph(["u", "v"], [("e1", "u", "v", 1.0), ("e2", "u", "v", 2.0),
+                                     ("e3", "u", "v", 3.0)])
+    assert shape(theta, "u") == [(0.0, None, 1), (1.0, 0.0, 1), (1.5, 1.0, 1),
+                                 (2.0, 1.0, 1)]
+    # a star from its centre: each leaf is a peak, all joined at the centre
+    star = MetricGraph(["o", "a", "b", "c"], [("a", "o", "a", 1.0), ("b", "o", "b", 2.0),
+                                              ("c", "o", "c", 3.0)])
+    assert shape(star, "o") == [(0.0, None, 1), (1.0, 0.0, 1), (2.0, 0.0, 1),
+                                (3.0, 0.0, 1)]
+    # one vertex: one node
+    assert shape(MetricGraph(["u"], []), "u") == [(0.0, None, 1)]
+    print("expected values: ok")

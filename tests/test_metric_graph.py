@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from metricgraph import (
     GraphPoint,
     MetricGraph,
     betti_after_smoothing,
+    bottleneck_m,
+    build_merge_tree,
     delta_n_bounds,
     dghl_bounds,
     distance,
@@ -34,8 +37,10 @@ from metricgraph import (
     shortest_path,
     tree_distortion,
 )
-from metricgraph.harness import EnsembleSpec, random_graph
+from metricgraph.gromov_tree import _merge_tree_at
+from metricgraph.harness import EnsembleSpec, random_graph, verify
 from metricgraph.metric_graph import (
+    _build_monotone_model,
     path_end,
     path_from_traversals,
     path_start,
@@ -43,7 +48,7 @@ from metricgraph.metric_graph import (
     validate_path,
 )
 
-from conftest import TINY_PARALLEL, random_point, tie_graphs, trees
+from conftest import TINY_PARALLEL, memo_keys, random_point, tie_graphs, trees
 from oracles import diameter_pairs, finite_metric_exits, theta_routes
 
 TOL = 1e-9
@@ -475,7 +480,7 @@ class TestFiniteMetric:
         D = finite_metric(G, [GraphPoint(edge=a.id, offset=a.length / 2.0),
                               GraphPoint(edge=b.id, offset=b.length / 3.0)])
         assert D.shape == (2, 2)
-        assert len(G._dist_cache) <= 4
+        assert len(memo_keys(G, MetricGraph._sp_tree)) <= 4
 
 
 def assert_table_is_trees(G: MetricGraph):
@@ -498,7 +503,7 @@ class TestTreeTable:
         assert_table_is_trees(MetricGraph(["u"], []))
         G = MetricGraph(["v", "u"], [("e", "v", "u", 1.5 * 2.0 ** k)])
         assert_table_is_trees(G)
-        assert G._vd.tolist() == [[0.0, 1.5 * 2.0 ** k], [1.5 * 2.0 ** k, 0.0]]
+        assert G._vd_table()[0].tolist() == [[0.0, 1.5 * 2.0 ** k], [1.5 * 2.0 ** k, 0.0]]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_cli_large_quotients(self, seed):
@@ -525,6 +530,97 @@ class TestTreeTable:
         assert np.array_equal(D, finite_metric_exits.finite_metric(G, net))
         assert diam == diameter_pairs.diameter(G)
         assert_table_is_trees(G)
+
+
+class CountingMemo(dict):
+    """A memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+class TestMemo:
+    """Everything a graph derives is built once per (graph, key) in its
+    memo, shared by every later call, and kept nowhere else."""
+
+    SPEC = EnsembleSpec(seed=113, count=1, beta1_range=(2, 3))
+
+    @staticmethod
+    def queries(G):
+        p = GraphPoint(vertex=G.vertices[0])
+        e = G.edges[-1]
+        q = GraphPoint(edge=e.id, offset=0.4 * e.length)
+        diam = diameter(G)
+        return {
+            "diameter": diam,
+            "basis": minimal_cycle_basis(G),
+            "sequence": persistence_sequence(G),
+            "tree p": build_merge_tree(G, p),
+            "tree q": build_merge_tree(G, q),
+            "m": bottleneck_m(G, p, q, GraphPoint(vertex=G.vertices[-1])),
+            "td": tree_distortion(G, q, 0.2 * diam),
+            "smoothing": epsilon_smoothing(G, p, 0.3 * diam).to_json_obj(),
+        }
+
+    def test_each_builder_runs_once(self):
+        G = random_graph(self.SPEC, 0)
+        G._memo = memo = CountingMemo()
+        first = self.queries(G)
+        kept = dict(memo)
+        second = self.queries(G)
+        assert second == first
+        for name in ("diameter", "sequence", "tree p", "tree q"):
+            assert second[name] is first[name], name
+        assert set(memo.stores.values()) == {1}
+        assert memo.keys() == kept.keys()
+        assert all(memo[k] is v for k, v in kept.items())
+        assert {k[0].__name__ for k in memo} == {
+            "_peel", "_sp_tree", "_vd_table", "diameter", "_cycle_lengths",
+            "persistence_sequence", "_build_monotone_model", "_merge_tree_at"}
+        # one model and one merge tree per canonical basepoint
+        assert len(memo_keys(G, _merge_tree_at)) == 2
+        assert len(memo_keys(G, _build_monotone_model)) == 2
+
+    def test_reread_graph_rebuilds_everything(self):
+        G = random_graph(self.SPEC, 0)
+        first = self.queries(G)
+        H = graph_from_json_obj(json.loads(json.dumps(graph_to_json_obj(G))))
+        assert H._memo == {}
+        assert self.queries(H) == first
+        assert H._memo.keys() == G._memo.keys()
+        assert all(H._memo[k] is not v for k, v in G._memo.items())
+
+    @staticmethod
+    def built_graphs(monkeypatch):
+        built, init = [], MetricGraph.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(MetricGraph, "__init__", record)
+        return built
+
+    def test_verify_adds_no_attribute(self, monkeypatch, theta):
+        fields = set(vars(theta))
+        built = self.built_graphs(monkeypatch)
+        verify(EnsembleSpec(seed=10, count=3))
+        assert len(built) > 3
+        assert all(set(vars(G)) == fields for G in built)
+
+    def test_delta_adds_no_attribute(self, monkeypatch, theta):
+        fields = set(vars(theta))
+        G = random_graph(EnsembleSpec(seed=1, count=1, vertex_range=(300, 300),
+                                      beta1_range=(40, 40)), 0)
+        built = self.built_graphs(monkeypatch)
+        delta_n_bounds(G, 0, GraphPoint(vertex=G.vertices[0]))
+        assert len(built) > 1
+        assert all(set(vars(H)) == fields for H in [G] + built)
 
 
 class TestJson:

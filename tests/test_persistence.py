@@ -346,13 +346,13 @@ class TestPendantTrees:
         # the core is the 2-core: every core vertex has two core edges (a
         # tree keeps one vertex), every pendant vertex hangs on its parent
         # by a bridge, and the pendant list runs outward from the core
-        G._peel()
-        core = [v for v in range(len(G.vertices)) if G._up[v] is None]
-        assert sorted(core + G._pendant) == list(range(len(G.vertices)))
-        rank = {v: k for k, v in enumerate(G._pendant)}
-        for v in G._pendant:
-            u, length, k = G._up[v]
-            assert G._up[u] is None or rank[u] < rank[v]
+        up, pendant, _ = G._peel()
+        core = [v for v in range(len(G.vertices)) if up[v] is None]
+        assert sorted(core + pendant) == list(range(len(G.vertices)))
+        rank = {v: k for k, v in enumerate(pendant)}
+        for v in pendant:
+            u, length, k = up[v]
+            assert up[u] is None or rank[u] < rank[v]
             assert (u, length, k) in G._iadj[v]
             assert sum(w == u for (w, _, _) in G._iadj[v]) == 1
         coreset = set(core)
@@ -381,13 +381,13 @@ class TestPendantTrees:
         for graph, pendant in ((TWO_AT_ONE, 5), (HANGING_PATHS, 3), (NO_PENDANT, 0),
                                (LONG_PATH, 8)):
             G = MetricGraph(*graph)
-            G._peel()
-            assert len(G._pendant) == pendant
+            assert len(G._peel()[1]) == pendant
         G = MetricGraph(*TWO_AT_ONE)
         # from the deepest root the walk reaches the core at a, at distance 3
         tree = G._sp_tree(G._vidx["y3"])
         a = G._vidx["a"]
-        assert [G._up[G._vidx[v]][0] for v in ("x1", "y1")] == [a, a]
+        up = G._peel()[0]
+        assert [up[G._vidx[v]][0] for v in ("x1", "y1")] == [a, a]
         assert tree.order[:4] == [G._vidx[v] for v in ("y3", "y2", "y1", "a")]
         assert tree.dist[a] == 3.0
 
@@ -397,7 +397,7 @@ class TestPendantTrees:
             spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
             G = random_graph(spec, 0)
             TestHortonWalkOracle.assert_same(G)
-            assert len(G._pendant) > len(G.vertices) // 2
+            assert len(G._peel()[1]) > len(G.vertices) // 2
 
 
 class TestCycleBasisCache:
