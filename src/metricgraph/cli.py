@@ -53,19 +53,8 @@ def _emit_json(obj, out: Optional[str]) -> None:
     _emit(json.dumps(_round_floats(obj), indent=2) + "\n", out)
 
 
-def _graph(path: str) -> MetricGraph:
-    try:
-        return load_graph(path)
-    except (OSError, ValueError) as exc:
-        raise click.UsageError(str(exc))
-
-
 def _point(G: MetricGraph, text: str) -> GraphPoint:
-    try:
-        pt = point_from_json_obj(json.loads(text))
-        return G.canonical(pt)
-    except (ValueError, KeyError) as exc:
-        raise click.UsageError(f"bad point {text!r}: {exc}")
+    return G.canonical(point_from_json_obj(json.loads(text)))
 
 
 def _basepoint(G: MetricGraph, text: Optional[str]) -> GraphPoint:
@@ -97,7 +86,18 @@ def _f(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-@click.group()
+class _Main(click.Group):
+    """Bad input (the library's ValueError) and I/O errors from any
+    subcommand are usage errors: exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Computations on finite metric graphs: smoothings, merge trees,
     persistence, hyperbolicity, and Gromov-Hausdorff bounds."""
@@ -108,7 +108,7 @@ def main() -> None:
 @click.option("--out", type=click.Path())
 def info(graph_path: str, out: Optional[str]) -> None:
     """Basic graph invariants."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     _emit_json({
         "vertices": len(G.vertices),
         "edges": len(G.edges),
@@ -125,7 +125,7 @@ def info(graph_path: str, out: Optional[str]) -> None:
 @click.option("--out", type=click.Path())
 def distance_cmd(graph_path: str, points, out: Optional[str]) -> None:
     """Geodesic distance between two points."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     if len(points) != 2:
         raise click.UsageError("give exactly two --point values")
     a, b = (_point(G, t) for t in points)
@@ -139,7 +139,7 @@ def distance_cmd(graph_path: str, points, out: Optional[str]) -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def net(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) -> None:
     """Epsilon-net of the graph."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     pts = epsilon_net(G, _default_mesh(G, mesh))
     if fmt == "csv":
         rows = []
@@ -160,13 +160,9 @@ def net(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) ->
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) -> None:
     """Degree-1 Vietoris-Rips barcode of a mesh-net of the graph."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     m = _default_mesh(G, mesh)
-    try:
-        D = finite_metric(G, epsilon_net(G, m))
-        bc = vr_h1_barcode(D)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    bc = vr_h1_barcode(finite_metric(G, epsilon_net(G, m)))
     if fmt == "csv":
         _emit(_csv_lines(["birth", "death"],
                          [[_f(b), _f(d)] for (b, d) in bc.bars]), out)
@@ -182,7 +178,7 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def seq(graph_path: str, out: Optional[str], fmt: str) -> None:
     """Persistence sequence (sorted cycle lengths / 3)."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     s = persistence_sequence(G)
     if fmt == "csv":
         _emit(_csv_lines(["n", "a"],
@@ -199,12 +195,9 @@ def seq(graph_path: str, out: Optional[str], fmt: str) -> None:
 def smooth(graph_path: str, basepoint: Optional[str], epsilon: float,
            out: Optional[str]) -> None:
     """Epsilon-smoothing of the graph at a basepoint."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     p = _basepoint(G, basepoint)
-    try:
-        S = epsilon_smoothing(G, p, epsilon)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    S = epsilon_smoothing(G, p, epsilon)
     obj = S.to_json_obj()
     obj["betti1"] = S.graph.betti1
     _emit_json(obj, out)
@@ -216,7 +209,7 @@ def smooth(graph_path: str, basepoint: Optional[str], epsilon: float,
 @click.option("--out", type=click.Path())
 def tree(graph_path: str, basepoint: Optional[str], out: Optional[str]) -> None:
     """Merge tree of the distance function from the basepoint."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     p = _basepoint(G, basepoint)
     T = build_merge_tree(G, p)
     obj = T.to_json_obj()
@@ -230,11 +223,8 @@ def tree(graph_path: str, basepoint: Optional[str], out: Optional[str]) -> None:
 @click.option("--out", type=click.Path())
 def hyp(graph_path: str, mesh: Optional[float], out: Optional[str]) -> None:
     """Four-point hyperbolicity of a mesh-net, with approximation error."""
-    G = _graph(graph_path)
-    try:
-        value, err = hyp_graph(G, _default_mesh(G, mesh))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    G = load_graph(graph_path)
+    value, err = hyp_graph(G, _default_mesh(G, mesh))
     _emit_json({"value": value, "error": err}, out)
 
 
@@ -244,7 +234,7 @@ def hyp(graph_path: str, mesh: Optional[float], out: Optional[str]) -> None:
 @click.option("--out", type=click.Path())
 def gh(graph_path: str, other_path: str, out: Optional[str]) -> None:
     """Gromov-Hausdorff bounds between two graphs."""
-    rep = dgh_bounds(_graph(graph_path), _graph(other_path))
+    rep = dgh_bounds(load_graph(graph_path), load_graph(other_path))
     _emit_json(rep.to_json_obj(), out)
 
 
@@ -257,12 +247,9 @@ def gh(graph_path: str, other_path: str, out: Optional[str]) -> None:
 def delta(graph_path: str, basepoint: Optional[str], n: int, mesh: Optional[float],
           out: Optional[str]) -> None:
     """Bounds on the distance to graphs with first Betti number at most n."""
-    G = _graph(graph_path)
+    G = load_graph(graph_path)
     p = _basepoint(G, basepoint)
-    try:
-        rep = delta_n_bounds(G, n, p, _default_mesh(G, mesh))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    rep = delta_n_bounds(G, n, p, _default_mesh(G, mesh))
     _emit_json(rep.to_json_obj(), out)
 
 
@@ -277,8 +264,6 @@ def delta(graph_path: str, basepoint: Optional[str], n: int, mesh: Optional[floa
 def verify_cmd(seed: int, count: int, mesh: Optional[float], out: Optional[str],
                fmt: str, self_test_corrupt: bool) -> None:
     """Run the inequality verification suite on a seeded ensemble."""
-    if count < 0:
-        raise click.UsageError("--count must be >= 0")
     if mesh is not None and not mesh > 0:
         raise click.UsageError("--mesh must be > 0")
     spec = EnsembleSpec(seed=seed, count=count)

@@ -413,13 +413,10 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
     uppers.append(("linear formula in the sequence entry",
                    (6.0 * beta + 6.0) * a_next))
 
-    eps_star = 1.5 * a_next
-    S = epsilon_smoothing(G, p, eps_star)
-    # bumps of 1e-6 up to 1e-2 length units
-    bump = 1e-6 * G._unit
-    while S.graph.betti1 > n and bump < 1e-2 * G._unit:
-        S = epsilon_smoothing(G, p, eps_star + bump)
-        bump *= 10.0
+    # at 1.5 a(n+1) the smoothing's first Betti number is at most n (see
+    # prop:smoothingbetti); if rounding ever broke that, the guard drops the
+    # certificate
+    S = epsilon_smoothing(G, p, 1.5 * a_next)
     if S.graph.betti1 <= n:
         corr = quotient_correspondence(G, S, mesh)
         uppers.append(("smoothing quotient correspondence",

@@ -51,25 +51,56 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class MergeTree:
+    """A node's level is above its parent's, so two nodes' merge level, the
+    level of their LCA, is the least level on the Euler tour between their
+    first visits: a range minimum, read from a sparse table (Bender and
+    Farach-Colton, "The LCA problem revisited", LATIN 2000)."""
+
     nodes: Tuple[TreeNode, ...]
     root: int
     node_of: Dict[str, int]
 
-    def lca(self, a: int, b: int) -> int:
-        anc = set()
-        i: Optional[int] = a
-        while i is not None:
-            anc.add(i)
-            i = self.nodes[i].parent
-        j: Optional[int] = b
-        while j is not None:
-            if j in anc:
-                return j
-            j = self.nodes[j].parent
-        raise AssertionError("nodes share no ancestor")
+    def __post_init__(self):
+        kids: List[List[int]] = [[] for _ in self.nodes]
+        for nd in self.nodes:
+            if nd.parent is not None:
+                kids[nd.parent].append(nd.id)
+        # the Euler tour, and each node's first visit on it
+        first = [0] * len(self.nodes)
+        tour = [self.root]
+        stack = [(self.root, iter(kids[self.root]))]
+        while stack:
+            c = next(stack[-1][1], None)
+            if c is None:
+                stack.pop()
+                if stack:
+                    tour.append(stack[-1][0])
+            else:
+                first[c] = len(tour)
+                tour.append(c)
+                stack.append((c, iter(kids[c])))
+        # row k: the least level on each stretch of 2^k tour entries
+        M = len(tour)
+        table = np.full((M.bit_length(), M), np.inf)
+        table[0] = [self.nodes[v].level for v in tour]
+        for k in range(1, len(table)):
+            half, m = 1 << (k - 1), M - (1 << k) + 1
+            table[k, :m] = np.minimum(table[k - 1, :m], table[k - 1, half:half + m])
+        object.__setattr__(self, "_first", np.array(first))
+        object.__setattr__(self, "_table", table)
 
     def merge_level(self, a: int, b: int) -> float:
-        return self.nodes[self.lca(a, b)].level
+        """Level of the LCA of nodes a and b, read as Python scalars."""
+        lo, hi = sorted((self._first.item(a), self._first.item(b)))
+        k = (hi - lo + 1).bit_length() - 1
+        return min(self._table.item(k, lo), self._table.item(k, hi + 1 - (1 << k)))
+
+    def merge_levels(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``merge_level`` over integer arrays of nodes, broadcast together."""
+        fa, fb = self._first[a], self._first[b]
+        lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
+        k = np.frexp(hi - lo + 1)[1] - 1
+        return np.minimum(self._table[k, lo], self._table[k, hi + 1 - (1 << k)])
 
     def to_json_obj(self) -> dict:
         return {"nodes": [{"id": n.id, "level": n.level, "parent": n.parent}
@@ -86,48 +117,47 @@ class TreeDistortionResult(NamedTuple):
 
 def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     H, f = model.graph, model.f
-    order = sorted(H.vertices, key=lambda v: (-f[v], v))
-    tol = H._tol
+    names, iadj, tol = H.vertices, H._iadj, H._tol
+    # vertex indices ascend with names: ties and members sort as by name
+    fv = [f[v] for v in names]
+    order = sorted(range(len(names)), key=lambda v: (-fv[v], v))
 
-    parent_uf: Dict[str, str] = {}
+    uf = [-1] * len(names)  # union-find parent; -1 below the current level
 
-    def find(v: str) -> str:
+    def find(v: int) -> int:
         r = v
-        while parent_uf[r] != r:
-            r = parent_uf[r]
-        while parent_uf[v] != r:
-            parent_uf[v], v = r, parent_uf[v]
+        while uf[r] != r:
+            r = uf[r]
+        while uf[v] != r:
+            uf[v], v = r, uf[v]
         return r
 
     # provisional nodes in creation order
     levels: List[float] = []
     parents: List[Optional[int]] = []
-    members: List[List[str]] = []
-    node_at: Dict[str, int] = {}  # union-find root -> node of its component
+    members: List[List[int]] = []
+    node_at: Dict[int, int] = {}  # union-find root -> node of its component
 
     i = 0
     while i < len(order):
         j = i
-        lvl = f[order[i]]
-        while j < len(order) and lvl - f[order[j]] <= tol:
+        lvl = fv[order[i]]
+        while j < len(order) and lvl - fv[order[j]] <= tol:
             j += 1
-        group = order[i:j]
-        i = j
+        group, i = order[i:j], j
 
-        nbrs = {v: [e.v if e.u == v else e.u for e in map(H.edge, H.incident(v))]
-                for v in group}
         # roots of the components above this level that each vertex reaches
-        reached = {v: {find(w) for w in nbrs[v] if w in parent_uf} for v in group}
+        reached = {v: {find(w) for (w, _, _) in iadj[v] if uf[w] >= 0} for v in group}
         for v in group:
-            parent_uf[v] = v
+            uf[v] = v
         for v in group:
-            for w in nbrs[v]:
-                if w in parent_uf:
+            for (w, _, _) in iadj[v]:
+                if uf[w] >= 0:
                     ra, rb = find(v), find(w)
                     if ra != rb:
-                        parent_uf[rb] = ra
+                        uf[rb] = ra
 
-        comps: Dict[str, List[str]] = {}
+        comps: Dict[int, List[int]] = {}
         for v in group:
             comps.setdefault(find(v), []).append(v)
         for rv in sorted(comps, key=lambda r: min(comps[r])):
@@ -150,13 +180,10 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
         TreeNode(id=remap[old],
                  level=levels[old],
                  parent=None if parents[old] is None else remap[parents[old]],
-                 members=tuple(members[old]))
+                 members=tuple(names[v] for v in members[old]))
         for old in order_ids
     )
-    node_of: Dict[str, int] = {}
-    for n in nodes:
-        for v in n.members:
-            node_of[v] = n.id
+    node_of = {v: n.id for n in nodes for v in n.members}
     return MergeTree(nodes=nodes, root=remap[live[0]], node_of=node_of)
 
 
@@ -220,14 +247,10 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     distortion on the net, so value/2 is reported as tau_upper, an upper
     bound for the Gromov-Hausdorff distance to the tree.
 
-    A pair's merge level is min(f_i, f_j, L), L the level of the LCA of
-    their nodes (see ``bottleneck_m``). A node's level is above its
-    parent's, and the Euler tour between two nodes' first visits stays in
-    their LCA's subtree and visits the LCA, so L is the least level there:
-    a range minimum, two lookups in a sparse table (Bender and
-    Farach-Colton, "The LCA problem revisited", LATIN 2000). The gap is the
-    pair loop's float expression (tests/oracles/tree_distortion_pairs.py),
-    so the two agree ``==``. Blocks of _TD_BLOCK rows bound the temporaries.
+    A pair's merge level is min(f_i, f_j, L), L its nodes' merge level (see
+    ``bottleneck_m``), read for blocks of _TD_BLOCK rows of pairs at a time.
+    The gap is the pair loop's float expression
+    (tests/oracles/tree_distortion_pairs.py), so the two agree ``==``.
     """
     check_positive("mesh", mesh)
     net = epsilon_net(G, mesh)
@@ -235,43 +258,15 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     tree = _merge_tree(G, p)
     D = finite_metric(G, net)
 
-    # the merge tree's Euler tour, and each node's first visit on it
-    kids: List[List[int]] = [[] for _ in tree.nodes]
-    for nd in tree.nodes:
-        if nd.parent is not None:
-            kids[nd.parent].append(nd.id)
-    first = [0] * len(tree.nodes)
-    tour = [tree.root]
-    stack = [(tree.root, iter(kids[tree.root]))]
-    while stack:
-        c = next(stack[-1][1], None)
-        if c is None:
-            stack.pop()
-            if stack:
-                tour.append(stack[-1][0])
-        else:
-            first[c] = len(tour)
-            tour.append(c)
-            stack.append((c, iter(kids[c])))
-    # row k: the least level on each stretch of 2^k tour entries
-    M = len(tour)
-    table = np.full((M.bit_length(), M), np.inf)
-    table[0] = [tree.nodes[v].level for v in tour]
-    for k in range(1, len(table)):
-        half, m = 1 << (k - 1), M - (1 << k) + 1
-        table[k, :m] = np.minimum(table[k - 1, :m], table[k - 1, half:half + m])
-
     places = [_place(G, model, x) for x in net]
-    at = np.array([first[tree.node_of[u]] for (u, _) in places])
+    node = np.array([tree.node_of[u] for (u, _) in places])
     f = np.array([fx for (_, fx) in places])
     n = len(net)
     worst = 0.0
     for b0 in range(0, n - 1, _TD_BLOCK):
         i = np.arange(b0, min(b0 + _TD_BLOCK, n - 1))[:, None]
         j = np.arange(b0 + 1, n)
-        lo, hi = np.minimum(at[i], at[j]), np.maximum(at[i], at[j])
-        k = np.frexp(hi - lo + 1)[1] - 1
-        L = np.minimum(table[k, lo], table[k, hi + 1 - (1 << k)])
+        L = tree.merge_levels(node[i], node[j])
         fi, fj = f[i], f[j]
         gap = (D[i, j] - ((fi + fj) - 2.0 * np.minimum(np.minimum(fi, fj), L)))[j > i]
         # rounding in d - t_p grows with the lengths, so the slack is

@@ -37,6 +37,7 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     REL_TOL,
+    check_positive,
     default_mesh,
     diameter,
     distance,
@@ -45,6 +46,8 @@ from .metric_graph import (
     f_variation,
     graph_from_json_obj,
     graph_to_json_obj,
+    is_index,
+    is_real,
     monotone_decomposition,
     path_length,
     shortest_path,
@@ -68,16 +71,18 @@ class EnsembleSpec:
     length_range: Tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
+        if not is_index(self.seed):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if not is_index(self.count) or self.count < 0:
+            raise ValueError(f"count must be an integer >= 0, not {self.count!r}")
         lo, hi = self.vertex_range
-        if not (1 <= lo <= hi):
-            raise ValueError("vertex range must satisfy 1 <= lo <= hi")
+        if not (is_index(lo) and is_index(hi) and 1 <= lo <= hi):
+            raise ValueError("vertex range must be integers with 1 <= lo <= hi")
         blo, bhi = self.beta1_range
-        if not (0 <= blo <= bhi):
-            raise ValueError("infeasible beta1 range: need 0 <= lo <= hi")
+        if not (is_index(blo) and is_index(bhi) and 0 <= blo <= bhi):
+            raise ValueError("infeasible beta1 range: need integers 0 <= lo <= hi")
         llo, lhi = self.length_range
-        if not (0 < llo <= lhi) or not math.isfinite(lhi):
+        if not (is_real(llo) and is_real(lhi) and 0 < llo <= lhi) or not math.isfinite(lhi):
             raise ValueError("length range must satisfy 0 < lo <= hi")
 
     def to_json_obj(self) -> dict:
@@ -397,13 +402,16 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
         sample_pts.append(_random_point(G, rng))
     worst_gp = 0.0
     worst_td = 0.0
-    for x, y in combinations(sample_pts, 2):
+    TP = np.zeros((len(sample_pts), len(sample_pts)))
+    for (i, x), (j, y) in combinations(enumerate(sample_pts), 2):
         m = bottleneck_m(G, p, x, y)
         g = gromov_product(G, p, x, y)
         worst_gp = max(worst_gp, g - m)
-        worst_td = max(worst_td, t_p(G, p, x, y) - distance(G, x, y))
+        TP[i, j] = TP[j, i] = tp = t_p(G, p, x, y)
+        worst_td = max(worst_td, tp - distance(G, x, y))
     row("bottleneck above gromov product", "lem:mpgp", worst_gp, 0.0)
     row("tree pseudometric below distance", "prop:tptree", worst_td, 0.0)
+    row("tree metric four point", "prop:tptree", hyperbolicity(TP), 0.0)
 
     tree = build_merge_tree(G, p)
     worst_lca = 0.0
@@ -412,13 +420,6 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
         m = bottleneck_m(G, p, GraphPoint(vertex=u), GraphPoint(vertex=w))
         worst_lca = max(worst_lca, abs(lvl - m))
     row("merge tree lca is bottleneck", "prop:tptree", worst_lca, 0.0)
-
-    n_tp = len(sample_pts)
-    TP = np.zeros((n_tp, n_tp))
-    for i in range(n_tp):
-        for j in range(i + 1, n_tp):
-            TP[i, j] = TP[j, i] = t_p(G, p, sample_pts[i], sample_pts[j])
-    row("tree metric four point", "prop:tptree", hyperbolicity(TP), 0.0)
 
     if have_hyp:
         td = tree_distortion(G, p, max(net_mesh, G.total_length / 150.0))
@@ -456,6 +457,8 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
     its length unit, so the report scales with the lengths. Checks that
     would exceed a resource cap are reported as skipped. ``corrupt``
     appends a deliberately failing row (used by the self-test)."""
+    if mesh is not None:
+        check_positive("mesh", mesh)
     rows: List[ReportRow] = []
     instances: List[Tuple[str, MetricGraph, GraphPoint]] = []
     for i in range(spec.count):

@@ -194,17 +194,13 @@ class MetricGraph:
         # the length unit of the longest edge, and the graph's tolerance
         self._unit = length_unit(max((e.length for e in final), default=1.0))
         self._tol = REL_TOL * self._unit
-        adj: Dict[str, List[str]] = {v: [] for v in self._vertices}
         # per vertex index, (neighbour index, length, edge index) of each
-        # incident edge, in the order of _adj
+        # incident edge, in edge order
         iadj: List[List[Tuple[int, float, int]]] = [[] for _ in self._vertices]
         for k, e in enumerate(final):
-            adj[e.u].append(e.id)
-            adj[e.v].append(e.id)
             a, b = self._vidx[e.u], self._vidx[e.v]
             iadj[a].append((b, e.length, k))
             iadj[b].append((a, e.length, k))
-        self._adj = {v: tuple(lst) for v, lst in adj.items()}
         self._iadj = iadj
         self._check_connected()
         # everything derived from the graph, keyed by builder; see per_graph
@@ -238,9 +234,9 @@ class MetricGraph:
         return self._edges[eid]
 
     def incident(self, vertex: str) -> Tuple[str, ...]:
-        if vertex not in self._adj:
+        if vertex not in self._vidx:
             raise ValueError(f"unknown vertex: {vertex}")
-        return self._adj[vertex]
+        return tuple(self._edge_tuple[k].id for (_, _, k) in self._iadj[self._vidx[vertex]])
 
     @property
     def betti1(self) -> int:
@@ -256,7 +252,7 @@ class MetricGraph:
         """Normalize a point: offsets within the graph's tolerance of an
         endpoint become the nearer endpoint. Validates the reference."""
         if pt.vertex is not None:
-            if pt.vertex not in self._adj:
+            if pt.vertex not in self._vidx:
                 raise ValueError(f"unknown vertex: {pt.vertex}")
             return pt if pt.offset == 0.0 else GraphPoint(vertex=pt.vertex)
         e = self.edge(pt.edge)
@@ -781,7 +777,7 @@ def path_length(G: MetricGraph, path: EdgePath) -> float:
 
 def path_from_traversals(G: MetricGraph, start_vertex: str, edge_ids: Sequence[str]) -> EdgePath:
     """Build a full-traversal path from a start vertex through named edges."""
-    if start_vertex not in G._adj:
+    if start_vertex not in G._vidx:
         raise ValueError(f"unknown vertex: {start_vertex}")
     at = start_vertex
     steps: List[Tuple[str, float, float]] = []
@@ -913,7 +909,7 @@ def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -
         prev_off, prev_v = 0.0, e.u
         pieces = []
         for (off, vid) in cl:
-            if vid in G._adj or vid in new_vertices:
+            if vid in G._vidx or vid in new_vertices:
                 raise ValueError(f"generated vertex id {vid} already in use")
             verts.append(vid)
             new_vertices[vid] = (e.id, off)

@@ -5,6 +5,8 @@ largest of its three pair-sums minus the second largest. ``relation_distortion``
 visits every pair of related pairs once. Both do the same float additions and
 subtractions as the vectorised library code, so on a symmetric matrix the
 results agree exactly, not only closely.
+
+Run as a script, it checks itself against hand-derived values.
 """
 
 
@@ -39,3 +41,16 @@ def relation_distortion(DX, DY, pairs) -> float:
             if diff > best:
                 best = diff
     return best
+
+
+if __name__ == "__main__":
+    # the unit 4-cycle: pair sums 2, 2 and 4, so delta = (4 - 2) / 2
+    c4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    # four points at mutual distance 2: every pair sum is 4
+    flat = [[0 if i == j else 2 for j in range(4)] for i in range(4)]
+    assert four_point_delta(c4) == 1.0
+    assert four_point_delta(flat) == 0.0
+    # the identity relation between the two: |1 - 2| on the cycle's edges,
+    # |2 - 2| on its diagonals
+    assert relation_distortion(c4, flat, [(i, i) for i in range(4)]) == 1.0
+    print("expected values: ok")

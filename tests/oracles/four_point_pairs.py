@@ -5,6 +5,8 @@ pair after it in ``np.triu_indices`` order, so all C(m, 2) pairs of the
 m = C(n, 2) pairs are visited. The pruned kernel must return a result
 ``==`` to this one on every symmetric matrix: it evaluates a subset of the
 same quadruples with the same float operations.
+
+Run as a script, it checks itself against hand-derived values.
 """
 
 import numpy as np
@@ -39,3 +41,13 @@ def hyperbolicity(D) -> float:
         if g > best:
             best = g
     return best / 2.0
+
+
+if __name__ == "__main__":
+    # the unit 4-cycle: pair sums 2, 2 and 4, so delta = (4 - 2) / 2
+    c4 = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+    # four points at mutual distance 2: every pair sum is 4
+    flat = [[0 if i == j else 2 for j in range(4)] for i in range(4)]
+    assert hyperbolicity(c4) == 1.0
+    assert hyperbolicity(flat) == 0.0
+    print("expected values: ok")

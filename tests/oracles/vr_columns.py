@@ -11,6 +11,8 @@ coboundary reduction must agree with it exactly (==) even on a matrix that
 is asymmetric by an ulp.
 
 It costs O(n^3) triangles as Python tuples, so keep n small.
+
+Run as a script, it checks itself against hand-derived barcodes.
 """
 
 from typing import Dict, List, Tuple
@@ -58,3 +60,14 @@ def h1_barcode(D) -> Barcode:
     if paired != len(edges) - (n - 1):
         raise AssertionError("VR reduction left unkilled cycles")
     return Barcode(degree=1, bars=tuple(bars))
+
+
+if __name__ == "__main__":
+    # the unit n-cycle's loop is born with its edges at 1. In the 4-cycle
+    # the diagonals and every triangle enter at 2. In the 6-cycle the
+    # complex at 2 is the octahedron's surface, whose H1 is 0, and 3 kills
+    # only its H2.
+    for n in (4, 6):
+        cycle = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+        assert h1_barcode(cycle).bars == ((1.0, 2.0),)
+    print("expected values: ok")

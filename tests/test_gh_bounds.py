@@ -626,6 +626,25 @@ class TestDeltaBounds:
         with pytest.raises(AssertionError, match="diameter"):
             delta_n_bounds(c12_decorated, 0, GraphPoint(vertex="p"))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_threshold_smoothing_certifies(self, data):
+        # delta_n_bounds smooths once, at 1.5 a(n+1); the smoothing
+        # certificate is dropped if that leaves beta > n
+        spec = EnsembleSpec(seed=data.draw(st.integers(0, 10_000)), count=1,
+                            vertex_range=(3, 20), beta1_range=(1, 8))
+        G0 = random_graph(spec, 0)
+        k = data.draw(st.sampled_from([-40, 0, 40]))
+        G = MetricGraph(G0.vertices, [(e.id, e.u, e.v, e.length * 2.0 ** k) for e in G0.edges])
+        if data.draw(st.booleans()):
+            p = GraphPoint(vertex=data.draw(st.sampled_from(G.vertices)))
+        else:
+            e = data.draw(st.sampled_from(G.edges))
+            p = GraphPoint(edge=e.id, offset=data.draw(st.floats(0.1, 0.9)) * e.length)
+        n = data.draw(st.integers(0, G.betti1 - 1))
+        rep = delta_n_bounds(G, n, p, mesh=diameter(G) / 4.0)
+        assert "smoothing quotient correspondence" in dict(rep.certificates)
+
     def test_loop_finer_than_mesh(self):
         # the 0.6-loop hides under a 0.4-net, so the merge tree distortion
         # on the net is about 0; the upper bound must still cover a(1)/4

@@ -218,6 +218,44 @@ class TestMergeTree:
         assert "u" in tree.nodes[tree.root].members
 
 
+def walked_merge_level(tree, a, b):
+    """Level of the first ancestor of b that is an ancestor of a."""
+    above_a = set()
+    while a is not None:
+        above_a.add(a)
+        a = tree.nodes[a].parent
+    while b not in above_a:
+        b = tree.nodes[b].parent
+    return tree.nodes[b].level
+
+
+class TestMergeLevels:
+    """The tree's range-minimum table against walking parents to the LCA."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_parent_walk(self, data):
+        spec = EnsembleSpec(seed=data.draw(st.integers(0, 10_000)), count=1,
+                            vertex_range=(1, 40), beta1_range=(0, 10))
+        G0 = random_graph(spec, 0)
+        k = data.draw(st.sampled_from([-60, 0, 60]))
+        G = MetricGraph(G0.vertices, [(e.id, e.u, e.v, e.length * 2.0 ** k) for e in G0.edges])
+        p = data.draw(graph_points(G)) if G.edges else GraphPoint(vertex=G.vertices[0])
+        tree = build_merge_tree(G, p)
+        ids = range(len(tree.nodes))
+        want = [[walked_merge_level(tree, a, b) for b in ids] for a in ids]
+        for a in ids:
+            for b in ids:
+                got = tree.merge_level(a, b)
+                assert type(got) is float
+                assert got == want[a][b]
+        a, b = np.meshgrid(ids, ids, indexing="ij")
+        assert (tree.merge_levels(a, b) == np.array(want)).all()
+        # a row against a column broadcasts to the whole table
+        col = np.arange(len(ids))[:, None]
+        assert (tree.merge_levels(col, col.T) == np.array(want)).all()
+
+
 class TestTreeDistortion:
     def test_plain_c12(self, c12):
         res = tree_distortion(c12, GraphPoint(vertex="p"), 0.1)

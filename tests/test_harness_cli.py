@@ -61,6 +61,20 @@ class TestEnsembleSpec:
             EnsembleSpec(beta1_range=(3, 1))
         with pytest.raises(ValueError, match="length range"):
             EnsembleSpec(length_range=(0.0, 1.0))
+        # bools and fractions once ran (count=True as one graph) or failed
+        # deep inside range()
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="count"):
+                EnsembleSpec(count=bad)
+        with pytest.raises(ValueError, match="vertex range"):
+            EnsembleSpec(vertex_range=(3, 8.5))
+        with pytest.raises(ValueError, match="beta1"):
+            EnsembleSpec(beta1_range=(0, 2.5))
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                EnsembleSpec(seed=bad)
+        with pytest.raises(ValueError, match="length range"):
+            EnsembleSpec(length_range=(True, 2.0))
 
     def test_json_obj(self):
         spec = EnsembleSpec(seed=3, count=7)
@@ -159,6 +173,13 @@ class TestVerify:
         csv = verify(EnsembleSpec(seed=seed, count=10)).to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("mesh", [-1.0, 0.0, float("nan"), True])
+    def test_rejects_bad_mesh(self, mesh):
+        # a mesh <= 0 once ran silently: the per-instance net mesh is at
+        # least total_length / 200
+        with pytest.raises(ValueError, match="mesh"):
+            verify(EnsembleSpec(seed=2, count=1), mesh=mesh)
+
     def test_json_obj_shape(self):
         spec = EnsembleSpec(seed=4, count=2)
         obj = verify(spec).to_json_obj()
@@ -240,6 +261,14 @@ class TestCli:
         result = runner.invoke(main, ["info", "--graph",
                                       str(tmp_path / "none.json")])
         assert result.exit_code == 2
+
+    def test_unwritable_out(self, tmp_path, theta):
+        # an I/O error once left a FileNotFoundError traceback and exit 1
+        path = _write_graph(tmp_path, theta, "theta.json")
+        result = CliRunner().invoke(main, ["info", "--graph", path, "--out",
+                                           str(tmp_path / "absent" / "x.json")])
+        assert result.exit_code == 2, result.output
+        assert "absent" in result.output
 
     def test_seq_csv(self, tmp_path, theta):
         path = _write_graph(tmp_path, theta, "theta.json")

@@ -93,6 +93,18 @@ class TestConstruction:
         assert c12.betti1 == 1
         assert segment().betti1 == 0
 
+    def test_incident_edges_in_edge_order(self):
+        # parallel edges, a loop split into two halves, and an edge given
+        # from its second endpoint: each vertex lists its edges once, in
+        # the order they were given
+        G = MetricGraph(["a", "b"], [("e1", "a", "b", 1.0), ("e2", "a", "b", 2.0),
+                                     ("loop", "b", "b", 1.0), ("e3", "b", "a", 3.0)])
+        assert G.incident("a") == ("e1", "e2", "e3")
+        assert G.incident("b") == ("e1", "e2", "loop|a", "loop|b", "e3")
+        assert G.incident("loop|m") == ("loop|a", "loop|b")
+        with pytest.raises(ValueError, match="unknown vertex"):
+            G.incident("z")
+
 
 class TestDistance:
     def test_half_edge(self):
