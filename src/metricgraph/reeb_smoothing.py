@@ -13,19 +13,21 @@ slot 2k is the k-th merged level and slot 2k + 1 the open interval above
 it. Each critical value is mapped to its slot once and no float is compared
 after that: a model vertex or edge lies in the band from the slot of its
 lowest f to the slot of its highest f + eps, so the band moves by per-slot
-enter and leave lists. The components at even slots
-are the vertices of S before pass-through vertices dissolve. Each component
-at an odd slot is an edge joining the components that hold it at the two
-neighbouring even slots, which always contain it.
+enter and leave lists, all at even slots. Each component at an even slot is
+a vertex of S unless it is a pass-through, one component just below and one
+just above; each component at an odd slot lies on an edge of S.
 
 The band's components persist from slot to slot, and only the ones that
 change are touched, not the whole band (compare Parsa, "A deterministic
 O(m log m) time algorithm for the Reeb graph", SoCG 2012). An entering
 element merges the components it meets, the smaller relabelled into the
 largest, and a component that loses an element is re-explored, each piece
-that splits off taking a fresh id. Each element logs the slots at which its
-component id changed, and each slot maps its component ids to S, so the
-class of any (slot, element) pair is one bisection away.
+that splits off taking a fresh id. A component that nothing enters, merges
+into or leaves keeps its S edge and costs nothing; S vertices arise only at
+births, deaths, merges and splits. Each element logs the slots at which its
+component id changed, each component the slots at which its class in S
+changed, and each class of S the slots at which its smallest element
+changed, so a class or a representative is two bisections away.
 
 Levels run from 0 to max f + eps: the quotient keeps growing above the
 highest point of G, which contributes a hanging tail.
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, List, NamedTuple, Set, Tuple
 
 from .metric_graph import (
@@ -52,10 +53,34 @@ from .metric_graph import (
     epsilon_net,
     finite_metric,
     is_real,
+    per_graph,
 )
 from .gh_bounds import Correspondence
 
 _Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
+
+
+class _Sweep(NamedTuple):
+    """The band sweep of (G, p) at scale eps: S as lists, and the breakpoint
+    lists that the class and representative lookups bisect. It lives in G's
+    memo and is shared, so nothing in it may be mutated."""
+
+    model: MonotoneModel
+    criticals: Tuple[float, ...]
+    elems: List[_Elem]           # model elements in sorted order
+    num: Dict[_Elem, int]        # ... and the number of each
+    # per element (slots, component ids): from each listed slot on, until
+    # the next, the element's band component has that id
+    log: List[Tuple[List[int], List[int]]]
+    # per component id (slots, names): from each listed slot on, the
+    # component's class is that S vertex or S edge
+    names: List[Tuple[List[int], List[str]]]
+    # per S vertex or S edge (slots, elements): from each listed slot on,
+    # the smallest element of its class; a vertex has one entry, its slot
+    reps: Dict[str, Tuple[List[int], List[int]]]
+    level: Dict[str, float]      # S vertex -> level, in name order
+    edges: List[Tuple[str, str, str, float]]  # S edges in name order
+    base_class: str
 
 
 @dataclass(frozen=True)
@@ -74,16 +99,9 @@ class SmoothedGraph:
     base_class: str
     eps: float
     _source: MetricGraph = field(repr=False)
-    _model: MonotoneModel = field(repr=False)
-    _criticals: Tuple[float, ...] = field(repr=False)
-    # model element -> (slots, component ids): from each listed slot on,
-    # until the next, the element's band component has that id
-    _log: Dict[_Elem, Tuple[List[int], List[int]]] = field(repr=False)
-    # slot -> component id -> the S vertex or S edge holding its class
-    _names: Tuple[Dict[int, str], ...] = field(repr=False)
-    # (S vertex, its slot) or (S edge, odd slot) -> smallest model element
-    # of that class
-    _rep: Dict[Tuple[str, int], _Elem] = field(repr=False)
+    # the sweep S was assembled from: its monotone model, its critical
+    # levels, and the breakpoint lists that _class and _rep_at read
+    _sweep: _Sweep = field(repr=False)
 
     def to_json_obj(self) -> dict:
         from .metric_graph import graph_to_json_obj
@@ -93,38 +111,37 @@ class SmoothedGraph:
         return obj
 
 
-def _comp_at(log: Tuple[List[int], List[int]], s: int) -> int:
-    """The component an element's log gives it at slot s: the id of the
-    last entry at or before s."""
-    slots, comps = log
-    return comps[bisect_right(slots, s) - 1]
+def _at(breaks: Tuple[List, List], s: int):
+    """The value a breakpoint list gives at slot s: that of the last entry
+    at or before s."""
+    slots, values = breaks
+    return values[bisect_right(slots, s) - 1]
 
 
 def _class(S: SmoothedGraph, s: int, x: _Elem) -> str:
     """The S vertex or S edge holding the class of band element x at slot s."""
-    return S._names[s][_comp_at(S._log[x], s)]
+    sw = S._sweep
+    return _at(sw.names[_at(sw.log[sw.num[x]], s)], s)
 
 
-class _Sweep(NamedTuple):
-    """The band sweep of one smoothing, before S is assembled."""
-
-    model: MonotoneModel
-    criticals: List[float]
-    elems: List[_Elem]             # model elements in sorted order
-    log: List[Tuple[List[int], List[int]]]  # per element, see SmoothedGraph._log
-    prov: List[Dict[int, int]]     # per slot, component id -> provisional id
-    pv_slot: List[int]             # per provisional vertex (even slot), its slot
-    pv_rep: List[int]              # ... and its smallest element
-    pe_slot: List[int]             # per provisional edge (odd slot), its slot
-    pe_rep: List[int]              # ... and its smallest element
-    base: int                      # the element of the basepoint's model vertex
+def _rep_at(S: SmoothedGraph, name: str, s: int) -> _Elem:
+    """The smallest model element of the class of S vertex or S edge
+    ``name`` at a slot s that it spans."""
+    sw = S._sweep
+    return sw.elems[_at(sw.reps[name], s)]
 
 
 def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
-    """Sweep the band of (G, p) at scale eps across the slots."""
+    """The band sweep of (G, p) at scale eps, run once per (G, canonical p,
+    eps)."""
     if not is_real(eps) or not 0 <= eps < math.inf:
         raise ValueError(f"eps must be a finite number >= 0, not {eps!r}")
-    model = _monotone_model(G, p)
+    return _sweep_at(G, G.canonical(p), float(eps))
+
+
+@per_graph
+def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> _Sweep:
+    model = _monotone_model(G, cp)
     H, f = model.graph, model.f
 
     # a critical value within gap of the first value of a run joins its slot
@@ -156,13 +173,18 @@ def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
         adj[a].append(i)
         adj[b].append(i)
 
-    # the band's components, kept from slot to slot, and each element's log
-    # of (slot, component id) changes
+    # the band's components, kept from slot to slot: each element's log of
+    # (slot, component id) changes, and each component's log of classes
     comp: Dict[int, int] = {}       # band element -> component id
     members: Dict[int, Set[int]] = {}
     low: Dict[int, int] = {}        # component id -> smallest element
     log: List[Tuple[List[int], List[int]]] = [([], []) for _ in elems]
-    fresh = count()
+    names: List[Tuple[List[int], List[str]]] = []
+    cur: Dict[int, int] = {}        # component id -> its S edge, between slots
+
+    def fresh() -> int:
+        names.append(([], []))
+        return len(names) - 1
 
     def label(x: int, c: int, s: int) -> None:
         # a later entry at the same slot overrides, as the lookup bisects right
@@ -170,41 +192,51 @@ def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
         log[x][0].append(s)
         log[x][1].append(c)
 
-    # provisional vertices (even slots) and edges (odd slots), numbered in
-    # sweep order: each one's slot and smallest element, and per slot the
-    # provisional id of every live component
-    pv_slot: List[int] = []
-    pv_rep: List[int] = []
-    pe_slot: List[int] = []
-    pe_rep: List[int] = []
-    prov: List[Dict[int, int]] = []
-    for s in range(n_slots):
+    def name(c: int, s: int, n: str) -> None:
+        names[c][0].append(s)
+        names[c][1].append(n)
+
+    # S as it grows: vertex levels, and per S edge its ends and its log of
+    # smallest elements
+    level: Dict[str, float] = {}
+    bottom: List[str] = []
+    top: List[str] = []
+    reps: Dict[str, Tuple[List[int], List[int]]] = {}
+
+    # elements enter and leave at even slots only, so the band is constant
+    # from the slot after one even slot to the next
+    for s in range(0, n_slots, 2):
+        # an entering element merges the components it meets into the
+        # largest; ins lists the S edges that flow into each component
+        # touched, none for a component born here
+        ins: Dict[int, List[int]] = {}
         for x in enter[s]:
             touched = {comp[y] for y in adj[x] if y in comp}
+            for d in touched - ins.keys():
+                ins[d] = [cur.pop(d)]
             c = max(touched, key=lambda d: len(members[d]), default=None)
             if c is None:
-                c = next(fresh)
-                members[c], low[c] = set(), x
+                c = fresh()
+                members[c], low[c], ins[c] = set(), x, []
             for d in touched - {c}:
                 for y in members[d]:
                     label(y, c, s)
                 members[c] |= members.pop(d)
                 low[c] = min(low[c], low.pop(d))
+                ins[c] += ins.pop(d)
             members[c].add(x)
             low[c] = min(low[c], x)
             label(x, c, s)
-        at, reps = (pv_slot, pv_rep) if s % 2 == 0 else (pe_slot, pe_rep)
-        live = sorted(members, key=low.__getitem__)
-        prov.append({c: len(reps) + k for k, c in enumerate(live)})
-        at.extend([s] * len(live))
-        reps.extend(low[c] for c in live)
+
+        # the components that change at slot s, by their smallest element
+        hit = {comp[x] for x in leave[s]}
+        changed = sorted((low[c], c) for c in ins.keys() | hit)
+
         # after slot s the leaving elements go; a component that lost one
         # is re-explored, and each piece but its largest gets a fresh id
-        hit: Set[int] = set()
         for x in leave[s]:
-            c = comp.pop(x)
-            members[c].discard(x)
-            hit.add(c)
+            members[comp.pop(x)].discard(x)
+        out: Dict[int, List[int]] = {}  # component -> its pieces after slot s
         for c in hit:
             rest = members.pop(c)
             del low[c]
@@ -220,71 +252,66 @@ def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
                             stack.append(y)
                 pieces.append(piece)
             pieces.sort(key=len, reverse=True)
+            out[c] = []
             for k, piece in enumerate(pieces):
-                d = c if k == 0 else next(fresh)
+                d = c if k == 0 else fresh()
                 members[d], low[d] = piece, min(piece)
+                out[c].append(d)
                 if k:
                     for y in piece:
                         label(y, d, s + 1)
-    return _Sweep(model, criticals, elems, log, prov, pv_slot, pv_rep, pe_slot, pe_rep,
-                  num[("v", model.p_vertex)])
+
+        # one S edge in and one out: a pass-through, which stays on its S
+        # edge; any other change is an S vertex, whose pieces start S edges
+        starts: List[Tuple[int, int, str]] = []
+        for lo, c in changed:
+            into = ins[c] if c in ins else [cur.pop(c)]
+            pieces_c = out.get(c, [c])
+            if len(into) == 1 and len(pieces_c) == 1:
+                e = into[0]
+                if not names[c][0]:  # born here, holding one older component
+                    name(c, s, f"s{e}")
+                cur[c] = e
+                rs, rx = reps[f"s{e}"]
+                if rx[-1] != low[c]:
+                    rs.append(s + 1)
+                    rx.append(low[c])
+                continue
+            v = f"n{len(level)}"
+            level[v] = criticals[s // 2]
+            reps[v] = ([s], [lo])
+            name(c, s, v)
+            for e in into:
+                top[e] = v
+            starts += [(low[d], d, v) for d in pieces_c]
+        for lo, d, v in sorted(starts):
+            e = f"s{len(bottom)}"
+            cur[d] = len(bottom)
+            bottom.append(v)
+            top.append("")
+            reps[e] = ([s + 1], [lo])
+            name(d, s + 1, e)
+
+    edges = [(f"s{j}", u, v, level[v] - level[u]) for j, (u, v) in enumerate(zip(bottom, top))]
+    base = num[("v", model.p_vertex)]
+    return _Sweep(model, tuple(criticals), elems, num, log, names, reps, level, edges,
+                  _at(names[_at(log[base], 0)], 0))
 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
     """Smooth (G, p) at scale eps: a finite number >= 0."""
-    (model, criticals, elems, log, prov, pv_slot, pv_rep, pe_slot, pe_rep,
-     base) = _sweep(G, p, eps)
-    pv_level = [criticals[s // 2] for s in pv_slot]
-    pe_ends = [(prov[s - 1][_comp_at(log[x], s - 1)], prov[s + 1][_comp_at(log[x], s + 1)])
-               for s, x in zip(pe_slot, pe_rep)]
-
-    # pass-through vertices (one edge below, one above) dissolve; the rest
-    # are the vertices of S, named in sweep order
-    down: List[List[int]] = [[] for _ in pv_slot]
-    up: List[List[int]] = [[] for _ in pv_slot]
-    for j, (bot, top) in enumerate(pe_ends):
-        up[bot].append(j)
-        down[top].append(j)
-    kept = [i for i in range(len(pv_slot)) if len(down[i]) != 1 or len(up[i]) != 1]
-    vname = {i: f"n{k}" for k, i in enumerate(kept)}
-
-    # each S edge is a chain of provisional edges through dissolved
-    # vertices, named in the sweep order of its lowest one
-    edges: List[Tuple[str, str, str, float]] = []
-    pe_name: List[str] = [""] * len(pe_ends)
-    for j, (bot, top) in enumerate(pe_ends):
-        if bot not in vname:
-            continue
-        name = f"s{len(edges)}"
-        pe_name[j] = name
-        while top not in vname:
-            nxt = up[top][0]
-            pe_name[nxt] = name
-            top = pe_ends[nxt][1]
-        edges.append((name, vname[bot], vname[top], pv_level[top] - pv_level[bot]))
-    pv_name = [vname[i] if i in vname else pe_name[down[i][0]]
-               for i in range(len(pv_slot))]
-
-    names = tuple({c: (pe_name if s % 2 else pv_name)[i] for c, i in at.items()}
-                  for s, at in enumerate(prov))
-    rep = {(vname[i], pv_slot[i]): elems[pv_rep[i]] for i in kept}
-    rep.update(((pe_name[j], s), elems[x]) for j, (s, x) in enumerate(zip(pe_slot, pe_rep)))
-
+    sw = _sweep(G, p, eps)
     return SmoothedGraph(
-        graph=MetricGraph([vname[i] for i in kept], edges),
-        level={vname[i]: pv_level[i] for i in kept},
-        base_class=names[0][_comp_at(log[base], 0)], eps=eps,
-        _source=G, _model=model, _criticals=tuple(criticals),
-        _log=dict(zip(elems, log)), _names=names, _rep=rep,
-    )
+        graph=MetricGraph(list(sw.level), sw.edges), level=dict(sw.level),
+        base_class=sw.base_class, eps=eps, _source=G, _sweep=sw)
 
 
 def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     """Class of (x, 0) in the quotient, as a point of S.graph."""
-    model = S._model
+    model = S._sweep.model
     mp = _to_model_point(model, S._source.canonical(x))
     lvl = _model_f(model, mp)
-    crit = S._criticals
+    crit = S._sweep.criticals
 
     # snap to the first critical level within the merge gap, else take the
     # open interval that holds lvl
@@ -310,18 +337,18 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
 def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
     """A point x of the source graph whose column {x} x [0, eps] meets the
     class sigma."""
-    model = S._model
+    model = S._sweep.model
     f = model.f
     cs = S.graph.canonical(sigma)
-    crit = S._criticals
+    crit = S._sweep.criticals
     if cs.is_vertex():
         lvl = S.level[cs.vertex]
-        elem = S._rep[(cs.vertex, 2 * bisect_left(crit, lvl))]
+        elem = _rep_at(S, cs.vertex, 2 * bisect_left(crit, lvl))
     else:
         lvl = S.level[S.graph.edge(cs.edge).u] + cs.offset
         # the first interval whose closure, widened by the tolerance that
         # put cs inside its edge, holds lvl
-        elem = S._rep[(cs.edge, 2 * bisect_left(crit, lvl - S.graph._tol) - 1)]
+        elem = _rep_at(S, cs.edge, 2 * bisect_left(crit, lvl - S.graph._tol) - 1)
     if elem[0] == "v":
         return _from_model_point(model, GraphPoint(vertex=elem[1]))
     e = model.graph.edge(elem[1])
@@ -329,8 +356,8 @@ def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
     target = min(hi, lvl)
     target = max(target, lo)
     off = target - f[e.u] if f[e.v] >= f[e.u] else f[e.u] - target
-    return _from_model_point(model, model.graph.canonical(
-        GraphPoint(edge=e.id, offset=off)))
+    # _from_model_point canonicalises the model point
+    return _from_model_point(model, GraphPoint(edge=e.id, offset=off))
 
 
 def smoothed_distance(S: SmoothedGraph, x: GraphPoint, y: GraphPoint) -> float:
@@ -340,11 +367,10 @@ def smoothed_distance(S: SmoothedGraph, x: GraphPoint, y: GraphPoint) -> float:
 
 def betti_after_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> int:
     """First Betti number of the smoothing of (G, p) at scale eps, read
-    from the sweep without assembling S: (provisional edges) -
-    (provisional vertices) + 1, which dissolving the pass-through vertices
-    keeps."""
+    from the sweep without building S as a graph: S is connected, so it is
+    (S edges) - (S vertices) + 1."""
     sweep = _sweep(G, p, eps)
-    return len(sweep.pe_slot) - len(sweep.pv_slot) + 1
+    return len(sweep.edges) - len(sweep.level) + 1
 
 
 def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Correspondence:

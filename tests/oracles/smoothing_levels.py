@@ -7,6 +7,9 @@ merging critical values within 100 of those tolerances.
 ``_locate`` and ``_represent`` find classes by scanning the per-level
 provenance lists. The slot sweep in ``metricgraph.reeb_smoothing`` must give
 the same quotient and the same correspondence on generic inputs.
+
+Run as a script, it checks itself against hand-computed smoothings of the
+decorated 12-cycle and the theta graph.
 """
 
 from __future__ import annotations
@@ -303,3 +306,36 @@ def correspondence_parts(G: MetricGraph, S: LevelSmoothing, mesh: float):
     left = list(net_g) + [_represent(S, q) for q in net_s]
     right = [_locate(S, x) for x in net_g] + list(net_s)
     return left, right, finite_metric(G, left), finite_metric(S.graph, right)
+
+
+if __name__ == "__main__":
+    # the decorated 12-cycle from p: f is 0 at p, 2 at a, rises along both
+    # strands of the 12-cycle to 8 at b, and is 10 at q
+    c12 = MetricGraph(["p", "a", "b", "q"],
+                      [("stem", "p", "a", 2.0), ("c1", "a", "b", 6.0),
+                       ("c2", "a", "b", 6.0), ("tail", "b", "q", 2.0)])
+    p = GraphPoint(vertex="p")
+    # eps = 2: the band [t - 2, t] holds a up to t = 4 and b from t = 8, so
+    # it splits in two for t in (4, 8); it is born at 0 and dies at
+    # max f + eps = 12, and the pass-throughs at 2 and 10 dissolve
+    S = epsilon_smoothing(c12, p, 2.0)
+    assert S.graph.betti1 == 1
+    assert sorted(S.level.values()) == [0.0, 4.0, 8.0, 12.0]
+    assert sorted(e.length for e in S.graph.edges) == [4.0, 4.0, 4.0, 4.0]
+    assert S.level[S.base_class] == 0.0
+    # eps = 6: the band holds a up to t = 8 and b from t = 8, so it never
+    # splits, and S is one segment from 0 to 16
+    S = epsilon_smoothing(c12, p, 6.0)
+    assert S.graph.betti1 == 0
+    assert sorted(S.level.values()) == [0.0, 16.0]
+    # the theta graph (lengths 1, 2, 3) from u at eps = 0 is G itself cut at
+    # v (f = 1) and the far points of the 2- and 3-edges (f = 1.5 and 2):
+    # three edges up from u of lengths 1, 1.5 and 2, two up from v of
+    # lengths 0.5 and 1
+    theta = MetricGraph(["u", "v"], [("e1", "u", "v", 1.0), ("e2", "u", "v", 2.0),
+                                     ("e3", "u", "v", 3.0)])
+    S = epsilon_smoothing(theta, GraphPoint(vertex="u"), 0.0)
+    assert S.graph.betti1 == 2
+    assert sorted(S.level.values()) == [0.0, 1.0, 1.5, 2.0]
+    assert sorted(e.length for e in S.graph.edges) == [0.5, 1.0, 1.0, 1.5, 2.0]
+    print("expected values: ok")

@@ -38,6 +38,7 @@ from metricgraph import (
     tree_distortion,
 )
 from metricgraph.gromov_tree import _merge_tree_at
+from metricgraph.reeb_smoothing import _sweep_at
 from metricgraph.harness import EnsembleSpec, random_graph, verify
 from metricgraph.metric_graph import (
     _build_monotone_model,
@@ -567,6 +568,8 @@ class TestMemo:
         p = GraphPoint(vertex=G.vertices[0])
         e = G.edges[-1]
         q = GraphPoint(edge=e.id, offset=0.4 * e.length)
+        d = G.edge(G.incident(p.vertex)[0])
+        p_end = GraphPoint(edge=d.id, offset=0.0 if d.u == p.vertex else d.length)
         diam = diameter(G)
         return {
             "diameter": diam,
@@ -577,6 +580,9 @@ class TestMemo:
             "m": bottleneck_m(G, p, q, GraphPoint(vertex=G.vertices[-1])),
             "td": tree_distortion(G, q, 0.2 * diam),
             "smoothing": epsilon_smoothing(G, p, 0.3 * diam).to_json_obj(),
+            # the same canonical p and eps, given as an edge end and a
+            # numpy float
+            "betti": betti_after_smoothing(G, p_end, np.float64(0.3 * diam)),
         }
 
     def test_each_builder_runs_once(self):
@@ -593,10 +599,13 @@ class TestMemo:
         assert all(memo[k] is v for k, v in kept.items())
         assert {k[0].__name__ for k in memo} == {
             "_peel", "_sp_tree", "_vd_table", "diameter", "_cycle_lengths",
-            "persistence_sequence", "_build_monotone_model", "_merge_tree_at"}
-        # one model and one merge tree per canonical basepoint
+            "persistence_sequence", "_build_monotone_model", "_merge_tree_at",
+            "_sweep_at"}
+        # one model and one merge tree per canonical basepoint, and one
+        # sweep that the smoothing and its Betti number share
         assert len(memo_keys(G, _merge_tree_at)) == 2
         assert len(memo_keys(G, _build_monotone_model)) == 2
+        assert len(memo_keys(G, _sweep_at)) == 1
 
     def test_reread_graph_rebuilds_everything(self):
         G = random_graph(self.SPEC, 0)

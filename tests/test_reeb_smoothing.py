@@ -16,7 +16,7 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph import reeb_smoothing
-from metricgraph.reeb_smoothing import _class
+from metricgraph.reeb_smoothing import _class, _rep_at
 
 from oracles import smoothing_levels, smoothing_slots
 
@@ -249,7 +249,8 @@ class TestSlotOracle:
         S = epsilon_smoothing(G, p, eps)
         T = smoothing_slots.epsilon_smoothing(G, p, eps)
         assert S.to_json_obj() == T.to_json_obj()
-        assert S._rep == T._rep
+        for (name, s), x in T._rep.items():
+            assert _rep_at(S, name, s) == x, (name, s)
         for s, at in enumerate(T._name_of):
             for x, name in at.items():
                 assert _class(S, s, x) == name, (s, x)
@@ -274,6 +275,44 @@ class TestSlotOracle:
         G = random_graph(spec, 0)
         eps = 1.5 * persistence_sequence(G).a(1)
         self.assert_same(G, GraphPoint(vertex=G.vertices[0]), eps, G.total_length / 150.0)
+
+    def test_newborn_component_absorbs_older_one(self):
+        # w (f = 2) and u (f = 2 + 5e-8) share a slot. u enters touching
+        # nothing, and its three edges up make its new component larger than
+        # the old one {aw, w}, so uw merges the old one into the new one:
+        # a pass-through at eps = 0.5 whose class carries on the old S edge
+        G = MetricGraph(["p", "a", "w", "u", "x1", "x2", "x3"],
+                        [("pa", "p", "a", 1.0), ("aw", "a", "w", 1.0),
+                         ("ux1", "u", "x1", 1.0), ("ux2", "u", "x2", 1.0),
+                         ("ux3", "u", "x3", 1.0), ("uw", "u", "w", 5e-8)])
+        for eps in (0.0, 0.5):
+            self.assert_same(G, GraphPoint(vertex="p"), eps, 0.25)
+
+    @pytest.mark.parametrize("k", [2.0 ** -40, 2.0 ** 40])
+    def test_extreme_scales(self, k):
+        # tolerances and slot merging are relative, so both sweeps see the
+        # same slots far from unit scale
+        spec = EnsembleSpec(seed=89, count=6, beta1_range=(1, 5))
+        for i in range(6):
+            G = scaled(random_graph(spec, i), k)
+            seq = persistence_sequence(G)
+            mesh = max(0.1 * diameter(G), G.total_length / 100.0)
+            for eps in (0.0, 0.3 * diameter(G), 1.5 * seq.a(1), 1.5 * seq.a(1) + 1e-6 * k):
+                self.assert_same(G, GraphPoint(vertex=G.vertices[0]), eps, mesh)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_breakpoints_are_output_sensitive(self, seed):
+        # the class and representative lookups store breakpoints only where
+        # a component or a class changes, not one entry per (slot, live
+        # component): about 1,000 entries here, where per-slot tables held
+        # 39,000-45,000
+        spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        eps = 1.5 * persistence_sequence(G).a(1)
+        sw = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), eps)._sweep
+        entries = (sum(len(slots) for slots, _ in sw.names)
+                   + sum(len(slots) for slots, _ in sw.reps.values()))
+        assert entries <= 2 * len(sw.elems)
 
 
 def scaled(G, k):
