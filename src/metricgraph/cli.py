@@ -15,7 +15,7 @@ import click
 
 from .gh_bounds import delta_n_bounds, dgh_bounds, hyp_graph
 from .gromov_tree import build_merge_tree
-from .harness import EnsembleSpec, load_graph, verify
+from .harness import EnsembleSpec, _csv_lines, _fmt, load_graph, verify
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
@@ -33,7 +33,7 @@ from .reeb_smoothing import epsilon_smoothing
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -69,21 +69,6 @@ def _default_mesh(G: MetricGraph, mesh: Optional[float]) -> float:
     if not mesh > 0:
         raise click.UsageError("--mesh must be > 0")
     return mesh
-
-
-def _csv_lines(header, rows) -> str:
-    import csv as _csv
-    import io
-    buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for r in rows:
-        w.writerow(r)
-    return buf.getvalue()
-
-
-def _f(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 class _Main(click.Group):
@@ -147,7 +132,7 @@ def net(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str) ->
             if pt.vertex is not None:
                 rows.append(["vertex", pt.vertex, ""])
             else:
-                rows.append(["edge", pt.edge, _f(pt.offset)])
+                rows.append(["edge", pt.edge, _fmt(pt.offset)])
         _emit(_csv_lines(["kind", "id", "offset"], rows), out)
     else:
         _emit_json({"points": [point_to_json_obj(pt) for pt in pts]}, out)
@@ -165,7 +150,7 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
     bc = vr_h1_barcode(finite_metric(G, epsilon_net(G, m)))
     if fmt == "csv":
         _emit(_csv_lines(["birth", "death"],
-                         [[_f(b), _f(d)] for (b, d) in bc.bars]), out)
+                         [[_fmt(b), _fmt(d)] for (b, d) in bc.bars]), out)
     else:
         obj = bc.to_json_obj()
         obj["mesh"] = m
@@ -182,7 +167,7 @@ def seq(graph_path: str, out: Optional[str], fmt: str) -> None:
     s = persistence_sequence(G)
     if fmt == "csv":
         _emit(_csv_lines(["n", "a"],
-                         [[i + 1, _f(v)] for i, v in enumerate(s.entries)]), out)
+                         [[i + 1, _fmt(v)] for i, v in enumerate(s.entries)]), out)
     else:
         _emit_json(s.to_json_obj(), out)
 

@@ -18,11 +18,11 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
+    _best_route,
+    _build_monotone_model,
     _model_f,
-    _monotone_model,
     _to_model_point,
     check_positive,
-    distance,
     epsilon_net,
     finite_metric,
     per_graph,
@@ -36,7 +36,9 @@ def gromov_product(obj, p, x, y) -> float:
     matrix with integer indices.
     """
     if isinstance(obj, MetricGraph):
-        return (distance(obj, p, x) + distance(obj, p, y) - distance(obj, x, y)) / 2.0
+        cp, cx, cy = obj.canonical(p), obj.canonical(x), obj.canonical(y)
+        return (_best_route(obj, cp, cx)[0] + _best_route(obj, cp, cy)[0]
+                - _best_route(obj, cx, cy)[0]) / 2.0
     D = obj
     return (D[p][x] + D[p][y] - D[x][y]) / 2.0
 
@@ -187,13 +189,9 @@ def _merge_tree_from_model(model: MonotoneModel) -> MergeTree:
     return MergeTree(nodes=nodes, root=remap[live[0]], node_of=node_of)
 
 
-def _merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
-    return _merge_tree_at(G, G.canonical(p))
-
-
 @per_graph
 def _merge_tree_at(G: MetricGraph, cp: GraphPoint) -> MergeTree:
-    return _merge_tree_from_model(_monotone_model(G, cp))
+    return _merge_tree_from_model(_build_monotone_model(G, cp))
 
 
 def build_merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
@@ -201,13 +199,13 @@ def build_merge_tree(G: MetricGraph, p: GraphPoint) -> MergeTree:
 
     Built once per (graph, canonical basepoint) and shared; do not mutate.
     """
-    return _merge_tree(G, p)
+    return _merge_tree_at(G, G.canonical(p))
 
 
 def _place(G: MetricGraph, model: MonotoneModel, x: GraphPoint) -> Tuple[str, float]:
     """(x if it is a model vertex, else the upper end of its model edge;
-    f(x))."""
-    mp = _to_model_point(model, G.canonical(x))
+    f(x)), for a canonical point x of G."""
+    mp = _to_model_point(model, x)
     if mp.is_vertex():
         return mp.vertex, model.f[mp.vertex]
     e = model.graph.edge(mp.edge)
@@ -225,19 +223,24 @@ def bottleneck_m(G: MetricGraph, p: GraphPoint, x: GraphPoint, y: GraphPoint) ->
     one model edge that level is the upper end's own, above both, and m_p is
     min(f(x), f(y)).
     """
-    model = _monotone_model(G, p)
-    ux, fx = _place(G, model, x)
-    uy, fy = _place(G, model, y)
-    tree = _merge_tree(G, p)
+    return _bottleneck(G, G.canonical(p), G.canonical(x), G.canonical(y))
+
+
+def _bottleneck(G: MetricGraph, cp: GraphPoint, cx: GraphPoint, cy: GraphPoint) -> float:
+    """``bottleneck_m`` at canonical points."""
+    model = _build_monotone_model(G, cp)
+    ux, fx = _place(G, model, cx)
+    uy, fy = _place(G, model, cy)
+    tree = _merge_tree_at(G, cp)
     return min(fx, fy, tree.merge_level(tree.node_of[ux], tree.node_of[uy]))
 
 
 def t_p(G: MetricGraph, p: GraphPoint, x: GraphPoint, y: GraphPoint) -> float:
     """Tree distance induced by the merge tree of d(p, .). Never exceeds
     the graph distance."""
-    fx = distance(G, p, x)
-    fy = distance(G, p, y)
-    return fx + fy - 2.0 * bottleneck_m(G, p, x, y)
+    cp, cx, cy = G.canonical(p), G.canonical(x), G.canonical(y)
+    return (_best_route(G, cp, cx)[0] + _best_route(G, cp, cy)[0]
+            - 2.0 * _bottleneck(G, cp, cx, cy))
 
 
 def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortionResult:
@@ -254,8 +257,9 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     """
     check_positive("mesh", mesh)
     net = epsilon_net(G, mesh)
-    model = _monotone_model(G, p)
-    tree = _merge_tree(G, p)
+    cp = G.canonical(p)
+    model = _build_monotone_model(G, cp)
+    tree = _merge_tree_at(G, cp)
     D = finite_metric(G, net)
 
     places = [_place(G, model, x) for x in net]

@@ -28,7 +28,6 @@ from .gh_bounds import (
 )
 from .gromov_tree import (
     bottleneck_m,
-    build_merge_tree,
     gromov_product,
     t_p,
     tree_distortion,
@@ -150,6 +149,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _csv_lines(header, rows) -> str:
+    """A CSV table with "\n" line ends: the reports' and the CLI's."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class ReportRow:
     """One verified inequality: passes when left <= right + tol, where tol
@@ -228,13 +236,10 @@ class VerificationReport:
         return obj
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["check", "anchor", "instance", "left", "right", "slack", "pass"])
-        for r in self.rows:
-            w.writerow([r.check, r.anchor, r.instance,
-                        _fmt(r.left), _fmt(r.right), _fmt(r.slack), r.status])
-        return buf.getvalue()
+        return _csv_lines(["check", "anchor", "instance", "left", "right", "slack", "pass"],
+                          [[r.check, r.anchor, r.instance,
+                            _fmt(r.left), _fmt(r.right), _fmt(r.slack), r.status]
+                           for r in self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +298,8 @@ def _pointed_dgh_upper(G: MetricGraph, p: GraphPoint,
     subs = []
     for (graph, base) in ((G, p), (H, q)):
         coarse = max(diameter(graph) / 6.0, 1e-6 * graph._unit)
-        net = [base] + [x for x in epsilon_net(graph, coarse)
-                        if x != graph.canonical(base)]
+        cb = graph.canonical(base)
+        net = [base] + [x for x in epsilon_net(graph, coarse) if x != cb]
         D = finite_metric(graph, net)
         idx, radius = _farthest_point_sample(D, 5, 0)
         # the net itself is coarse of radius <= coarse
@@ -412,14 +417,6 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
     row("bottleneck above gromov product", "lem:mpgp", worst_gp, 0.0)
     row("tree pseudometric below distance", "prop:tptree", worst_td, 0.0)
     row("tree metric four point", "prop:tptree", hyperbolicity(TP), 0.0)
-
-    tree = build_merge_tree(G, p)
-    worst_lca = 0.0
-    for u, w in combinations(G.vertices, 2):
-        lvl = tree.merge_level(tree.node_of[u], tree.node_of[w])
-        m = bottleneck_m(G, p, GraphPoint(vertex=u), GraphPoint(vertex=w))
-        worst_lca = max(worst_lca, abs(lvl - m))
-    row("merge tree lca is bottleneck", "prop:tptree", worst_lca, 0.0)
 
     if have_hyp:
         td = tree_distortion(G, p, max(net_mesh, G.total_length / 150.0))

@@ -6,7 +6,11 @@ changes nothing metrically but keeps both endpoints of every stored edge
 distinct, which the sweep algorithms downstream rely on.
 
 Points of the geodesic space are either vertices or interior positions
-(edge id, offset from the edge's u endpoint).
+(edge id, offset from the edge's u endpoint). A point is canonical when no
+offset lies within the graph's tolerance of an edge end. Public functions
+canonicalise each point argument once and ``epsilon_net`` returns canonical
+points; a helper (leading underscore) takes canonical points and snaps only
+a point it builds whose offset may lie within tolerance of an edge end.
 
 Tolerances are relative: a float comparison allows REL_TOL of the length
 unit of its input, the power of two given by ``length_unit``. A graph's
@@ -444,10 +448,12 @@ class MetricGraph:
 
 
 def points_equal(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> bool:
-    ca, cb = G.canonical(a), G.canonical(b)
-    if ca.is_vertex() != cb.is_vertex():
-        return False
-    if ca.is_vertex():
+    return _same_point(G, G.canonical(a), G.canonical(b))
+
+
+def _same_point(G: MetricGraph, ca: GraphPoint, cb: GraphPoint) -> bool:
+    """Whether two canonical points are one, up to G's tolerance."""
+    if ca.vertex is not None or cb.vertex is not None:
         return ca.vertex == cb.vertex
     return ca.edge == cb.edge and abs(ca.offset - cb.offset) <= G._tol
 
@@ -666,8 +672,7 @@ def diameter(G: MetricGraph) -> float:
         # the corner of a pair (i, j), i < j, at the two ends x, y of the
         # largest table entry: the kernel forms this value there
         x, y = divmod(int(D.argmax()), len(D))
-        (i, x), (j, y) = sorted((int(np.flatnonzero((eu == z) | (ev == z))[0]), z)
-                                for z in (x, y))
+        (i, x), (j, y) = sorted((G._iadj[z][0][2], z) for z in (x, y))
         if i != j:
             s = 0.0 if eu[i] == x else L[i]
             t = 0.0 if eu[j] == y else L[j]
@@ -704,9 +709,13 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
 
     Deterministic: vertices in sorted order, then edges in construction
     order with ascending offsets. Covering radius is at most eps/2 along
-    each edge, so at most eps in the graph.
+    each edge, so at most eps in the graph. The points are canonical: each
+    interior point lies at least eps/2 inside its edge, and where there are
+    edges eps must exceed 4 tolerances (the longest would get 2.5e8 points).
     """
     check_positive("eps", eps)
+    if G._edge_tuple and eps <= 4.0 * G._tol:
+        raise ValueError(f"eps must exceed 4 x the graph's tolerance {G._tol!r}, not {eps!r}")
     pts: List[GraphPoint] = [GraphPoint(vertex=v) for v in G.vertices]
     for e in G.edges:
         m = int(math.ceil(e.length / eps - 1e-12))
@@ -750,7 +759,7 @@ def validate_path(G: MetricGraph, path: EdgePath):
     for idx in range(n - 1):
         p_end = _step_point(G, path.steps[idx], "end")
         p_start = _step_point(G, path.steps[idx + 1], "start")
-        if not points_equal(G, p_end, p_start):
+        if not _same_point(G, p_end, p_start):
             raise ValueError(f"steps {idx} and {idx + 1} do not meet")
 
 
@@ -798,16 +807,14 @@ def path_from_traversals(G: MetricGraph, start_vertex: str, edge_ids: Sequence[s
 
 # simple paths ---------------------------------------------------------------
 
-def _point_key(G: MetricGraph, pt: GraphPoint):
-    c = G.canonical(pt)
+def _point_key(G: MetricGraph, c: GraphPoint):
     if c.is_vertex():
         return ("v", c.vertex)
     return ("e", c.edge, round(c.offset / G._tol))
 
 
-def _occurrences(G: MetricGraph, steps: List[Tuple[str, float, float]], pt: GraphPoint) -> List[float]:
-    """Arclength positions at which the path passes through pt."""
-    c = G.canonical(pt)
+def _occurrences(G: MetricGraph, steps: List[Tuple[str, float, float]], c: GraphPoint) -> List[float]:
+    """Arclength positions at which the path passes through c."""
     tol = G._tol
     pos: List[float] = []
     acc = 0.0
@@ -834,10 +841,11 @@ def _repeat_candidates(G: MetricGraph, steps: List[Tuple[str, float, float]]) ->
     seen = set()
 
     def add(pt: GraphPoint):
-        k = _point_key(G, pt)
+        c = G.canonical(pt)
+        k = _point_key(G, c)
         if k not in seen:
             seen.add(k)
-            pts.append(G.canonical(pt))
+            pts.append(c)
 
     for (eid, a, b) in steps:
         add(GraphPoint(edge=eid, offset=a))
@@ -889,9 +897,9 @@ class MonotoneModel:
     graph: MetricGraph
     f: Dict[str, float]
     p_vertex: str
-    # host edge id -> ordered segments (host_lo, host_hi, model edge id,
-    # model u, model v); model u sits at host_lo
-    host_segments: Dict[str, Tuple[Tuple[float, float, str, str, str], ...]]
+    # host edge id -> ordered segments (host_lo, host_hi, model edge id);
+    # the model edge's u end sits at host_lo
+    host_segments: Dict[str, Tuple[Tuple[float, float, str], ...]]
     new_vertices: Dict[str, Tuple[str, float]]
     # model edge id -> (host edge id, host_lo of its segment)
     host_of: Dict[str, Tuple[str, float]]
@@ -918,12 +926,12 @@ def _build_from_cuts(G: MetricGraph, cuts: Dict[str, List[Tuple[float, str]]]) -
         pieces.append((prev_off, e.length, prev_v, e.v))
         if len(pieces) == 1:
             edges.append((e.id, e.u, e.v, e.length))
-            segs.append((0.0, e.length, e.id, e.u, e.v))
+            segs.append((0.0, e.length, e.id))
         else:
             for k, (a, b, uu, vv) in enumerate(pieces):
                 mid = f"{e.id}|{k}"
                 edges.append((mid, uu, vv, b - a))
-                segs.append((a, b, mid, uu, vv))
+                segs.append((a, b, mid))
         host[e.id] = tuple(segs)
         for seg in segs:
             host_of[seg[2]] = (e.id, seg[0])
@@ -975,10 +983,12 @@ def monotone_subdivision(G: MetricGraph, p: GraphPoint) -> Tuple[MetricGraph, Di
 
 
 def _to_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
-    H = model.graph
+    """The model's canonical point at canonical point pt of G; an interior
+    point within the model's tolerance of a cut is snapped to it."""
     if pt.vertex is not None:
-        return H.canonical(GraphPoint(vertex=pt.vertex))
-    for (a, b, mid, uu, vv) in model.host_segments[pt.edge]:
+        return pt
+    H = model.graph
+    for (a, b, mid) in model.host_segments[pt.edge]:
         if a - H._tol <= pt.offset <= b + H._tol:
             return H.canonical(GraphPoint(edge=mid, offset=pt.offset - a))
     raise ValueError(f"point {pt} not covered by the subdivision")
@@ -993,8 +1003,8 @@ def _model_f(model: MonotoneModel, mp: GraphPoint) -> float:
     return model.f[e.u] + sgn * mp.offset
 
 
-def _from_model_point(model: MonotoneModel, pt: GraphPoint) -> GraphPoint:
-    c = model.graph.canonical(pt)
+def _from_model_point(model: MonotoneModel, c: GraphPoint) -> GraphPoint:
+    """The point of G at canonical point c of the model."""
     if c.is_vertex():
         if c.vertex in model.new_vertices:
             eid, off = model.new_vertices[c.vertex]
@@ -1014,7 +1024,7 @@ def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, floa
         segs = model.host_segments[eid]
         order = segs if a <= b else tuple(reversed(segs))
         lo, hi = min(a, b), max(a, b)
-        for (sa, sb, mid, uu, vv) in order:
+        for (sa, sb, mid) in order:
             ov_lo, ov_hi = max(sa, lo), min(sb, hi)
             if ov_hi - ov_lo <= tol and (ov_lo, ov_hi) != (sa, sb):
                 continue
@@ -1054,7 +1064,8 @@ def monotone_decomposition(G: MetricGraph, p: GraphPoint, path: EdgePath) -> Lis
             signs.append(sgn)
 
     def host_coord(mid: str, off: float) -> float:
-        hp = _from_model_point(model, GraphPoint(edge=mid, offset=off))
+        # a piece end within the model's tolerance of a cut is at the cut
+        hp = _from_model_point(model, H.canonical(GraphPoint(edge=mid, offset=off)))
         return model.host_of[mid][1] + off if hp.is_vertex() else hp.offset
 
     segments: List[EdgePath] = []
@@ -1092,7 +1103,7 @@ def f_variation(G: MetricGraph, p: GraphPoint, path: EdgePath) -> float:
 def shortest_path(G: MetricGraph, a: GraphPoint, b: GraphPoint) -> EdgePath:
     """One geodesic from a to b as an edge path."""
     ca, cb = G.canonical(a), G.canonical(b)
-    if points_equal(G, ca, cb):
+    if _same_point(G, ca, cb):
         return EdgePath(steps=(), anchor=ca)
 
     _, depart, arrive = _best_route(G, ca, cb)

@@ -44,9 +44,9 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
+    _build_monotone_model,
     _from_model_point,
     _model_f,
-    _monotone_model,
     _to_model_point,
     check_positive,
     distance,
@@ -141,7 +141,7 @@ def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
 
 @per_graph
 def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> _Sweep:
-    model = _monotone_model(G, cp)
+    model = _build_monotone_model(G, cp)
     H, f = model.graph, model.f
 
     # a critical value within gap of the first value of a run joins its slot
@@ -307,9 +307,10 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
 
 
 def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
-    """Class of (x, 0) in the quotient, as a point of S.graph."""
+    """Class of (x, 0) in the quotient, as a canonical point of S.graph, for
+    a canonical point x of the source graph."""
     model = S._sweep.model
-    mp = _to_model_point(model, S._source.canonical(x))
+    mp = _to_model_point(model, x)
     lvl = _model_f(model, mp)
     crit = S._sweep.criticals
 
@@ -330,16 +331,16 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     if name in S.level:
         return GraphPoint(vertex=name)
     t = crit[s // 2] if s % 2 == 0 else lvl
+    # S's tolerance can exceed the slot gap, so t may lie within it of an end
     return S.graph.canonical(
         GraphPoint(edge=name, offset=t - S.level[S.graph.edge(name).u]))
 
 
-def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
+def _represent(S: SmoothedGraph, cs: GraphPoint) -> GraphPoint:
     """A point x of the source graph whose column {x} x [0, eps] meets the
-    class sigma."""
+    class of the canonical point cs of S.graph."""
     model = S._sweep.model
     f = model.f
-    cs = S.graph.canonical(sigma)
     crit = S._sweep.criticals
     if cs.is_vertex():
         lvl = S.level[cs.vertex]
@@ -353,11 +354,10 @@ def _represent(S: SmoothedGraph, sigma: GraphPoint) -> GraphPoint:
         return _from_model_point(model, GraphPoint(vertex=elem[1]))
     e = model.graph.edge(elem[1])
     lo, hi = min(f[e.u], f[e.v]), max(f[e.u], f[e.v])
-    target = min(hi, lvl)
-    target = max(target, lo)
+    target = max(min(hi, lvl), lo)
     off = target - f[e.u] if f[e.v] >= f[e.u] else f[e.u] - target
-    # _from_model_point canonicalises the model point
-    return _from_model_point(model, GraphPoint(edge=e.id, offset=off))
+    # a clamped offset may lie within the model's tolerance of an end
+    return _from_model_point(model, model.graph.canonical(GraphPoint(edge=e.id, offset=off)))
 
 
 def smoothed_distance(S: SmoothedGraph, x: GraphPoint, y: GraphPoint) -> float:

@@ -1,0 +1,179 @@
+"""Mutation matrix: small deliberate faults in the library, each with the
+tests that must catch it.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named mutants only
+
+A mutant is (name, file under src/metricgraph/, exact old text, new text,
+test ids). The listed tests first run once on an unmutated copy of src/,
+where every one must pass. Then each mutant is applied to a fresh copy of
+src/, its old text must occur there exactly once, and only its listed tests
+run against the copy, each of which must fail. The exit status is 1 when a
+mutant survives (a listed test passes), when its old text no longer matches
+(a refactor has to update its mutants), or when the baseline fails; 0
+otherwise. Standard library only; it runs pytest in subprocesses, from the
+repository root, with PYTHONPATH set to the copy.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# a mutant that loses a size guard must fail, not exhaust the machine
+_MEMORY_BYTES = 3 << 30
+_TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+_SLOT_ORACLE = "tests/test_reeb_smoothing.py::TestSlotOracle::test_matches_whole_band_sweep"
+_LEVEL_ORACLE = "tests/test_reeb_smoothing.py::TestLevelOracle::test_matches_per_level_smoothing"
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # the output-sensitive smoothing sweep
+    Mutant("sweep: dissolve test and -> or", "reeb_smoothing.py",
+           "if len(into) == 1 and len(pieces_c) == 1:",
+           "if len(into) == 1 or len(pieces_c) == 1:",
+           (_SLOT_ORACLE, _LEVEL_ORACLE,
+            "tests/test_reeb_smoothing.py::TestBettiProfiles::test_theta_profile")),
+    Mutant("sweep: new S edges ordered by slot only", "reeb_smoothing.py",
+           "for lo, d, v in sorted(starts):",
+           "for lo, d, v in starts:",
+           (_SLOT_ORACLE,
+            "tests/test_reeb_smoothing.py::TestSlotOracle::test_cli_large_graph[1]")),
+    Mutant("sweep: breakpoint bisect off by one", "reeb_smoothing.py",
+           "return values[bisect_right(slots, s) - 1]",
+           "return values[bisect_left(slots, s) - 1]",
+           (_SLOT_ORACLE,
+            "tests/test_reeb_smoothing.py::TestSmoothingInvariants::test_eps_zero_is_isometric")),
+    Mutant("sweep: a split's largest piece keeps its parent's S edge", "reeb_smoothing.py",
+           "if len(into) == 1 and len(pieces_c) == 1:",
+           "if len(into) == 1 and len(pieces_c) >= 1:",
+           (_SLOT_ORACLE,
+            "tests/test_reeb_smoothing.py::TestBettiProfiles::test_theta_profile")),
+    Mutant("sweep: S vertex representative taken after the leaving elements go",
+           "reeb_smoothing.py",
+           "reps[v] = ([s], [lo])",
+           "reps[v] = ([s], [low.get(c, lo)])",
+           (_SLOT_ORACLE, _LEVEL_ORACLE)),
+    Mutant("sweep: a pass-through never moves its edge's representative", "reeb_smoothing.py",
+           "if rx[-1] != low[c]:",
+           "if False:",
+           (_SLOT_ORACLE, _LEVEL_ORACLE)),
+    Mutant("sweep: a newborn pass-through left without a name", "reeb_smoothing.py",
+           'name(c, s, f"s{e}")',
+           "pass",
+           ("tests/test_reeb_smoothing.py::TestSlotOracle::test_newborn_component_absorbs_older_one",)),
+    # canonical points: helpers snap only the points they build
+    Mutant("_locate without its snap", "reeb_smoothing.py",
+           "return S.graph.canonical(\n        GraphPoint(edge=name,",
+           "return (\n        GraphPoint(edge=name,",
+           ("tests/test_reeb_smoothing.py::TestBuiltPointsAreCanonical::test_locate_snaps_into_a_vertex",)),
+    Mutant("_to_model_point without its snap", "metric_graph.py",
+           "return H.canonical(GraphPoint(edge=mid, offset=pt.offset - a))",
+           "return GraphPoint(edge=mid, offset=pt.offset - a)",
+           ("tests/test_metric_graph.py::TestCanonicalOnce::test_model_points_are_canonical",)),
+    Mutant("_represent without its snap", "reeb_smoothing.py",
+           "return _from_model_point(model, model.graph.canonical(GraphPoint(edge=e.id, offset=off)))",
+           "return _from_model_point(model, GraphPoint(edge=e.id, offset=off))",
+           ("tests/test_reeb_smoothing.py::TestBuiltPointsAreCanonical::test_located_and_represented_points[0.5]",)),
+    Mutant("epsilon_net without its tolerance guard", "metric_graph.py",
+           "if G._edge_tuple and eps <= 4.0 * G._tol:",
+           "if False:",
+           ("tests/test_metric_graph.py::test_epsilon_net_rejects_tolerance_scale[4.0]",)),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_BYTES, _MEMORY_BYTES))
+
+
+def _run(src: Path, tests: List[str]) -> Dict[str, str]:
+    """The outcome (PASSED, FAILED or ERROR) of each test id run against the
+    copy at src; a test id that did not run is missing."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run([sys.executable, "-c", "import metricgraph; print(metricgraph.__file__)"],
+                           cwd=ROOT, env=env, capture_output=True, text=True)
+    if not where.stdout.strip().startswith(str(src)):
+        raise RuntimeError(f"metricgraph imported from {where.stdout.strip() or where.stderr}, not {src}")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=_TIMEOUT_S,
+            preexec_fn=_limit_memory)
+        out = proc.stdout
+    except subprocess.TimeoutExpired:
+        return {t: "TIMEOUT" for t in tests}
+    outcomes: Dict[str, str] = {}
+    for line in out.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            for t in tests:
+                if rest == t or rest.startswith(t + " "):
+                    outcomes[t] = word
+    return outcomes
+
+
+def main(argv: List[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = _copy_src(Path(tmp) / "base")
+        tests = sorted({t for m in chosen for t in m.tests})
+        outcomes = _run(base, tests)
+        for t in tests:
+            if outcomes.get(t) != "PASSED":
+                print(f"baseline: {t}: {outcomes.get(t, 'did not run')}")
+                bad += 1
+        if bad:
+            return 1
+        for k, m in enumerate(chosen):
+            src = _copy_src(Path(tmp) / f"m{k}")
+            path = src / "metricgraph" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE    {m.name}: old text occurs {text.count(m.old)} times in {m.file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            outcomes = _run(src, list(m.tests))
+            alive = [t for t in m.tests if outcomes.get(t) not in ("FAILED", "ERROR")]
+            if alive:
+                bad += 1
+                print(f"SURVIVED {m.name}")
+                for t in alive:
+                    print(f"    {t}: {outcomes.get(t, 'did not run')}")
+            else:
+                print(f"killed   {m.name}")
+            shutil.rmtree(src.parent)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed" if not bad else f"{bad} problem(s)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

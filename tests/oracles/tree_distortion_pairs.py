@@ -14,7 +14,7 @@ Run as a script, it checks itself against hand-derived distortions.
 
 from typing import Dict, List
 
-from metricgraph.gromov_tree import TreeDistortionResult, _merge_tree, _place
+from metricgraph.gromov_tree import TreeDistortionResult, _place, build_merge_tree as _merge_tree
 from metricgraph.metric_graph import (
     GraphPoint,
     MetricGraph,

@@ -163,11 +163,12 @@ class TestVerify:
         assert header == "check,anchor,instance,left,right,slack,pass"
 
     # the unit-scale reports, byte for byte, as the absolute tolerances
-    # gave them (recorded with numpy 2.4)
+    # gave them less the "merge tree lca is bottleneck" rows, which could
+    # not fail (recorded with numpy 2.4)
     @pytest.mark.parametrize("seed, digest", [
-        (10, "abe80e25839440630087777ad23f3d5c420f83835f00ebcd9f8c988077b4d89f"),
-        (11, "036c8597ead7bda3b38f71dd7ae0717d878add51b0c2b7de491d8c5ed4ffde30"),
-        (12, "ed12f2e9b0664f6984574a3d1c90dfef5bbbcb8ef8bddf4dd1197ccf0eb6d106"),
+        (10, "a2e425ea767a91acb52040b130cdac9f7cbf4a83229976532de488f33ff4b5bc"),
+        (11, "d254366d394b7bb8e2f6046be34ce347f71584ddf13d58f4ae37a2afe7df9f62"),
+        (12, "f5dffbac780922a78c544370dc4d6994f7e0904fd6d02ada47afffb95dc5d1cd"),
     ])
     def test_csv_pinned(self, seed, digest):
         csv = verify(EnsembleSpec(seed=seed, count=10)).to_csv()

@@ -37,11 +37,15 @@ from metricgraph import (
     shortest_path,
     tree_distortion,
 )
-from metricgraph.gromov_tree import _merge_tree_at
-from metricgraph.reeb_smoothing import _sweep_at
+from metricgraph import metric_graph
+from metricgraph.gromov_tree import _merge_tree_at, _place
+from metricgraph.reeb_smoothing import _locate, _represent, _sweep_at
 from metricgraph.harness import EnsembleSpec, random_graph, verify
 from metricgraph.metric_graph import (
     _build_monotone_model,
+    _occurrences,
+    _repeat_candidates,
+    _to_model_point,
     path_end,
     path_from_traversals,
     path_start,
@@ -441,6 +445,20 @@ class TestEpsilonNet:
         with pytest.raises(ValueError):
             epsilon_net(theta, 0.0)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.sampled_from([2.0 ** -40, 1.0, 2.0 ** 40]),
+           st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0, 1.7]))
+    def test_points_are_canonical(self, graph, scale, frac):
+        # an interior point lies at least eps/2 inside its edge, beyond the
+        # tolerance, so canonical() hands every point back as it is
+        vertices, edges = graph
+        G = MetricGraph(vertices, [(k, u, v, L * scale) for (k, u, v, L) in edges])
+        eps = frac * scale
+        for x in epsilon_net(G, eps):
+            assert G.canonical(x) is x
+            if x.edge is not None:
+                assert min(x.offset, G.edge(x.edge).length - x.offset) >= eps / 2
+
 
 class TestFiniteMetric:
     def test_two_points(self):
@@ -701,6 +719,18 @@ def test_bad_scale_rejected(theta, call, name, bad):
         call(theta, GraphPoint(vertex="u"), bad)
 
 
+@pytest.mark.parametrize("k", [4.0, 1.0])
+def test_epsilon_net_rejects_tolerance_scale(theta, monkeypatch, k):
+    # at 4 tolerances the longest edge alone would get 2.5e8 points; with
+    # no GraphPoint to build, a net that skips the check fails at once
+    def no_points(*args, **kwargs):
+        raise AssertionError("epsilon_net built a point")
+
+    monkeypatch.setattr(metric_graph, "GraphPoint", no_points)
+    with pytest.raises(ValueError, match="eps"):
+        epsilon_net(theta, k * theta._tol)
+
+
 @pytest.mark.parametrize("call", [epsilon_smoothing, betti_after_smoothing])
 def test_infinite_eps_rejected(theta, call):
     # S at an infinite scale has no finite edges; the sweep alone would
@@ -711,3 +741,63 @@ def test_infinite_eps_rejected(theta, call):
 
 def test_infinite_mesh_gives_vertex_net(theta):
     assert epsilon_net(theta, float("inf")) == [GraphPoint(vertex=v) for v in theta.vertices]
+
+
+class TestCanonicalOnce:
+    """Helpers take canonical points: none hands a point it is given to
+    MetricGraph.canonical, and a point a helper builds comes out canonical."""
+
+    @pytest.fixture
+    def canonicalised(self, monkeypatch):
+        # ids of the points handed to canonical(); the points under test
+        # stay alive, so no other object can share their ids
+        ids = []
+        canonical = MetricGraph.canonical
+
+        def recording(G, pt):
+            ids.append(id(pt))
+            return canonical(G, pt)
+
+        monkeypatch.setattr(MetricGraph, "canonical", recording)
+        return ids
+
+    @pytest.mark.parametrize("p", [GraphPoint(vertex="u"), GraphPoint(edge="e3", offset=0.75)])
+    def test_helpers_take_canonical_points(self, theta, canonicalised, p):
+        G = theta
+        S = epsilon_smoothing(G, p, 1.0)
+        model = _build_monotone_model(G, G.canonical(p))
+        net_g, net_s = epsilon_net(G, 0.25), epsilon_net(S.graph, 0.25)
+        gamma = shortest_path(G, GraphPoint(edge="e3", offset=0.5), GraphPoint(edge="e2", offset=1.5))
+        steps = list(gamma.steps)
+        cands = _repeat_candidates(G, steps)
+        given = net_g + net_s + cands
+        canonicalised.clear()
+        for x in net_g:
+            _locate(S, x)
+            _to_model_point(model, x)
+            _place(G, model, x)
+        for q in net_s:
+            _represent(S, q)
+        for c in cands:
+            _occurrences(G, steps, c)
+        assert not {id(x) for x in given} & set(canonicalised)
+
+    def test_model_points_are_canonical(self, theta):
+        # from u, the farthest points of e2 and e3 are cuts of the model, at
+        # offsets 1.5 and 2; a point of G within the model's tolerance of a
+        # cut is the cut's vertex
+        model = _build_monotone_model(theta, GraphPoint(vertex="u"))
+        H = model.graph
+        pts = epsilon_net(theta, 0.25) + [GraphPoint(edge="e2", offset=1.5 + 0.5 * H._tol),
+                                          GraphPoint(edge="e3", offset=2.0 - 0.5 * H._tol)]
+        mps = [_to_model_point(model, x) for x in pts]
+        assert all(H.canonical(mp) == mp for mp in mps)
+        assert sum(mp.vertex in model.new_vertices for mp in mps) == 4
+
+    def test_piece_ends_at_a_cut(self, theta):
+        # a path end within the model's tolerance of the cut at e2@1.5 (the
+        # point of e2 farthest from u) makes its piece end at the cut
+        for off in (1.5 - 1e-9, 1.5 + 1e-9):
+            gamma = shortest_path(theta, GraphPoint(edge="e2", offset=off), GraphPoint(vertex="u"))
+            segs = monotone_decomposition(theta, GraphPoint(vertex="u"), gamma)
+            assert segs[0].steps[0][:2] == ("e2", 1.5)

@@ -8,6 +8,7 @@ from metricgraph import (
     betti_after_smoothing,
     delta_n_bounds,
     diameter,
+    epsilon_net,
     epsilon_smoothing,
     minimal_cycle_basis,
     persistence_sequence,
@@ -16,7 +17,7 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph import reeb_smoothing
-from metricgraph.reeb_smoothing import _class, _rep_at
+from metricgraph.reeb_smoothing import _class, _locate, _rep_at, _represent
 
 from oracles import smoothing_levels, smoothing_slots
 
@@ -313,6 +314,36 @@ class TestSlotOracle:
         entries = (sum(len(slots) for slots, _ in sw.names)
                    + sum(len(slots) for slots, _ in sw.reps.values()))
         assert entries <= 2 * len(sw.elems)
+
+
+class TestBuiltPointsAreCanonical:
+    """_locate and _represent build points that may lie within tolerance
+    of an edge end, and snap them."""
+
+    def test_locate_snaps_into_a_vertex(self):
+        # S's longest edge is about 600, so its tolerance, 5.12e-7, is above
+        # the slot gap of 1e-7 (100 x G's tolerance): w (f = 3e-7) has a
+        # slot of its own, on S edge s0, but lies within S's tolerance of n0
+        G = MetricGraph(["p", "w"] + [f"v{k}" for k in range(600)],
+                        [("pw", "p", "w", 3e-7), ("wv", "w", "v0", 1.0)]
+                        + [(f"e{k}", f"v{k - 1}", f"v{k}", 1.0) for k in range(1, 600)])
+        S = epsilon_smoothing(G, GraphPoint(vertex="p"), 0.5)
+        assert S.graph._tol > 100.0 * G._tol
+        assert _locate(S, GraphPoint(vertex="w")) == GraphPoint(vertex="n0")
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.5])
+    def test_located_and_represented_points(self, theta, c12_decorated, eps):
+        # a representative clamped to the end of its model edge is that
+        # end's vertex, not an edge point at offset 0
+        for G, p in ((theta, GraphPoint(vertex="u")), (theta, GraphPoint(edge="e3", offset=0.75)),
+                     (c12_decorated, GraphPoint(vertex="p"))):
+            S = epsilon_smoothing(G, p, eps)
+            for x in epsilon_net(G, 0.25):
+                y = _locate(S, x)
+                assert S.graph.canonical(y) == y
+            for q in epsilon_net(S.graph, 0.25):
+                r = _represent(S, q)
+                assert G.canonical(r) == r
 
 
 def scaled(G, k):
