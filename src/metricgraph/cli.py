@@ -50,7 +50,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(_round_floats(obj), indent=2) + "\n", out)
+    _emit(json.dumps(_round_floats(obj), indent=2, allow_nan=False) + "\n", out)
 
 
 def _point(G: MetricGraph, text: str) -> GraphPoint:

@@ -41,8 +41,9 @@ def length_unit(x: float) -> float:
 
 
 def checked_distances(D) -> np.ndarray:
-    """D as a float array, if it is square and finite, and symmetric and
-    nonnegative to REL_TOL of the length unit of its largest entry."""
+    """D as a float array, if it is square and finite with a zero diagonal,
+    and symmetric and nonnegative to REL_TOL of the length unit of its
+    largest entry."""
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -53,6 +54,8 @@ def checked_distances(D) -> np.ndarray:
         raise ValueError("distance matrix must be symmetric")
     if D.min(initial=0.0) < -tol:
         raise ValueError("distance matrix must be nonnegative")
+    if np.diagonal(D).any():
+        raise ValueError("distance matrix must have a zero diagonal")
     return D
 
 

@@ -36,9 +36,11 @@ highest point of G, which contributes a hanging tail.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Set, Tuple
 
 from .metric_graph import (
     GraphPoint,
@@ -60,48 +62,46 @@ from .gh_bounds import Correspondence
 _Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
 
 
-class _Sweep(NamedTuple):
-    """The band sweep of (G, p) at scale eps: S as lists, and the breakpoint
-    lists that the class and representative lookups bisect. It lives in G's
-    memo and is shared, so nothing in it may be mutated."""
-
-    model: MonotoneModel
-    criticals: Tuple[float, ...]
-    elems: List[_Elem]           # model elements in sorted order
-    num: Dict[_Elem, int]        # ... and the number of each
-    # per element (slots, component ids): from each listed slot on, until
-    # the next, the element's band component has that id
-    log: List[Tuple[List[int], List[int]]]
-    # per component id (slots, names): from each listed slot on, the
-    # component's class is that S vertex or S edge
-    names: List[Tuple[List[int], List[str]]]
-    # per S vertex or S edge (slots, elements): from each listed slot on,
-    # the smallest element of its class; a vertex has one entry, its slot
-    reps: Dict[str, Tuple[List[int], List[int]]]
-    level: Dict[str, float]      # S vertex -> level, in name order
-    edges: List[Tuple[str, str, str, float]]  # S edges in name order
-    base_class: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothedGraph:
-    """Result of an epsilon-smoothing.
+    """The epsilon-smoothing S of (G, p), as the band sweep leaves it.
 
-    ``graph`` is the quotient as a metric graph, ``level`` the value of the
-    quotient function on its vertices, ``base_class`` the vertex holding the
-    class of the basepoint (level 0). Edge lengths equal the level
-    difference of their endpoints, and the distance from ``base_class`` to
-    any point equals its level.
+    ``level`` is the value of the quotient function on S's vertices, in name
+    order, and ``base_class`` the vertex holding the class of the basepoint
+    (level 0). ``graph`` is S as a metric graph, built on first read. Edge
+    lengths equal the level difference of their endpoints, and the distance
+    from ``base_class`` to any point equals its level.
+
+    One smoothing is built per (G, canonical p, float(eps)) in G's memo and
+    shared by every later call, so it and its lists must not be mutated.
     """
 
-    graph: MetricGraph
     level: Dict[str, float]
     base_class: str
     eps: float
-    _source: MetricGraph = field(repr=False)
-    # the sweep S was assembled from: its monotone model, its critical
-    # levels, and the breakpoint lists that _class and _rep_at read
-    _sweep: _Sweep = field(repr=False)
+    # G, held weakly: S lives in G's memo, and a strong reference back would
+    # leave G to the cycle collector instead of freeing it with its last user
+    _source: weakref.ref = field(repr=False)
+    # the sweep's monotone model, critical levels and model elements, in
+    # sorted order, and the number of each element
+    _model: MonotoneModel = field(repr=False)
+    _criticals: Tuple[float, ...] = field(repr=False)
+    _elems: List[_Elem] = field(repr=False)
+    _num: Dict[_Elem, int] = field(repr=False)
+    # per element (slots, component ids): from each listed slot on, until
+    # the next, the element's band component has that id
+    _log: List[Tuple[List[int], List[int]]] = field(repr=False)
+    # per component id (slots, names): from each listed slot on, the
+    # component's class is that S vertex or S edge
+    _names: List[Tuple[List[int], List[str]]] = field(repr=False)
+    # per S vertex or S edge (slots, elements): from each listed slot on,
+    # the smallest element of its class; a vertex has one entry, its slot
+    _reps: Dict[str, Tuple[List[int], List[int]]] = field(repr=False)
+    _edges: List[Tuple[str, str, str, float]] = field(repr=False)  # S edges in name order
+
+    @cached_property
+    def graph(self) -> MetricGraph:
+        return MetricGraph(list(self.level), self._edges)
 
     def to_json_obj(self) -> dict:
         from .metric_graph import graph_to_json_obj
@@ -120,27 +120,25 @@ def _at(breaks: Tuple[List, List], s: int):
 
 def _class(S: SmoothedGraph, s: int, x: _Elem) -> str:
     """The S vertex or S edge holding the class of band element x at slot s."""
-    sw = S._sweep
-    return _at(sw.names[_at(sw.log[sw.num[x]], s)], s)
+    return _at(S._names[_at(S._log[S._num[x]], s)], s)
 
 
 def _rep_at(S: SmoothedGraph, name: str, s: int) -> _Elem:
     """The smallest model element of the class of S vertex or S edge
     ``name`` at a slot s that it spans."""
-    sw = S._sweep
-    return sw.elems[_at(sw.reps[name], s)]
+    return S._elems[_at(S._reps[name], s)]
 
 
-def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> _Sweep:
-    """The band sweep of (G, p) at scale eps, run once per (G, canonical p,
-    eps)."""
+def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
+    """The smoothing of (G, p) at scale eps, swept once per (G, canonical p,
+    float(eps))."""
     if not is_real(eps) or not 0 <= eps < math.inf:
         raise ValueError(f"eps must be a finite number >= 0, not {eps!r}")
     return _sweep_at(G, G.canonical(p), float(eps))
 
 
 @per_graph
-def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> _Sweep:
+def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> SmoothedGraph:
     model = _build_monotone_model(G, cp)
     H, f = model.graph, model.f
 
@@ -294,25 +292,22 @@ def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> _Sweep:
 
     edges = [(f"s{j}", u, v, level[v] - level[u]) for j, (u, v) in enumerate(zip(bottom, top))]
     base = num[("v", model.p_vertex)]
-    return _Sweep(model, tuple(criticals), elems, num, log, names, reps, level, edges,
-                  _at(names[_at(log[base], 0)], 0))
+    return SmoothedGraph(level, _at(names[_at(log[base], 0)], 0), eps, weakref.ref(G), model,
+                         tuple(criticals), elems, num, log, names, reps, edges)
 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
-    """Smooth (G, p) at scale eps: a finite number >= 0."""
-    sw = _sweep(G, p, eps)
-    return SmoothedGraph(
-        graph=MetricGraph(list(sw.level), sw.edges), level=dict(sw.level),
-        base_class=sw.base_class, eps=eps, _source=G, _sweep=sw)
+    """Smooth (G, p) at scale eps: a finite number >= 0. Every call with the
+    same canonical p and float(eps) returns the same shared smoothing."""
+    return _sweep(G, p, eps)
 
 
 def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
     """Class of (x, 0) in the quotient, as a canonical point of S.graph, for
     a canonical point x of the source graph."""
-    model = S._sweep.model
+    model, crit = S._model, S._criticals
     mp = _to_model_point(model, x)
     lvl = _model_f(model, mp)
-    crit = S._sweep.criticals
 
     # snap to the first critical level within the merge gap, else take the
     # open interval that holds lvl
@@ -339,9 +334,8 @@ def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
 def _represent(S: SmoothedGraph, cs: GraphPoint) -> GraphPoint:
     """A point x of the source graph whose column {x} x [0, eps] meets the
     class of the canonical point cs of S.graph."""
-    model = S._sweep.model
+    model, crit = S._model, S._criticals
     f = model.f
-    crit = S._sweep.criticals
     if cs.is_vertex():
         lvl = S.level[cs.vertex]
         elem = _rep_at(S, cs.vertex, 2 * bisect_left(crit, lvl))
@@ -369,15 +363,15 @@ def betti_after_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> int:
     """First Betti number of the smoothing of (G, p) at scale eps, read
     from the sweep without building S as a graph: S is connected, so it is
     (S edges) - (S vertices) + 1."""
-    sweep = _sweep(G, p, eps)
-    return len(sweep.edges) - len(sweep.level) + 1
+    S = _sweep(G, p, eps)
+    return len(S._edges) - len(S.level) + 1
 
 
 def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Correspondence:
     """Correspondence between nets of G and of its smoothing S, pairing each
     source net point with its class and each smoothed net point with a
     representative column. Errors on mismatched provenance."""
-    if S._source is not G:
+    if S._source() is not G:
         raise ValueError("mismatched provenance: the smoothing was not built from this graph")
     check_positive("mesh", mesh)
     net_g = epsilon_net(G, mesh)

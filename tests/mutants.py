@@ -96,6 +96,28 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if G._edge_tuple and eps <= 4.0 * G._tol:",
            "if False:",
            ("tests/test_metric_graph.py::test_epsilon_net_rejects_tolerance_scale[4.0]",)),
+    # one smoothing per (G, canonical p, float(eps))
+    Mutant("smoothing memo keyed by the raw basepoint", "reeb_smoothing.py",
+           "return _sweep_at(G, G.canonical(p), float(eps))",
+           "return _sweep_at(G, p, float(eps))",
+           ("tests/test_metric_graph.py::TestMemo::test_one_smoothing_per_key",
+            "tests/test_metric_graph.py::TestMemo::test_each_builder_runs_once")),
+    Mutant("smoothing holds its graph strongly", "reeb_smoothing.py",
+           "eps, weakref.ref(G), model,",
+           "eps, lambda: G, model,",
+           ("tests/test_metric_graph.py::TestMemo::test_smoothings_do_not_keep_their_graph_alive",)),
+    # distance-matrix validation and the correspondence extension
+    Mutant("zero-diagonal check only when the whole diagonal is nonzero", "metric_graph.py",
+           "if np.diagonal(D).any():",
+           "if np.diagonal(D).all():",
+           ("tests/test_gh_bounds.py::TestBruteForce::test_rejects_non_metric[DX-diagonal]",
+            "tests/test_gh_bounds.py::TestCorrespondence::test_rejects_non_metric[DY-diagonal]",
+            "tests/test_gh_bounds.py::TestHyperbolicity::test_rejects_non_metrics[0-0-5.0-zero diagonal]",
+            "tests/test_persistence.py::TestVrBarcode::test_input_validation")),
+    Mutant("r_extension thickens by 2r", "gh_bounds.py",
+           "np.argwhere(cost <= r + tol)",
+           "np.argwhere(cost <= 2.0 * r + tol)",
+           ("tests/test_gh_bounds.py::TestRExtension::test_pairs_match_loop",)),
 )
 
 

@@ -193,7 +193,7 @@ class TestPointedCache:
         a, b = GraphPoint(edge="e2", offset=0.0), GraphPoint(vertex="u")
         assert _monotone_model(theta, a) is _monotone_model(theta, b)
         assert build_merge_tree(theta, a) is build_merge_tree(theta, b)
-        assert epsilon_smoothing(theta, a, 0.5)._sweep.model is _monotone_model(theta, b)
+        assert epsilon_smoothing(theta, a, 0.5)._model is _monotone_model(theta, b)
         c = GraphPoint(edge="e3", offset=1.25)
         assert _monotone_model(theta, c) is _monotone_model(theta, GraphPoint(edge="e3", offset=1.25))
         assert _monotone_model(theta, c) is not _monotone_model(theta, b)

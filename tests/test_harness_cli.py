@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from metricgraph import graph_to_json_obj, save_graph
+from metricgraph import MetricGraph, graph_to_json_obj, save_graph
 from metricgraph.cli import main
 from metricgraph.harness import (
     EnsembleSpec,
@@ -256,6 +256,16 @@ class TestCli:
             result = runner.invoke(main, args + ["--graph", path])
             assert result.exit_code == 2, result.output
             assert "offset" in result.output
+
+    def test_non_finite_output_rejected(self, tmp_path):
+        # every length is finite but their sum is not; the total length once
+        # came out as the JSON-invalid token Infinity, with exit 0
+        G = MetricGraph(["a", "b", "c"], [("ab", "a", "b", 1e308), ("bc", "b", "c", 1e308),
+                                          ("ca", "c", "a", 1e308)])
+        path = _write_graph(tmp_path, G, "big.json")
+        result = CliRunner().invoke(main, ["info", "--graph", path])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
 
     def test_missing_graph_file(self, tmp_path):
         runner = CliRunner()

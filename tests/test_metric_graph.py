@@ -1,5 +1,7 @@
 import collections
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -624,6 +626,42 @@ class TestMemo:
         assert len(memo_keys(G, _merge_tree_at)) == 2
         assert len(memo_keys(G, _build_monotone_model)) == 2
         assert len(memo_keys(G, _sweep_at)) == 1
+
+    def test_one_smoothing_per_key(self):
+        # the canonical basepoint and float(eps) key the smoothing, so an
+        # edge end and a numpy float reach the object a vertex and a float did
+        G = random_graph(self.SPEC, 0)
+        p = GraphPoint(vertex=G.vertices[0])
+        d = G.edge(G.incident(p.vertex)[0])
+        p_end = GraphPoint(edge=d.id, offset=0.0 if d.u == p.vertex else d.length)
+        eps = 0.3 * diameter(G)
+        S = epsilon_smoothing(G, p, eps)
+        assert epsilon_smoothing(G, p, eps) is S
+        assert epsilon_smoothing(G, p_end, np.float64(eps)) is S
+        assert S.graph is S.graph
+        assert betti_after_smoothing(G, p_end, eps) == S.graph.betti1
+        assert epsilon_smoothing(G, p, 0.5 * eps) is not S
+        assert memo_keys(G, _sweep_at) == [(p, eps), (p, 0.5 * eps)]
+
+    def test_smoothings_do_not_keep_their_graph_alive(self):
+        # each smoothing in G's memo points back to G, weakly: no cycle, so
+        # G goes with its last reference, before any collection, and a
+        # smoothing that outlives it belongs to no other graph
+        G = random_graph(self.SPEC, 0)
+        p = GraphPoint(vertex=G.vertices[0])
+        eps = 0.3 * diameter(G)
+        S = epsilon_smoothing(G, p, eps)
+        quotient_correspondence(G, S, eps)
+        betti_after_smoothing(G, p, 0.5 * eps)
+        ref = weakref.ref(G)
+        gc.disable()
+        try:
+            del G
+            assert ref() is None
+        finally:
+            gc.enable()
+        with pytest.raises(ValueError, match="provenance"):
+            quotient_correspondence(random_graph(self.SPEC, 0), S, eps)
 
     def test_reread_graph_rebuilds_everything(self):
         G = random_graph(self.SPEC, 0)

@@ -133,6 +133,8 @@ class TestVrBarcode:
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             vr_h1_barcode(bad)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            vr_h1_barcode(np.array([[0.0, 1.0, 1.0], [1.0, 0.5, 1.0], [1.0, 1.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):

@@ -310,10 +310,10 @@ class TestSlotOracle:
         spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
         G = random_graph(spec, 0)
         eps = 1.5 * persistence_sequence(G).a(1)
-        sw = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), eps)._sweep
-        entries = (sum(len(slots) for slots, _ in sw.names)
-                   + sum(len(slots) for slots, _ in sw.reps.values()))
-        assert entries <= 2 * len(sw.elems)
+        S = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), eps)
+        entries = (sum(len(slots) for slots, _ in S._names)
+                   + sum(len(slots) for slots, _ in S._reps.values()))
+        assert entries <= 2 * len(S._elems)
 
 
 class TestBuiltPointsAreCanonical:
