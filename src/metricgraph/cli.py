@@ -241,18 +241,15 @@ def delta(graph_path: str, basepoint: Optional[str], n: int, mesh: Optional[floa
 @main.command(name="verify")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--count", type=int, default=100, show_default=True)
-@click.option("--mesh", type=float, help="override the per-instance default")
 @click.option("--out", type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--self-test-corrupt", is_flag=True, default=False,
               help="append a deliberately failing row (harness self-test)")
-def verify_cmd(seed: int, count: int, mesh: Optional[float], out: Optional[str],
-               fmt: str, self_test_corrupt: bool) -> None:
+def verify_cmd(seed: int, count: int, out: Optional[str], fmt: str,
+               self_test_corrupt: bool) -> None:
     """Run the inequality verification suite on a seeded ensemble."""
-    if mesh is not None and not mesh > 0:
-        raise click.UsageError("--mesh must be > 0")
     spec = EnsembleSpec(seed=seed, count=count)
-    report = verify(spec, mesh=mesh, corrupt=self_test_corrupt)
+    report = verify(spec, corrupt=self_test_corrupt)
     if fmt == "csv":
         _emit(report.to_csv(), out)
     else:

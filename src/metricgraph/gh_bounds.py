@@ -9,8 +9,8 @@ produced it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -53,11 +53,11 @@ class Correspondence:
     pairs: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "DX", checked_distances(self.DX))
+        object.__setattr__(self, "DY", checked_distances(self.DY))
         n, m = len(self.left), len(self.right)
         if self.DX.shape != (n, n) or self.DY.shape != (m, m):
             raise ValueError("distance matrices do not match the point lists")
-        checked_distances(self.DX)
-        checked_distances(self.DY)
         if not self.pairs:
             raise ValueError("correspondence has no pairs")
         P = np.asarray(self.pairs, dtype=np.int64)
@@ -72,17 +72,25 @@ class Correspondence:
             raise ValueError("correspondence must cover both point lists")
         object.__setattr__(self, "_pair_idx", P)  # the pairs as a (k, 2) array
 
+    @cached_property
+    def _by_left(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs' right indices grouped by left point x, and where each R(x) starts."""
+        P = self._pair_idx[np.argsort(self._pair_idx[:, 0])]
+        return P[:, 1], np.searchsorted(P[:, 0], np.arange(len(self.left)))
+
     @property
     def distortion(self) -> float:
         """Max |d_X(x,x') - d_Y(y,y')| over all pairs of related pairs."""
-        DX = np.asarray(self.DX, dtype=np.float64)
-        DY = np.asarray(self.DY, dtype=np.float64)
-        P = self._pair_idx
+        DX, DY, P = self.DX, self.DY, self._pair_idx
         if len(P) == len(DX) == len(DY) and (P == np.arange(len(P))[:, None]).all():
             # the identity relation: no gather needed
             return float(np.abs(DX - DY).max())
-        px, py = P[:, 0], P[:, 1]
-        return float(np.abs(DX[np.ix_(px, px)] - DY[np.ix_(py, py)]).max())
+        # hi[x, x'] (lo[x, x']): the largest (least) DY over R(x) x R(x'), by
+        # rows then columns; |d| = max(d, -d), and float - is monotone
+        rights, starts = self._by_left
+        hi, lo = (f.reduceat(f.reduceat(DY[rights], starts)[:, rights], starts, axis=1)
+                  for f in (np.maximum, np.minimum))
+        return float(max((hi - DX).max(), (DX - lo).max()))
 
     def to_json_obj(self) -> dict:
         from .metric_graph import point_to_json_obj
@@ -108,9 +116,13 @@ def r_extension(corr: Correspondence, r: float) -> Correspondence:
         raise ValueError(f"r must be >= 0, not {r!r}")
     tol = REL_TOL * length_unit(max(r, float(np.abs(corr.DX).max()),
                                     float(np.abs(corr.DY).max())))
-    pa, pb = corr._pair_idx[:, 0], corr._pair_idx[:, 1]
-    # cost[i, j] = min over related (a, b) of DX[i, a] + DY[j, b]
-    cost = (corr.DX[:, pa][:, None, :] + corr.DY[:, pb][None, :, :]).min(axis=2)
+    # cost[i, j] = min over related (a, b) of DX[i, a] + DY[j, b], that is
+    # (float + being monotone) min over a of DX[i, a] + min over R(a) of DY[j, b]
+    rights, starts = corr._by_left
+    c = np.minimum.reduceat(corr.DY[:, rights], starts, axis=1)
+    cost = np.full((len(corr.left), len(corr.right)), np.inf)
+    for a in range(len(corr.left)):
+        np.minimum(cost, corr.DX[:, a, None] + c[:, a], out=cost)
     # argwhere lists the pairs in sorted (row-major) order
     pairs = tuple(map(tuple, np.argwhere(cost <= r + tol).tolist()))
     return Correspondence(left=corr.left, right=corr.right,
@@ -302,21 +314,36 @@ def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, floa
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A certified interval for a quantity, with the candidate bounds that
-    produced it. The bounds may cross by the tolerance of their length
-    unit."""
+    """A certified interval for a quantity, read off named certificates: the
+    largest lower (0.0 without one; every quantity here is a distance) and
+    the smallest upper. ``reported`` values bound nothing. The bounds may
+    cross by the tolerance of their length unit."""
 
     quantity: str
-    lower: float
-    upper: float
-    certificates: Tuple[Tuple[str, float], ...] = ()
+    lowers: Tuple[Tuple[str, float], ...]
+    uppers: Tuple[Tuple[str, float], ...]
+    reported: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        if not self.uppers:
+            raise ValueError(f"no upper certificate for {self.quantity}")
         tol = REL_TOL * length_unit(max(abs(self.lower), abs(self.upper)))
         if self.lower > self.upper + tol:
             raise AssertionError(
                 f"inconsistent bounds for {self.quantity}: "
                 f"{self.lower} > {self.upper}")
+
+    @property
+    def lower(self) -> float:
+        return max((v for _, v in self.lowers), default=0.0)
+
+    @property
+    def upper(self) -> float:
+        return min(v for _, v in self.uppers)
+
+    @property
+    def certificates(self) -> Tuple[Tuple[str, float], ...]:
+        return self.lowers + self.reported + self.uppers
 
     def to_json_obj(self) -> dict:
         return {
@@ -328,30 +355,27 @@ class BoundReport:
         }
 
 
-def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph) -> List[Tuple[str, float]]:
+def _dgh_lower_certificates(G: MetricGraph, H: MetricGraph) -> Tuple[Tuple[str, float], ...]:
     from .persistence import persistence_sequence, seq_distance
     gap = abs(diameter(G) - diameter(H))
     seq = seq_distance(persistence_sequence(G), persistence_sequence(H))
-    return [("diameter gap / 2", gap / 2.0),
-            ("persistence sequence gap / 4", seq / 4.0)]
+    return (("diameter gap / 2", gap / 2.0),
+            ("persistence sequence gap / 4", seq / 4.0))
 
 
 def dgh_lower(G: MetricGraph, H: MetricGraph) -> float:
     """Best available lower bound on the Gromov-Hausdorff distance between
     two metric graphs."""
-    return max(v for (_, v) in _dgh_lower_certificates(G, H))
+    return dgh_bounds(G, H).lower
 
 
 def dgh_bounds(G: MetricGraph, H: MetricGraph) -> BoundReport:
     """Two-sided estimate of the Gromov-Hausdorff distance between two
     graphs: stable invariants below, the complete relation above."""
-    certs = _dgh_lower_certificates(G, H)
-    lower = max(v for (_, v) in certs)
-    upper = max(diameter(G), diameter(H)) / 2.0
-    certs.append(("complete relation distortion / 2", upper))
     return BoundReport(quantity="gromov-hausdorff distance",
-                       lower=float(lower), upper=float(upper),
-                       certificates=tuple(certs))
+                       lowers=_dgh_lower_certificates(G, H),
+                       uppers=(("complete relation distortion / 2",
+                                max(diameter(G), diameter(H)) / 2.0),))
 
 
 def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
@@ -359,12 +383,10 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
     check_positive("mesh", mesh)
-    upper = R.distortion + 2.0 * mesh
-    certs = _dgh_lower_certificates(G, H)
-    lower = max(v for (_, v) in certs)
-    certs.append(("correspondence distortion + 2*mesh", upper))
     return BoundReport(quantity="labeled gromov-hausdorff distance",
-                       lower=lower, upper=upper, certificates=tuple(certs))
+                       lowers=_dgh_lower_certificates(G, H),
+                       uppers=(("correspondence distortion + 2*mesh",
+                                R.distortion + 2.0 * mesh),))
 
 
 def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
@@ -389,21 +411,14 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
     beta = G.betti1
     name = f"delta_{n}"
     if beta <= n:
-        return BoundReport(quantity=name, lower=0.0, upper=0.0,
-                           certificates=(("first betti number already small", 0.0),))
+        return BoundReport(quantity=name, lowers=(),
+                           uppers=(("first betti number already small", 0.0),))
     seq = persistence_sequence(G)
     a_next = seq.a(n + 1)
     if mesh is None:
         mesh = default_mesh(diameter(G))
 
-    certs: List[Tuple[str, float]] = []
-    lower = a_next / 4.0
-    certs.append(("sequence entry / 4", lower))
-
-    uppers: List[Tuple[str, float]] = []
-    uppers.append(("linear formula in the sequence entry",
-                   (6.0 * beta + 6.0) * a_next))
-
+    uppers = [("linear formula in the sequence entry", (6.0 * beta + 6.0) * a_next)]
     # at 1.5 a(n+1) the smoothing's first Betti number is at most n (see
     # prop:smoothingbetti); if rounding ever broke that, the guard drops the
     # certificate
@@ -413,16 +428,14 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
         uppers.append(("smoothing quotient correspondence",
                        corr.distortion / 2.0 + 2.0 * mesh))
 
+    reported = ()
     if n == 0:
         # td is measured on a mesh-net, which can miss a short cycle; the
         # net term is the one the smoothing certificate carries
         td = tree_distortion(G, p, mesh)
         uppers.append(("merge tree distortion / 2 + 2*mesh",
                        td.value / 2.0 + 2.0 * mesh))
-        certs.append(("merge tree distortion / 2", td.value / 2.0))
-        certs.append(("tree distortion / 6 (reported)", td.value / 6.0))
-
-    upper = min(v for (_, v) in uppers)
-    certs.extend(uppers)
-    return BoundReport(quantity=name, lower=float(lower), upper=float(upper),
-                       certificates=tuple(certs))
+        reported = (("merge tree distortion / 2", td.value / 2.0),
+                    ("tree distortion / 6 (reported)", td.value / 6.0))
+    return BoundReport(quantity=name, lowers=(("sequence entry / 4", a_next / 4.0),),
+                       uppers=tuple(uppers), reported=reported)

@@ -36,7 +36,6 @@ from .metric_graph import (
     GraphPoint,
     MetricGraph,
     REL_TOL,
-    check_positive,
     default_mesh,
     diameter,
     distance,
@@ -310,10 +309,10 @@ def _pointed_dgh_upper(G: MetricGraph, p: GraphPoint,
 
 
 def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
-                     mesh: Optional[float], rows: List[ReportRow]) -> GraphPoint:
+                     rows: List[ReportRow]) -> GraphPoint:
     beta = G.betti1
     diam = diameter(G)
-    base_mesh = mesh if mesh is not None else default_mesh(diam)
+    base_mesh = default_mesh(diam)
     # cost guard: keep nets around 200 points even for length-dense graphs
     net_mesh = max(base_mesh, G.total_length / 200.0)
     p = GraphPoint(vertex=G.vertices[int(rng.integers(len(G.vertices)))])
@@ -445,8 +444,7 @@ def _verify_instance(G: MetricGraph, inst: str, rng: np.random.Generator,
     return p
 
 
-def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
-           corrupt: bool = False) -> VerificationReport:
+def verify(spec: EnsembleSpec, corrupt: bool = False) -> VerificationReport:
     """Run every inequality check over the spec's ensemble.
 
     Rows compare the two sides of an inequality; a row fails when left
@@ -454,15 +452,13 @@ def verify(spec: EnsembleSpec, mesh: Optional[float] = None,
     its length unit, so the report scales with the lengths. Checks that
     would exceed a resource cap are reported as skipped. ``corrupt``
     appends a deliberately failing row (used by the self-test)."""
-    if mesh is not None:
-        check_positive("mesh", mesh)
     rows: List[ReportRow] = []
     instances: List[Tuple[str, MetricGraph, GraphPoint]] = []
     for i in range(spec.count):
         G = random_graph(spec, i)
         inst = f"g{i:03d}"
         rng = np.random.default_rng([abs(int(spec.seed)) + 1, i + 1, 977])
-        p = _verify_instance(G, inst, rng, mesh, rows)
+        p = _verify_instance(G, inst, rng, rows)
         instances.append((inst, G, p))
 
     # quotient stability across neighbouring instances, sampled sparsely

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -168,9 +167,8 @@ class MetricGraph:
             for w in (u, v):
                 if w not in vset:
                     raise ValueError(f"edge {eid}: unknown endpoint {w}")
-            if isinstance(length, bool) or not (
-                    isinstance(length, (int, float)) and math.isfinite(length)) or length <= 0:
-                raise ValueError(f"edge {eid}: length must be > 0")
+            if not (is_real(length) and 0 < length < math.inf):
+                raise ValueError(f"edge {eid}: length must be > 0, not {length!r}")
             edef.append(Edge(eid, u, v, float(length)))
 
         # split self-loops at the midpoint so every stored edge has two

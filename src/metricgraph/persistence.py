@@ -378,10 +378,6 @@ def bottleneck_distance(b1: Barcode, b2: Barcode) -> float:
     all half-lengths. The optimum is always one of these. Costs are compared
     to the tolerance of the length unit of the largest endpoint.
     """
-    for bc in (b1, b2):
-        for (b, d) in bc.bars:
-            if not (math.isfinite(b) and math.isfinite(d)):
-                raise ValueError("bottleneck distance needs finite bars")
     bars1, bars2 = list(b1.bars), list(b2.bars)
     tol = REL_TOL * length_unit(max((abs(x) for bar in bars1 + bars2 for x in bar),
                                     default=0.0))

@@ -118,6 +118,31 @@ MUTANTS: Tuple[Mutant, ...] = (
            "np.argwhere(cost <= r + tol)",
            "np.argwhere(cost <= 2.0 * r + tol)",
            ("tests/test_gh_bounds.py::TestRExtension::test_pairs_match_loop",)),
+    Mutant("r_extension's min-plus loop takes the max", "gh_bounds.py",
+           "np.minimum(cost, corr.DX[:, a, None] + c[:, a], out=cost)",
+           "np.maximum(cost, corr.DX[:, a, None] + c[:, a], out=cost)",
+           ("tests/test_gh_bounds.py::TestRExtension::test_pairs_match_gather",
+            "tests/test_gh_bounds.py::TestRExtension::test_pairs_match_loop")),
+    Mutant("distortion's hi block reduced with the min", "gh_bounds.py",
+           "for f in (np.maximum, np.minimum)",
+           "for f in (np.minimum, np.minimum)",
+           ("tests/test_gh_bounds.py::TestCorrespondence::test_distortion_matches_gather",)),
+    # a BoundReport's interval read off its certificates
+    Mutant("BoundReport.lower takes the least lower", "gh_bounds.py",
+           "return max((v for _, v in self.lowers), default=0.0)",
+           "return min((v for _, v in self.lowers), default=0.0)",
+           ("tests/test_gh_bounds.py::TestBoundReport::test_interval_read_off_certificates",
+            "tests/test_gh_bounds.py::TestGraphDistanceBounds::test_cycle_pair_diameter_gap")),
+    Mutant("BoundReport.upper takes the largest upper", "gh_bounds.py",
+           "return min(v for _, v in self.uppers)",
+           "return max(v for _, v in self.uppers)",
+           ("tests/test_gh_bounds.py::TestBoundReport::test_interval_read_off_certificates",
+            "tests/test_gh_bounds.py::TestDeltaBounds::test_decorated_cycle")),
+    Mutant("BoundReport lists reported values after the uppers", "gh_bounds.py",
+           "return self.lowers + self.reported + self.uppers",
+           "return self.lowers + self.uppers + self.reported",
+           ("tests/test_gh_bounds.py::TestBoundReport::test_interval_read_off_certificates",
+            "tests/test_gh_bounds.py::TestBoundReport::test_delta_certificate_order")),
 )
 
 

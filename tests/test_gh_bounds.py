@@ -25,6 +25,7 @@ from metricgraph import (
 )
 from metricgraph import gh_bounds
 from metricgraph.harness import EnsembleSpec, _farthest_point_sample, random_graph
+from metricgraph.metric_graph import REL_TOL, length_unit
 from metricgraph.persistence import _VR_MAX_POINTS
 
 from oracles import four_point
@@ -289,6 +290,35 @@ class TestBruteForce:
         assert plain == min(brute_force_dgh(DX, DY, pointed=(0, j)) for j in range(7))
 
 
+@st.composite
+def relations(draw):
+    """Correspondences on metric_pairs' metrics whose pairs cover both
+    sides, come in any order and hold duplicates and many-to-many pairs."""
+    DX, DY, _ = draw(metric_pairs())
+    n, m = len(DX), len(DY)
+    i, j = st.integers(0, n - 1), st.integers(0, m - 1)
+    pairs = [(a, draw(j)) for a in range(n)] + [(draw(i), b) for b in range(m)]
+    pairs += draw(st.lists(st.tuples(i, j), max_size=2 * (n + m)))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return Correspondence(left=tuple(range(n)), right=tuple(range(m)), DX=DX, DY=DY,
+                          pairs=tuple(draw(st.permutations(pairs))))
+
+
+def gather_distortion(R) -> float:
+    """The distortion as a gather of the k x k block over the k pairs."""
+    P = np.asarray(R.pairs)
+    px, py = P[:, 0], P[:, 1]
+    return float(np.abs(R.DX[np.ix_(px, px)] - R.DY[np.ix_(py, py)]).max())
+
+
+def gather_cost(R) -> np.ndarray:
+    """r_extension's cost[i, j] = min over related (a, b) of DX[i, a] +
+    DY[j, b], as an n x m x k gather."""
+    P = np.asarray(R.pairs)
+    pa, pb = P[:, 0], P[:, 1]
+    return (R.DX[:, pa][:, None, :] + R.DY[:, pb][None, :, :]).min(axis=2)
+
+
 class TestCorrespondence:
     def _corr(self, rng, n=4, m=3):
         DX = random_euclidean_metric(rng, n)
@@ -393,6 +423,22 @@ class TestCorrespondence:
             Correspondence(left=(0, 1), right=(0, 1),
                            pairs=((0, 0), (1, 1)), DX=DX, DY=DY)
 
+    def test_nested_lists_and_int_matrix(self):
+        # checked_distances takes these, so the correspondence does too
+        p = GraphPoint(vertex="v")
+        R = Correspondence(left=(p,), right=(p,), DX=[[0.0]], DY=[[0.0]], pairs=((0, 0),))
+        assert R.distortion == 0.0
+        R = Correspondence(left=(0, 1), right=(0, 1), DX=np.array([[0, 3], [3, 0]]),
+                           DY=[[0, 1], [1, 0]], pairs=((0, 1), (1, 0)))
+        assert R.DX.dtype == R.DY.dtype == np.float64
+        assert R.distortion == 2.0
+        assert r_extension(R, 0.5).pairs == ((0, 1), (1, 0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(relations())
+    def test_distortion_matches_gather(self, R):
+        assert R.distortion == gather_distortion(R)
+
     def test_shape_message(self):
         D = random_euclidean_metric(np.random.default_rng(79), 3)
         with pytest.raises(ValueError) as err:
@@ -407,6 +453,15 @@ def extension_pairs(corr, r):
 
 
 class TestRExtension:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(relations(), st.data())
+    def test_pairs_match_gather(self, R, data):
+        # at every radius the old k-wide gather reaches, ties included
+        cost = gather_cost(R)
+        r = data.draw(st.sampled_from(sorted(set(cost.ravel().tolist()))))
+        tol = REL_TOL * length_unit(max(r, float(np.abs(R.DX).max()), float(np.abs(R.DY).max())))
+        assert r_extension(R, r).pairs == tuple(map(tuple, np.argwhere(cost <= r + tol).tolist()))
+
     def test_pairs_match_loop(self):
         # the inputs of the tests below
         rng = np.random.default_rng(53)
@@ -558,8 +613,40 @@ class TestBoundReport:
 
     def test_rejects_crossed_bounds(self):
         with pytest.raises(AssertionError):
-            BoundReport(quantity="q", lower=2.0, upper=1.0,
-                        certificates=(("a", 2.0),))
+            BoundReport(quantity="q", lowers=(("a", 2.0),), uppers=(("b", 1.0),))
+
+    def test_interval_read_off_certificates(self):
+        rep = BoundReport(quantity="q", lowers=(("a", 0.5), ("b", 1.0)),
+                          uppers=(("c", 3.0), ("d", 2.0)), reported=(("e", 9.0),))
+        assert (rep.lower, rep.upper) == (1.0, 2.0)
+        assert rep.certificates == (("a", 0.5), ("b", 1.0), ("e", 9.0), ("c", 3.0), ("d", 2.0))
+        with pytest.raises(AttributeError):
+            rep.lower = 0.0
+
+    def test_no_lower_reads_zero(self):
+        assert BoundReport(quantity="q", lowers=(), uppers=(("c", 3.0),)).lower == 0.0
+
+    def test_needs_an_upper(self):
+        with pytest.raises(ValueError, match="no upper certificate for q"):
+            BoundReport(quantity="q", lowers=(("a", 1.0),), uppers=())
+
+    def test_delta_certificate_order(self, c12_decorated):
+        # lowers, then reported values, then uppers
+        rep = delta_n_bounds(c12_decorated, 0, GraphPoint(vertex="p"), mesh=0.1)
+        assert [name for name, _ in rep.certificates] == [
+            "sequence entry / 4",
+            "merge tree distortion / 2",
+            "tree distortion / 6 (reported)",
+            "linear formula in the sequence entry",
+            "smoothing quotient correspondence",
+            "merge tree distortion / 2 + 2*mesh"]
+        assert [v for _, v in rep.certificates] == pytest.approx([1.0, 3.0, 1.0, 48.0, 3.2, 3.2])
+
+    def test_dgh_certificate_order(self, c12):
+        rep = dgh_bounds(c12, _c6())
+        assert rep.certificates == (("diameter gap / 2", 1.5),
+                                    ("persistence sequence gap / 4", 0.5),
+                                    ("complete relation distortion / 2", 3.0))
 
 
 class TestDeltaBounds:

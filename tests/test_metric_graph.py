@@ -83,6 +83,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="length must be > 0"):
             MetricGraph(vertices=["a", "b"], edges=[("e1", "a", "b", True)])
 
+    @pytest.mark.parametrize("length", [np.int64(2), np.float32(1.5)])
+    def test_numpy_lengths(self, length):
+        # offsets took any numpy real while lengths took only int and float
+        G = MetricGraph(["a", "b"], [("e", "a", "b", length)])
+        assert G.edges[0].length == float(length)
+        assert type(G.edges[0].length) is float
+
+    @pytest.mark.parametrize("length", [np.True_, float("nan"), float("inf"), "1"],
+                             ids=["np.True_", "nan", "inf", "str"])
+    def test_rejects_non_lengths(self, length):
+        with pytest.raises(ValueError, match=r"edge e: length must be > 0, not "):
+            MetricGraph(["a", "b"], [("e", "a", "b", length)])
+
     def test_disconnected(self):
         with pytest.raises(ValueError, match="graph not connected"):
             MetricGraph(vertices=["a", "b"], edges=[])
