@@ -19,12 +19,12 @@ from .metric_graph import (
     REL_TOL,
     GraphPoint,
     MetricGraph,
+    _net,
+    _net_metric,
     check_positive,
     checked_distances,
     default_mesh,
     diameter,
-    epsilon_net,
-    finite_metric,
     is_index,
     is_real,
     length_unit,
@@ -297,19 +297,18 @@ def hyperbolicity(D) -> float:
 
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:
-    """Hyperbolicity of a mesh-net of G, with its approximation error 4*mesh."""
+    """Hyperbolicity of a mesh-net of G, with its approximation error
+    4*mesh. The net and its distance block are G's memoised ones."""
     if mesh is not None:
         check_positive("mesh", mesh)
     if not G.edges:
         return 0.0, 0.0
     if mesh is None:
         mesh = default_mesh(diameter(G))
-    net = epsilon_net(G, mesh)
-    if len(net) > _MAX_HYP_NET:
-        raise ValueError(
-            f"hyperbolicity net has {len(net)} points; use a coarser mesh")
-    D = finite_metric(G, net)
-    return hyperbolicity(D), 4.0 * mesh
+    n = len(_net(G, float(mesh)).points)
+    if n > _MAX_HYP_NET:
+        raise ValueError(f"hyperbolicity net has {n} points; use a coarser mesh")
+    return hyperbolicity(_net_metric(G, float(mesh))), 4.0 * mesh
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,12 @@ from .metric_graph import (
     MonotoneModel,
     _best_route,
     _build_monotone_model,
+    _model_arrays,
     _model_f,
+    _net_metric,
+    _net_places,
     _to_model_point,
     check_positive,
-    epsilon_net,
-    finite_metric,
     per_graph,
 )
 
@@ -253,19 +254,25 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     A pair's merge level is min(f_i, f_j, L), L its nodes' merge level (see
     ``bottleneck_m``), read for blocks of _TD_BLOCK rows of pairs at a time.
     The gap is the pair loop's float expression
-    (tests/oracles/tree_distortion_pairs.py), so the two agree ``==``.
+    (tests/oracles/tree_distortion_pairs.py), so the two agree ``==``. The
+    net's distance block and its points' model elements and levels are G's
+    memoised ones, shared with the quotient correspondence at this mesh.
     """
     check_positive("mesh", mesh)
-    net = epsilon_net(G, mesh)
-    cp = G.canonical(p)
-    model = _build_monotone_model(G, cp)
-    tree = _merge_tree_at(G, cp)
-    D = finite_metric(G, net)
+    cp, mesh = G.canonical(p), float(mesh)
+    H, tree = _build_monotone_model(G, cp).graph, _merge_tree_at(G, cp)
+    M = _model_arrays(G, cp)
+    D = _net_metric(G, mesh)
 
-    places = [_place(G, model, x) for x in net]
-    node = np.array([tree.node_of[u] for (u, _) in places])
-    f = np.array([fx for (_, fx) in places])
-    n = len(net)
+    # each net point's model vertex, or the upper end of its model edge
+    # (see _place), and its level
+    elem, f = _net_places(G, cp, mesh)
+    up = elem - len(M.num)
+    j = np.flatnonzero(up < 0)
+    u, v = H._ends[M.edge_of[elem[j]]].T
+    up[j] = np.where(M.f[v] >= M.f[u], v, u)
+    node = np.array([tree.node_of[w] for w in H.vertices])[up]
+    n = len(D)
     worst = 0.0
     for b0 in range(0, n - 1, _TD_BLOCK):
         i = np.arange(b0, min(b0 + _TD_BLOCK, n - 1))[:, None]

@@ -15,7 +15,8 @@ a point it builds whose offset may lie within tolerance of an edge end.
 Tolerances are relative: a float comparison allows REL_TOL of the length
 unit of its input, the power of two given by ``length_unit``. A graph's
 unit comes from its longest edge, so scaling every length by 2^k scales
-every tolerance, and every result, by exactly 2^k.
+every tolerance, and every result, by exactly 2^k. A graph must lie in the
+float window: its total length finite and its tolerance a normal float.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import functools
 import heapq
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -196,9 +198,21 @@ class MetricGraph:
         self._vidx: Dict[str, int] = {v: k for k, v in enumerate(self._vertices)}
         self._edges: Dict[str, Edge] = {e.id: e for e in final}
         self._edge_tuple: Tuple[Edge, ...] = tuple(final)
+        self._eidx: Dict[str, int] = {e.id: k for k, e in enumerate(final)}
         # the length unit of the longest edge, and the graph's tolerance
         self._unit = length_unit(max((e.length for e in final), default=1.0))
         self._tol = REL_TOL * self._unit
+        # every sum of lengths must stay finite, and every tolerance
+        # comparison must have room below it
+        total = sum(e.length for e in final)
+        if not (math.isfinite(total) and self._tol >= sys.float_info.min):
+            raise ValueError(f"edge lengths outside the float window: the total length "
+                             f"{total!r} must be finite and the tolerance {self._tol!r} "
+                             f"a normal float")
+        # per edge index, its ends' vertex indices and its length
+        self._ends = np.array([(self._vidx[e.u], self._vidx[e.v]) for e in final],
+                              dtype=np.int64).reshape(-1, 2)
+        self._lengths = np.array([e.length for e in final], dtype=np.float64)
         # per vertex index, (neighbour index, length, edge index) of each
         # incident edge, in edge order
         iadj: List[List[Tuple[int, float, int]]] = [[] for _ in self._vertices]
@@ -494,63 +508,143 @@ def f_values(G: MetricGraph, p: GraphPoint) -> Dict[str, float]:
     return {w: min(t + du[k], e.length - t + dv[k]) for k, w in enumerate(G.vertices)}
 
 
-def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
-    """Pairwise distance matrix of the given points (numpy array).
+class _Exits(NamedTuple):
+    """Points as the exit kernel reads them. A point leaves its carrier
+    through two exits (vertex, cost): the ends of its edge, or its own
+    vertex twice at cost 0."""
 
-    Duplicate points are fine; the result is then a pseudometric. A point
-    leaves its carrier through two exits (vertex, cost): the ends of its
-    edge, or its own vertex twice at cost 0. With VD the vertex distances,
-    P[i, w] = min_k (c_ik + VD[exit_ik, w]) over the exit vertices w, and
-    D[i, j] = min_k (P[i, exit_jk] + c_jk). Rounding is monotone, so this
-    is the min over the four exit routes summed left to right. VD[a, b] is
-    read from the row of the lower-index root of the two. A tree's whole VD
-    is filled at once by two sweeps, ``==`` to its shortest-path trees (see
-    ``MetricGraph._tree_table``); otherwise only the exit vertices' trees
-    are built.
-    """
-    pts = [G.canonical(p) for p in points]
-    n = len(pts)
-    vidx, edges = G._vidx, G._edges
-    ev: List[Tuple[int, int]] = []
-    ec: List[Tuple[float, float]] = []
-    # per point, the index of the first point on its edge (-1 at a vertex)
-    on: List[int] = []
-    first: Dict[str, int] = {}
-    for i, p in enumerate(pts):
-        if p.vertex is not None:
-            k = vidx[p.vertex]
-            ev.append((k, k))
-            ec.append((0.0, 0.0))
-            on.append(-1)
+    v: np.ndarray   # (n, 2) exit vertex indices
+    c: np.ndarray   # (n, 2) their costs: (offset, length - offset) on an edge
+    on: np.ndarray  # (n,) the index of the point's edge, -1 at a vertex
+
+
+def _canonical_at(G: MetricGraph, vert: np.ndarray, edge: np.ndarray,
+                  off: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``canonical`` of points given as arrays: vertex index ``vert``, or
+    where that is -1, offset ``off`` on edge index ``edge`` (a vertex's
+    offset is 0). An offset within G's tolerance of an end becomes the
+    nearer end; with none, the arrays are returned as they are."""
+    i = np.flatnonzero(vert < 0)
+    e, t = edge[i], off[i]
+    length = G._lengths[e]
+    snap = (t <= G._tol) | (t >= length - G._tol)
+    if not snap.any():
+        return vert, edge, off
+    i, e, t, length = i[snap], e[snap], t[snap], length[snap]
+    vert, edge, off = vert.copy(), edge.copy(), off.copy()
+    vert[i] = np.where(t <= length - t, G._ends[e, 0], G._ends[e, 1])
+    edge[i], off[i] = -1, 0.0
+    return vert, edge, off
+
+
+def _exits_at(G: MetricGraph, vert: np.ndarray, edge: np.ndarray, off: np.ndarray) -> _Exits:
+    """The exit arrays of canonical points given as in ``_canonical_at``."""
+    i = np.flatnonzero(vert < 0)
+    v = np.repeat(vert[:, None], 2, axis=1)
+    v[i] = G._ends[edge[i]]
+    c = np.zeros((len(vert), 2))
+    c[i, 0] = off[i]
+    c[i, 1] = G._lengths[edge[i]] - off[i]
+    return _Exits(v, c, edge)
+
+
+def _points_at(G: MetricGraph, vert: np.ndarray, edge: np.ndarray,
+               off: np.ndarray) -> List[GraphPoint]:
+    """The points given as in ``_canonical_at``, as they are. Each is a
+    vertex or an edge position by construction, so its fields are set
+    without GraphPoint's check, at a quarter of the cost: every point of a
+    net and of a quotient correspondence is made here."""
+    V, E, new = G._vertices, G._edge_tuple, object.__new__
+    pts = []
+    for k, j, t in zip(vert.tolist(), edge.tolist(), off.tolist()):
+        p = new(GraphPoint)
+        fields = p.__dict__
+        if k >= 0:
+            fields["vertex"], fields["edge"], fields["offset"] = V[k], None, 0.0
         else:
-            e = edges[p.edge]
-            ev.append((vidx[e.u], vidx[e.v]))
-            ec.append((p.offset, e.length - p.offset))
-            on.append(first.setdefault(p.edge, i))
-    exit_v = np.array(ev, dtype=np.int64).reshape(n, 2)
-    exit_c = np.array(ec, dtype=np.float64).reshape(n, 2)
+            fields["vertex"], fields["edge"], fields["offset"] = None, E[j].id, t
+        pts.append(p)
+    return pts
 
-    # the exit vertices, ascending, and each exit's index among them
-    used = np.zeros(len(vidx), dtype=bool)
-    used[exit_v] = True
-    need = np.flatnonzero(used)
-    x0, x1 = (np.cumsum(used) - 1)[exit_v].T
-    W = G._vd_rows(need)[need[:, None], need]
-    W = np.where(need[:, None] > need, W.T, W)
-    P = np.minimum(exit_c[:, :1] + W[x0], exit_c[:, 1:] + W[x1])
-    D = np.minimum(P[:, x0] + exit_c[:, 0], P[:, x1] + exit_c[:, 1])
 
+def _exit_arrays(G: MetricGraph, pts: Sequence[GraphPoint]) -> _Exits:
+    """The exit arrays of canonical points."""
+    vidx, eidx = G._vidx, G._eidx
+    vert = np.array([-1 if p.vertex is None else vidx[p.vertex] for p in pts], dtype=np.int64)
+    edge = np.array([-1 if p.vertex is not None else eidx[p.edge] for p in pts], dtype=np.int64)
+    return _exits_at(G, vert, edge, np.array([p.offset for p in pts], dtype=np.float64))
+
+
+def _symmetric(vd: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The vertex distances among ``rows`` (ascending) with VD[a, b] read
+    from the row of the lower-index root of the two, so exactly symmetric."""
+    W = vd[rows[:, None], rows]
+    return np.where(rows[:, None] > rows, W.T, W)
+
+
+@per_graph
+def _vd_sym(G: MetricGraph) -> np.ndarray:
+    """``_symmetric`` over every vertex, for points that include every
+    vertex, as nets do; it builds every vertex's tree."""
+    rows = np.arange(len(G.vertices))
+    return _symmetric(G._vd_rows(rows), rows)
+
+
+def _exit_block(W: np.ndarray, a: _Exits, b: _Exits) -> np.ndarray:
+    """The exit kernel: D[i, j], the distance from point i of a to point j
+    of b, where the exits index the symmetric vertex distances W (see
+    ``_symmetric``). P[i, w] = min_k (c_ik + W[exit_ik, w]) over the
+    vertices w, and D[i, j] = min_k (P[i, exit_jk] + c_jk). Rounding is
+    monotone, so this is the min over the four exit routes summed left to
+    right; the routes are summed from both ends, and the two can differ by
+    an ulp, so D takes the min of both. D[i, j] depends on points i and j
+    alone, so any block of a point list's matrix is ``==`` to that block of
+    the whole.
+    """
+    def routes(x: _Exits, y: _Exits) -> np.ndarray:
+        P = np.minimum(x.c[:, :1] + W[x.v[:, 0]], x.c[:, 1:] + W[x.v[:, 1]])
+        return np.minimum(P[:, y.v[:, 0]] + y.c[:, 0], P[:, y.v[:, 1]] + y.c[:, 1])
+
+    D = routes(a, b)
+    D = np.minimum(D, D.T if b is a else routes(b, a).T)
     # direct along a shared edge can beat every exit route
-    if first:
-        on_a = np.array(on)
-        off = exit_c[:, 0]
-        np.minimum(D, np.abs(off[:, None] - off), out=D,
-                   where=(on_a[:, None] == on_a) & (on_a >= 0)[:, None])
+    np.minimum(D, np.abs(a.c[:, :1] - b.c[:, 0]), out=D,
+               where=(a.on[:, None] == b.on) & (a.on >= 0)[:, None])
+    return D
 
+
+def _metric(W: np.ndarray, ex: _Exits) -> np.ndarray:
+    """The distance matrix of the points with exit arrays ex into W."""
+    D = _exit_block(W, ex, ex)
     np.fill_diagonal(D, 0.0)
-    # the routes for (i, j) and (j, i) are summed in other orders, so the
-    # two can differ by an ulp; both are lengths of real paths
-    return np.minimum(D, D.T)
+    return D
+
+
+def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
+    """Pairwise distance matrix of the given points (numpy array), from the
+    exit kernel (``_exit_block``). Duplicate points are fine; the result is
+    then a pseudometric. Only the exit vertices' trees are built (a tree's
+    whole table is filled at once by two sweeps, ``==`` to its
+    shortest-path trees; see ``MetricGraph._tree_table``)."""
+    ex = _exit_arrays(G, [G.canonical(p) for p in points])
+    # the exit vertices, ascending, and each exit's index among them
+    used = np.zeros(len(G._vidx), dtype=bool)
+    used[ex.v] = True
+    need = np.flatnonzero(used)
+    rank = np.cumsum(used) - 1
+    return _metric(_symmetric(G._vd_rows(need), need), _Exits(rank[ex.v], ex.c, ex.on))
+
+
+def _extended(W: np.ndarray, D: np.ndarray, a: _Exits, b: _Exits) -> np.ndarray:
+    """The distance matrix of the points a followed by the points b, given
+    D, that of a: only the rows of b are computed, and the matrix is ``==``
+    to the whole one."""
+    n, N = len(D), len(D) + len(b.on)
+    C = _exit_block(W, _Exits(*map(np.concatenate, zip(a, b))), b)
+    M = np.empty((N, N))
+    M[:n, :n], M[:, n:], M[n:, :n] = D, C, C[:n].T
+    np.fill_diagonal(M, 0.0)
+    return M
 
 
 # -- diameter (exact) ------------------------------------------------------
@@ -634,15 +728,12 @@ def diameter(G: MetricGraph) -> float:
     """
     if not G._edge_tuple:
         return 0.0
-    vidx = G._vidx
-    es = G.edges
     # the kernel's tolerances are set for lengths near 1, so it runs on
     # lengths divided by G._unit; the result then scales exactly with G
     unit = G._unit
     D = G._vd_rows(np.arange(len(G.vertices))) / unit
-    eu = np.array([vidx[e.u] for e in es])
-    ev = np.array([vidx[e.v] for e in es])
-    L = np.array([e.length for e in es]) / unit
+    eu, ev = G._ends.T
+    L = G._lengths / unit
 
     def routes(i, j):
         # d(s on e_i, t on e_j) through each pair of endpoints
@@ -654,7 +745,7 @@ def diameter(G: MetricGraph) -> float:
             (-1.0, -1.0, D[ev[i], ev[j]] + l1 + l2),
         ]
 
-    m = len(es)
+    m = len(L)
     # pairs i < j in row-major order; row i starts at flat index starts[i]
     counts = np.arange(m - 1, -1, -1)
     starts = np.cumsum(counts) - counts
@@ -705,6 +796,28 @@ def default_mesh(diam: float) -> float:
     return 0.05 * diam if diam > 0 else 1.0
 
 
+def _check_net_mesh(G: MetricGraph, eps) -> None:
+    """An epsilon-net's scale: > 0, and where there are edges above 4
+    tolerances (the longest edge would get 2.5e8 points)."""
+    check_positive("eps", eps)
+    if G._edge_tuple and eps <= 4.0 * G._tol:
+        raise ValueError(f"eps must exceed 4 x the graph's tolerance {G._tol!r}, not {eps!r}")
+
+
+def _net_at(G: MetricGraph, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of ``epsilon_net(G, eps)`` given as in ``_canonical_at``:
+    each edge gets m = ceil(length / eps - 1e-12) intervals, so its points
+    lie at length * k / m for k = 1 .. m - 1."""
+    m = np.ceil(G._lengths / eps - 1e-12).astype(np.int64)
+    count = np.maximum(m - 1, 0)
+    edge = np.repeat(np.arange(len(m)), count)
+    k = np.arange(1, len(edge) + 1) - np.repeat(np.cumsum(count) - count, count)
+    V = len(G.vertices)
+    return (np.concatenate([np.arange(V), np.full(len(edge), -1)]),
+            np.concatenate([np.full(V, -1), edge]),
+            np.concatenate([np.zeros(V), G._lengths[edge] * k / m[edge]]))
+
+
 def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     """Vertices plus equally spaced interior points at spacing <= eps.
 
@@ -712,17 +825,33 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     order with ascending offsets. Covering radius is at most eps/2 along
     each edge, so at most eps in the graph. The points are canonical: each
     interior point lies at least eps/2 inside its edge, and where there are
-    edges eps must exceed 4 tolerances (the longest would get 2.5e8 points).
+    edges eps must exceed 4 tolerances.
     """
-    check_positive("eps", eps)
-    if G._edge_tuple and eps <= 4.0 * G._tol:
-        raise ValueError(f"eps must exceed 4 x the graph's tolerance {G._tol!r}, not {eps!r}")
-    pts: List[GraphPoint] = [GraphPoint(vertex=v) for v in G.vertices]
-    for e in G.edges:
-        m = int(math.ceil(e.length / eps - 1e-12))
-        for k in range(1, m):
-            pts.append(GraphPoint(edge=e.id, offset=e.length * k / m))
-    return pts
+    _check_net_mesh(G, eps)
+    return _points_at(G, *_net_at(G, eps))
+
+
+class _Net(NamedTuple):
+    """An epsilon-net with the exit arrays of its points."""
+
+    points: Tuple[GraphPoint, ...]
+    exits: _Exits
+
+
+@per_graph
+def _net(G: MetricGraph, mesh: float) -> _Net:
+    """``epsilon_net(G, mesh)``, built once per (G, float(mesh))."""
+    _check_net_mesh(G, mesh)
+    at = _net_at(G, mesh)
+    return _Net(tuple(_points_at(G, *at)), _exits_at(G, *at))
+
+
+@per_graph
+def _net_metric(G: MetricGraph, mesh: float) -> np.ndarray:
+    """The distance matrix of ``_net(G, mesh)``, built once and read-only."""
+    D = _metric(_vd_sym(G), _net(G, mesh).exits)
+    D.setflags(write=False)
+    return D
 
 
 # -- edge paths --------------------------------------------------------------
@@ -1013,6 +1142,74 @@ def _from_model_point(model: MonotoneModel, c: GraphPoint) -> GraphPoint:
         return c
     heid, lo = model.host_of[c.edge]
     return GraphPoint(edge=heid, offset=lo + c.offset)
+
+
+class _ModelArrays(NamedTuple):
+    """The monotone model of (G, cp) as arrays over its vertex and edge
+    indices. Its elements are numbered in sorted order: the edges by id,
+    then the vertices in index order (their names sort). The model edges
+    of one edge of G are consecutive, in order along it."""
+
+    f: np.ndarray          # per model vertex, its level d(p, .)
+    num: np.ndarray        # per model edge, its element number
+    edge_of: np.ndarray    # per element number below the edge count, its model edge
+    vertex_of: np.ndarray  # per vertex of G, its model vertex
+    first: np.ndarray      # per edge of G, its first model edge
+    count: np.ndarray      # per edge of G, its number of model edges
+    host: np.ndarray       # per model edge, its edge of G
+    lo: np.ndarray         # per model edge, where its u end sits on its host
+    hi: np.ndarray         # per model edge, where its v end sits on its host
+    # per model vertex, the point of G it is: a vertex, or a cut on an edge
+    vert: np.ndarray
+    cut_edge: np.ndarray
+    cut_off: np.ndarray
+
+
+@per_graph
+def _model_arrays(G: MetricGraph, cp: GraphPoint) -> _ModelArrays:
+    model = _build_monotone_model(G, cp)
+    H = model.graph
+    ids = [e.id for e in H.edges]
+    edge_of = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    num = np.empty_like(edge_of)
+    num[edge_of] = np.arange(len(ids))
+    segs = [model.host_segments[e.id] for e in G.edges]
+    count = np.array([len(s) for s in segs], dtype=np.int64)
+    cuts = [model.new_vertices.get(v, (None, 0.0)) for v in H.vertices]
+    return _ModelArrays(
+        np.array([model.f[v] for v in H.vertices]), num, edge_of,
+        np.array([H._vidx[v] for v in G.vertices], dtype=np.int64),
+        np.cumsum(count) - count, count, np.repeat(np.arange(len(segs)), count),
+        np.array([a for s in segs for (a, _, _) in s]),
+        np.array([b for s in segs for (_, b, _) in s]),
+        np.array([G._vidx.get(v, -1) for v in H.vertices], dtype=np.int64),
+        np.array([-1 if h is None else G._eidx[h] for (h, _) in cuts], dtype=np.int64),
+        np.array([t for (_, t) in cuts]))
+
+
+@per_graph
+def _net_places(G: MetricGraph, cp: GraphPoint, mesh: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The number of each mesh-net point's model element and its level: the
+    model point of the first model edge of its host that holds it within
+    the model's tolerance, snapped to an end within it, and f there."""
+    M, H = _model_arrays(G, cp), _build_monotone_model(G, cp).graph
+    v, c, on = _net(G, mesh).exits
+    i = np.flatnonzero(on >= 0)
+    t, first, count = c[i, 0], M.first[on[i]], M.count[on[i]]
+    # the model edges of a host are consecutive, so the first that holds t
+    # follows those that end more than the tolerance below it
+    k = first.copy()
+    for j in range(1, int(count.max(initial=1))):
+        k += (j < count) & (M.hi[np.minimum(first + j - 1, len(M.hi) - 1)] + H._tol < t)
+    hv, he, ho = M.vertex_of[v[:, 0]], np.full(len(on), -1), np.zeros(len(on))
+    hv[i], he[i], ho[i] = -1, k, t - M.lo[k]
+    hv, he, ho = _canonical_at(H, hv, he, ho)
+    j = np.flatnonzero(hv < 0)
+    fu, fv = M.f[H._ends[he[j], 0]], M.f[H._ends[he[j], 1]]
+    elem, lvl = len(M.num) + hv, M.f[hv]
+    elem[j] = M.num[he[j]]
+    lvl[j] = fu + np.where(fv >= fu, 1.0, -1.0) * ho[j]
+    return elem, lvl
 
 
 def _path_to_model(model: MonotoneModel, path: EdgePath) -> List[Tuple[str, float, float]]:

@@ -27,7 +27,17 @@ into or leaves keeps its S edge and costs nothing; S vertices arise only at
 births, deaths, merges and splits. Each element logs the slots at which its
 component id changed, each component the slots at which its class in S
 changed, and each class of S the slots at which its smallest element
-changed, so a class or a representative is two bisections away.
+changed.
+
+The quotient correspondence locates and represents whole nets at once, as
+arrays. Each net point's model element and level are found once per (G,
+canonical p, mesh) (``metric_graph._net_places``). A whole net's slots are
+then one search of its levels against the critical levels, with the snap
+into the merge gap, and its classes and representatives two searches of the
+breakpoint lists flattened into sorted keys (list * width + slot). Points
+are built only for the correspondence's point lists. Every float
+expression is the per-point one (tests/oracles/quotient_points.py), so the
+two agree ``==``.
 
 Levels run from 0 to max f + eps: the quotient keeps growing above the
 highest point of G, which contributes a hanging tail.
@@ -37,29 +47,53 @@ from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
+
+import numpy as np
 
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
     MonotoneModel,
     _build_monotone_model,
-    _from_model_point,
-    _model_f,
-    _to_model_point,
+    _canonical_at,
+    _exits_at,
+    _Exits,
+    _extended,
+    _metric,
+    _model_arrays,
+    _net,
+    _net_metric,
+    _net_places,
+    _points_at,
+    _vd_sym,
     check_positive,
     distance,
-    epsilon_net,
-    finite_metric,
     is_real,
     per_graph,
 )
 from .gh_bounds import Correspondence
 
-_Elem = Tuple[str, str]  # ("v", vertex) or ("e", edge id) of the model
+_Keys = Tuple[np.ndarray, np.ndarray]  # flattened breakpoint keys and values
+
+
+class _Flat(NamedTuple):
+    """A smoothing's breakpoint lists flattened for whole-net lookups.
+
+    List i's entry at slot s has key i * width + s, and the keys are sorted,
+    so the value that list i gives at slot s is that of the last key at or
+    below i * width + s. A class of S has a code: its vertex index in
+    S.graph, or the number of S vertices plus its edge index."""
+
+    width: int          # one more than the last slot an entry can name
+    crit: np.ndarray    # the critical levels, one per even slot
+    log: _Keys          # per model element, its band component ids
+    names: _Keys        # per band component, its class codes
+    reps: _Keys         # per class code, the numbers of its smallest elements
+    level: np.ndarray   # per class code, the level of the S vertex or S edge's lower end
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +116,13 @@ class SmoothedGraph:
     # G, held weakly: S lives in G's memo, and a strong reference back would
     # leave G to the cycle collector instead of freeing it with its last user
     _source: weakref.ref = field(repr=False)
-    # the sweep's monotone model, critical levels and model elements, in
-    # sorted order, and the number of each element
+    _basepoint: GraphPoint = field(repr=False)  # the canonical p
+    # the sweep's monotone model and critical levels
     _model: MonotoneModel = field(repr=False)
     _criticals: Tuple[float, ...] = field(repr=False)
-    _elems: List[_Elem] = field(repr=False)
-    _num: Dict[_Elem, int] = field(repr=False)
-    # per element (slots, component ids): from each listed slot on, until
-    # the next, the element's band component has that id
+    # per model element, by its number (see _model_arrays), (slots,
+    # component ids): from each listed slot on, until the next, the
+    # element's band component has that id
     _log: List[Tuple[List[int], List[int]]] = field(repr=False)
     # per component id (slots, names): from each listed slot on, the
     # component's class is that S vertex or S edge
@@ -103,6 +136,25 @@ class SmoothedGraph:
     def graph(self) -> MetricGraph:
         return MetricGraph(list(self.level), self._edges)
 
+    @cached_property
+    def _flat(self) -> _Flat:
+        """The breakpoint lists flattened, built on first read."""
+        SG = self.graph
+        nv = len(SG.vertices)
+        code = {**SG._vidx, **{e: nv + k for e, k in SG._eidx.items()}}
+        width = 2 * len(self._criticals)
+
+        def flat(lists, value=lambda x: x) -> _Keys:
+            keys = [i * width + s for i, (slots, _) in enumerate(lists) for s in slots]
+            return (np.array(keys, dtype=np.int64),
+                    np.array([value(x) for _, xs in lists for x in xs], dtype=np.int64))
+
+        return _Flat(width, np.array(self._criticals), flat(self._log),
+                     flat(self._names, code.__getitem__),
+                     flat([self._reps[v] for v in SG.vertices] + [self._reps[e.id] for e in SG.edges]),
+                     np.array([self.level[v] for v in SG.vertices]
+                              + [self.level[e.u] for e in SG.edges]))
+
     def to_json_obj(self) -> dict:
         from .metric_graph import graph_to_json_obj
         obj = graph_to_json_obj(self.graph)
@@ -113,20 +165,9 @@ class SmoothedGraph:
 
 def _at(breaks: Tuple[List, List], s: int):
     """The value a breakpoint list gives at slot s: that of the last entry
-    at or before s."""
+    at or before s (the sweep reads its base class so)."""
     slots, values = breaks
     return values[bisect_right(slots, s) - 1]
-
-
-def _class(S: SmoothedGraph, s: int, x: _Elem) -> str:
-    """The S vertex or S edge holding the class of band element x at slot s."""
-    return _at(S._names[_at(S._log[S._num[x]], s)], s)
-
-
-def _rep_at(S: SmoothedGraph, name: str, s: int) -> _Elem:
-    """The smallest model element of the class of S vertex or S edge
-    ``name`` at a slot s that it spans."""
-    return S._elems[_at(S._reps[name], s)]
 
 
 def _sweep(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
@@ -152,18 +193,19 @@ def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> SmoothedGraph:
         slot[x] = 2 * len(criticals) - 2
     n_slots = 2 * len(criticals) - 1
 
-    # model elements numbered in sorted order, so a component's smallest
-    # element is its smallest number; an edge is adjacent to its two ends
-    elems = sorted([("v", v) for v in H.vertices] + [("e", e.id) for e in H.edges])
-    num = {x: i for i, x in enumerate(elems)}
-    adj: List[List[int]] = [[] for _ in elems]
+    # model elements numbered in sorted order (see _model_arrays), so a
+    # component's smallest element is its smallest number; an edge is
+    # adjacent to its two ends
+    vnum = {v: len(H.edges) + k for k, v in enumerate(H.vertices)}
+    n_elems = len(H.edges) + len(H.vertices)
+    adj: List[List[int]] = [[] for _ in range(n_elems)]
     enter: List[List[int]] = [[] for _ in range(n_slots)]
     leave: List[List[int]] = [[] for _ in range(n_slots)]
     for v in H.vertices:
-        enter[slot[f[v]]].append(num[("v", v)])
-        leave[slot[f[v] + eps]].append(num[("v", v)])
-    for e in H.edges:
-        i, a, b = num[("e", e.id)], num[("v", e.u)], num[("v", e.v)]
+        enter[slot[f[v]]].append(vnum[v])
+        leave[slot[f[v] + eps]].append(vnum[v])
+    for e, i in zip(H.edges, _model_arrays(G, cp).num.tolist()):
+        a, b = vnum[e.u], vnum[e.v]
         lo, hi = sorted((f[e.u], f[e.v]))
         enter[slot[lo]].append(i)
         leave[slot[hi + eps]].append(i)
@@ -176,7 +218,7 @@ def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> SmoothedGraph:
     comp: Dict[int, int] = {}       # band element -> component id
     members: Dict[int, Set[int]] = {}
     low: Dict[int, int] = {}        # component id -> smallest element
-    log: List[Tuple[List[int], List[int]]] = [([], []) for _ in elems]
+    log: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(n_elems)]
     names: List[Tuple[List[int], List[str]]] = []
     cur: Dict[int, int] = {}        # component id -> its S edge, between slots
 
@@ -291,9 +333,9 @@ def _sweep_at(G: MetricGraph, cp: GraphPoint, eps: float) -> SmoothedGraph:
             name(d, s + 1, e)
 
     edges = [(f"s{j}", u, v, level[v] - level[u]) for j, (u, v) in enumerate(zip(bottom, top))]
-    base = num[("v", model.p_vertex)]
-    return SmoothedGraph(level, _at(names[_at(log[base], 0)], 0), eps, weakref.ref(G), model,
-                         tuple(criticals), elems, num, log, names, reps, edges)
+    base = vnum[model.p_vertex]
+    return SmoothedGraph(level, _at(names[_at(log[base], 0)], 0), eps, weakref.ref(G), cp,
+                         model, tuple(criticals), log, names, reps, edges)
 
 
 def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGraph:
@@ -302,56 +344,69 @@ def epsilon_smoothing(G: MetricGraph, p: GraphPoint, eps: float) -> SmoothedGrap
     return _sweep(G, p, eps)
 
 
-def _locate(S: SmoothedGraph, x: GraphPoint) -> GraphPoint:
-    """Class of (x, 0) in the quotient, as a canonical point of S.graph, for
-    a canonical point x of the source graph."""
-    model, crit = S._model, S._criticals
-    mp = _to_model_point(model, x)
-    lvl = _model_f(model, mp)
+def _classes(S: SmoothedGraph, elem: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The code of the class of each band element (by number) elem at slot s."""
+    F = S._flat
+    comp = F.log[1][np.searchsorted(F.log[0], elem * F.width + s, side="right") - 1]
+    return F.names[1][np.searchsorted(F.names[0], comp * F.width + s, side="right") - 1]
 
+
+def _reps(S: SmoothedGraph, code: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The number of the smallest model element of each class (by code) at
+    a slot s that it spans."""
+    F = S._flat
+    return F.reps[1][np.searchsorted(F.reps[0], code * F.width + s, side="right") - 1]
+
+
+def _locate_net(S: SmoothedGraph, elem: np.ndarray,
+                lvl: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class of (x, 0) in the quotient for each point x of G with model
+    element number elem and level lvl, as points of S.graph given as in
+    ``_canonical_at``, not yet snapped to S's tolerance (which can exceed
+    the slot gap)."""
+    F = S._flat
+    crit, last = F.crit, len(F.crit) - 1
     # snap to the first critical level within the merge gap, else take the
     # open interval that holds lvl
-    gap = 100.0 * model.graph._tol
-    k = bisect_left(crit, lvl)
-    if k > 0 and abs(lvl - crit[k - 1]) <= gap:
-        s = 2 * k - 2
-    elif k < len(crit) and abs(lvl - crit[k]) <= gap:
-        s = 2 * k
-    else:
-        s = 2 * k - 1
+    gap = 100.0 * S._model.graph._tol
+    k = np.searchsorted(crit, lvl)
+    below = (k > 0) & (np.abs(lvl - crit[k - 1]) <= gap)
+    above = (k <= last) & (np.abs(lvl - crit[np.minimum(k, last)]) <= gap)
+    s = np.where(below, 2 * k - 2, 2 * k - 1 + above)
     # a point of a model element snaps no lower than the element's first
-    # slot and no higher than its last, so the lookup cannot miss
-    elem: _Elem = ("v", mp.vertex) if mp.is_vertex() else ("e", mp.edge)
-    name = _class(S, s, elem)
-    if name in S.level:
-        return GraphPoint(vertex=name)
-    t = crit[s // 2] if s % 2 == 0 else lvl
-    # S's tolerance can exceed the slot gap, so t may lie within it of an end
-    return S.graph.canonical(
-        GraphPoint(edge=name, offset=t - S.level[S.graph.edge(name).u]))
+    # slot and no higher than its last, so no lookup reads another list
+    code = _classes(S, elem, s)
+    t = np.where(s % 2 == 0, crit[s // 2], lvl)
+    nv, on = len(S.level), code >= len(S.level)
+    return np.where(on, -1, code), np.where(on, code - nv, -1), np.where(on, t - F.level[code], 0.0)
 
 
-def _represent(S: SmoothedGraph, cs: GraphPoint) -> GraphPoint:
-    """A point x of the source graph whose column {x} x [0, eps] meets the
-    class of the canonical point cs of S.graph."""
-    model, crit = S._model, S._criticals
-    f = model.f
-    if cs.is_vertex():
-        lvl = S.level[cs.vertex]
-        elem = _rep_at(S, cs.vertex, 2 * bisect_left(crit, lvl))
-    else:
-        lvl = S.level[S.graph.edge(cs.edge).u] + cs.offset
-        # the first interval whose closure, widened by the tolerance that
-        # put cs inside its edge, holds lvl
-        elem = _rep_at(S, cs.edge, 2 * bisect_left(crit, lvl - S.graph._tol) - 1)
-    if elem[0] == "v":
-        return _from_model_point(model, GraphPoint(vertex=elem[1]))
-    e = model.graph.edge(elem[1])
-    lo, hi = min(f[e.u], f[e.v]), max(f[e.u], f[e.v])
-    target = max(min(hi, lvl), lo)
-    off = target - f[e.u] if f[e.v] >= f[e.u] else f[e.u] - target
+def _represent_net(G: MetricGraph, S: SmoothedGraph,
+                   ex: _Exits) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each canonical point of S.graph with exit arrays ex, a point of
+    G whose column {x} x [0, eps] meets its class, given as in
+    ``_canonical_at``."""
+    F, M, H = S._flat, _model_arrays(G, S._basepoint), S._model.graph
+    on = ex.on >= 0
+    code = np.where(on, len(S.level) + ex.on, ex.v[:, 0])
+    lvl = F.level[code] + ex.c[:, 0]  # a vertex's cost is 0.0
+    # a vertex's own slot; on an edge, the first interval whose closure,
+    # widened by the tolerance that put the point inside its edge, holds lvl
+    elem = _reps(S, code, 2 * np.searchsorted(F.crit, np.where(on, lvl - S.graph._tol, lvl)) - on)
+    # a model vertex, or the point of a model edge at the level nearest lvl
+    ne = len(M.num)
+    j = np.flatnonzero(elem < ne)
+    k = M.edge_of[elem[j]]
+    fu, fv = M.f[H._ends[k, 0]], M.f[H._ends[k, 1]]
+    target = np.maximum(np.minimum(np.maximum(fu, fv), lvl[j]), np.minimum(fu, fv))
+    hv, he, ho = elem - ne, np.full(len(elem), -1), np.zeros(len(elem))
+    hv[j], he[j], ho[j] = -1, k, np.where(fv >= fu, target - fu, fu - target)
     # a clamped offset may lie within the model's tolerance of an end
-    return _from_model_point(model, model.graph.canonical(GraphPoint(edge=e.id, offset=off)))
+    hv, he, ho = _canonical_at(H, hv, he, ho)
+    vert, edge, off = M.vert[hv], M.cut_edge[hv], M.cut_off[hv]
+    j = np.flatnonzero(hv < 0)
+    vert[j], edge[j], off[j] = -1, M.host[he[j]], M.lo[he[j]] + ho[j]
+    return vert, edge, off
 
 
 def smoothed_distance(S: SmoothedGraph, x: GraphPoint, y: GraphPoint) -> float:
@@ -374,12 +429,15 @@ def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Co
     if S._source() is not G:
         raise ValueError("mismatched provenance: the smoothing was not built from this graph")
     check_positive("mesh", mesh)
-    net_g = epsilon_net(G, mesh)
-    net_s = epsilon_net(S.graph, mesh)
-    left = list(net_g) + [_represent(S, q) for q in net_s]
-    right = [_locate(S, x) for x in net_g] + list(net_s)
-    DX = finite_metric(G, left)
-    DY = finite_metric(S.graph, right)
-    pairs = tuple((i, i) for i in range(len(left)))
-    return Correspondence(left=tuple(left), right=tuple(right),
-                          DX=DX, DY=DY, pairs=pairs)
+    mesh = float(mesh)
+    SG = S.graph
+    net_g, net_s = _net(G, mesh), _net(SG, mesh)
+    loc = _canonical_at(SG, *_locate_net(S, *_net_places(G, S._basepoint, mesh)))
+    rep = _represent_net(G, S, net_s.exits)
+    DX = _extended(_vd_sym(G), _net_metric(G, mesh), net_g.exits,
+                   _exits_at(G, *_canonical_at(G, *rep)))
+    DY = _metric(_vd_sym(SG), _Exits(*map(np.concatenate, zip(_exits_at(SG, *loc), net_s.exits))))
+    left = net_g.points + tuple(_points_at(G, *rep))
+    right = tuple(_points_at(SG, *loc)) + net_s.points
+    return Correspondence(left=left, right=right, DX=DX, DY=DY,
+                          pairs=tuple(zip(range(len(left)), range(len(left)))))

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 _SLOT_ORACLE = "tests/test_reeb_smoothing.py::TestSlotOracle::test_matches_whole_band_sweep"
 _LEVEL_ORACLE = "tests/test_reeb_smoothing.py::TestLevelOracle::test_matches_per_level_smoothing"
+_POINT_ORACLE = "tests/test_reeb_smoothing.py::TestQuotientPointsOracle::test_matches_per_point_path"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # the output-sensitive smoothing sweep
@@ -57,10 +58,14 @@ MUTANTS: Tuple[Mutant, ...] = (
            (_SLOT_ORACLE,
             "tests/test_reeb_smoothing.py::TestSlotOracle::test_cli_large_graph[1]")),
     Mutant("sweep: breakpoint bisect off by one", "reeb_smoothing.py",
+           'np.searchsorted(F.reps[0], code * F.width + s, side="right")',
+           'np.searchsorted(F.reps[0], code * F.width + s, side="left")',
+           (_SLOT_ORACLE, _POINT_ORACLE,
+            "tests/test_reeb_smoothing.py::TestSmoothingInvariants::test_eps_zero_is_isometric")),
+    Mutant("sweep: the base class read one entry early", "reeb_smoothing.py",
            "return values[bisect_right(slots, s) - 1]",
            "return values[bisect_left(slots, s) - 1]",
-           (_SLOT_ORACLE,
-            "tests/test_reeb_smoothing.py::TestSmoothingInvariants::test_eps_zero_is_isometric")),
+           (_SLOT_ORACLE,)),
     Mutant("sweep: a split's largest piece keeps its parent's S edge", "reeb_smoothing.py",
            "if len(into) == 1 and len(pieces_c) == 1:",
            "if len(into) == 1 and len(pieces_c) >= 1:",
@@ -81,17 +86,33 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_reeb_smoothing.py::TestSlotOracle::test_newborn_component_absorbs_older_one",)),
     # canonical points: helpers snap only the points they build
     Mutant("_locate without its snap", "reeb_smoothing.py",
-           "return S.graph.canonical(\n        GraphPoint(edge=name,",
-           "return (\n        GraphPoint(edge=name,",
+           "loc = _canonical_at(SG, *_locate_net(S, *_net_places(G, S._basepoint, mesh)))",
+           "loc = _locate_net(S, *_net_places(G, S._basepoint, mesh))",
            ("tests/test_reeb_smoothing.py::TestBuiltPointsAreCanonical::test_locate_snaps_into_a_vertex",)),
     Mutant("_to_model_point without its snap", "metric_graph.py",
            "return H.canonical(GraphPoint(edge=mid, offset=pt.offset - a))",
            "return GraphPoint(edge=mid, offset=pt.offset - a)",
            ("tests/test_metric_graph.py::TestCanonicalOnce::test_model_points_are_canonical",)),
     Mutant("_represent without its snap", "reeb_smoothing.py",
-           "return _from_model_point(model, model.graph.canonical(GraphPoint(edge=e.id, offset=off)))",
-           "return _from_model_point(model, GraphPoint(edge=e.id, offset=off))",
+           "    hv, he, ho = _canonical_at(H, hv, he, ho)\n",
+           "",
            ("tests/test_reeb_smoothing.py::TestBuiltPointsAreCanonical::test_located_and_represented_points[0.5]",)),
+    # the quotient path on whole nets
+    Mutant("whole-net slot snap with < instead of <=", "reeb_smoothing.py",
+           "below = (k > 0) & (np.abs(lvl - crit[k - 1]) <= gap)",
+           "below = (k > 0) & (np.abs(lvl - crit[k - 1]) < gap)",
+           ("tests/test_reeb_smoothing.py::TestBuiltPointsAreCanonical::test_level_a_merge_gap_above_a_critical_snaps_to_it",)),
+    Mutant("flattened-key lookup with side=left", "reeb_smoothing.py",
+           'np.searchsorted(F.log[0], elem * F.width + s, side="right")',
+           'np.searchsorted(F.log[0], elem * F.width + s, side="left")',
+           (_SLOT_ORACLE, _POINT_ORACLE)),
+    # the float window
+    Mutant("float-window guard disabled", "metric_graph.py",
+           "if not (math.isfinite(total) and self._tol >= sys.float_info.min):",
+           "if False:",
+           tuple(f"tests/test_metric_graph.py::TestConstruction::test_outside_float_window[{name}]"
+                 for name in ("parallel-1e-320", "path-1e308", "triangle-1e308"))
+           + ("tests/test_harness_cli.py::TestCli::test_outside_float_window[triangle-1e308-tree]",)),
     Mutant("epsilon_net without its tolerance guard", "metric_graph.py",
            "if G._edge_tuple and eps <= 4.0 * G._tol:",
            "if False:",
@@ -103,8 +124,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_metric_graph.py::TestMemo::test_one_smoothing_per_key",
             "tests/test_metric_graph.py::TestMemo::test_each_builder_runs_once")),
     Mutant("smoothing holds its graph strongly", "reeb_smoothing.py",
-           "eps, weakref.ref(G), model,",
-           "eps, lambda: G, model,",
+           "eps, weakref.ref(G), cp,",
+           "eps, lambda: G, cp,",
            ("tests/test_metric_graph.py::TestMemo::test_smoothings_do_not_keep_their_graph_alive",)),
     # distance-matrix validation and the correspondence extension
     Mutant("zero-diagonal check only when the whole diagonal is nonzero", "metric_graph.py",
@@ -114,6 +135,10 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_gh_bounds.py::TestCorrespondence::test_rejects_non_metric[DY-diagonal]",
             "tests/test_gh_bounds.py::TestHyperbolicity::test_rejects_non_metrics[0-0-5.0-zero diagonal]",
             "tests/test_persistence.py::TestVrBarcode::test_input_validation")),
+    Mutant("extension distortion growth allows r, not 2r", "harness.py",
+           "ext.distortion, corr0.distortion + 2.0 * r)",
+           "ext.distortion, corr0.distortion + r)",
+           ("tests/test_harness_cli.py::TestCli::test_verify_passes",)),
     Mutant("r_extension thickens by 2r", "gh_bounds.py",
            "np.argwhere(cost <= r + tol)",
            "np.argwhere(cost <= 2.0 * r + tol)",

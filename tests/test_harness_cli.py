@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from metricgraph import MetricGraph, graph_to_json_obj, save_graph
+from metricgraph import graph_to_json_obj, save_graph
 from metricgraph.cli import main
 from metricgraph.harness import (
     EnsembleSpec,
@@ -12,6 +12,8 @@ from metricgraph.harness import (
     random_graph,
     verify,
 )
+
+from conftest import OUTSIDE_FLOAT_WINDOW
 
 
 class TestRandomGraph:
@@ -187,6 +189,13 @@ class TestVerify:
         assert sample["pass"] == "true"
 
 
+def _write_json_graph(tmp_path, vertices, edges):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": [
+        {"id": e, "u": u, "v": v, "length": length} for (e, u, v, length) in edges]}))
+    return str(path)
+
+
 def _write_graph(tmp_path, G, name):
     path = tmp_path / name
     save_graph(G, str(path))
@@ -252,12 +261,23 @@ class TestCli:
 
     def test_non_finite_output_rejected(self, tmp_path):
         # every length is finite but their sum is not; the total length once
-        # came out as the JSON-invalid token Infinity, with exit 0
-        G = MetricGraph(["a", "b", "c"], [("ab", "a", "b", 1e308), ("bc", "b", "c", 1e308),
-                                          ("ca", "c", "a", 1e308)])
-        path = _write_graph(tmp_path, G, "big.json")
+        # came out as the JSON-invalid token Infinity, with exit 0 (no graph
+        # object can hold these lengths now, so the file is written by hand)
+        path = _write_json_graph(tmp_path, *OUTSIDE_FLOAT_WINDOW["triangle-1e308"])
         result = CliRunner().invoke(main, ["info", "--graph", path])
         assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [["info"], ["tree"], ["smooth", "--epsilon", "0.5"]],
+                             ids=["info", "tree", "smooth"])
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_FLOAT_WINDOW))
+    def test_outside_float_window(self, tmp_path, name, args):
+        # tree and smooth on the triangle once ended in an AssertionError
+        # from the monotone subdivision, with exit 1
+        path = _write_json_graph(tmp_path, *OUTSIDE_FLOAT_WINDOW[name])
+        result = CliRunner().invoke(main, args + ["--graph", path])
+        assert result.exit_code == 2, result.output
+        assert "float window" in result.output
         assert result.stdout == ""
 
     def test_missing_graph_file(self, tmp_path):

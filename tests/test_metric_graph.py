@@ -1,6 +1,8 @@
 import collections
 import gc
 import json
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -41,10 +43,12 @@ from metricgraph import (
 )
 from metricgraph import metric_graph
 from metricgraph.gromov_tree import _merge_tree_at, _place
-from metricgraph.reeb_smoothing import _locate, _represent, _sweep_at
+from metricgraph.reeb_smoothing import _sweep_at
 from metricgraph.harness import EnsembleSpec, random_graph, verify
 from metricgraph.metric_graph import (
     _build_monotone_model,
+    _net,
+    _net_metric,
     _occurrences,
     _repeat_candidates,
     _to_model_point,
@@ -55,7 +59,8 @@ from metricgraph.metric_graph import (
     validate_path,
 )
 
-from conftest import TINY_PARALLEL, memo_keys, random_point, tie_graphs, trees
+from conftest import (OUTSIDE_FLOAT_WINDOW, TINY_PARALLEL, memo_keys, random_point,
+                      tie_graphs, trees)
 from oracles import diameter_pairs, finite_metric_exits, theta_routes
 
 TOL = 1e-9
@@ -95,6 +100,24 @@ class TestConstruction:
     def test_rejects_non_lengths(self, length):
         with pytest.raises(ValueError, match=r"edge e: length must be > 0, not "):
             MetricGraph(["a", "b"], [("e", "a", "b", length)])
+
+    @pytest.mark.parametrize("name", sorted(OUTSIDE_FLOAT_WINDOW))
+    def test_outside_float_window(self, name):
+        # the triangle once failed its monotone subdivision with an
+        # AssertionError, the path had an infinite diameter, and the 1e-320
+        # edges a tolerance of 0.0, which made every comparison exact
+        with pytest.raises(ValueError, match="outside the float window"):
+            MetricGraph(*OUTSIDE_FLOAT_WINDOW[name])
+
+    def test_float_window_edges(self):
+        # a total length just below the largest float, and a longest edge
+        # whose tolerance is a normal float
+        G = MetricGraph(["a", "b", "c"], [("ab", "a", "b", 8e307), ("bc", "b", "c", 8e307)])
+        assert G.total_length == 1.6e308
+        assert diameter(G) == pytest.approx(1.6e308, rel=1e-12)
+        G = MetricGraph(["a", "b"], [("e1", "a", "b", 1e-290), ("e2", "a", "b", 2e-290)])
+        assert G._tol >= sys.float_info.min
+        assert distance(G, GraphPoint(edge="e1", offset=0.5e-290), GraphPoint(vertex="b")) == 0.5e-290
 
     def test_disconnected(self):
         with pytest.raises(ValueError, match="graph not connected"):
@@ -474,6 +497,24 @@ class TestEpsilonNet:
             if x.edge is not None:
                 assert min(x.offset, G.edge(x.edge).length - x.offset) >= eps / 2
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.sampled_from([2.0 ** -40, 1.0, 2.0 ** 40]),
+           st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0, 1.7, float("inf")]))
+    def test_matches_point_loop(self, graph, scale, frac):
+        # the net is laid out with arrays; the point loop it replaced is
+        # the reference, float for float
+        vertices, edges = graph
+        G = MetricGraph(vertices, [(k, u, v, L * scale) for (k, u, v, L) in edges])
+        eps = frac * scale
+        want = [GraphPoint(vertex=v) for v in G.vertices]
+        for e in G.edges:
+            m = int(math.ceil(e.length / eps - 1e-12))
+            want += [GraphPoint(edge=e.id, offset=e.length * k / m) for k in range(1, m)]
+        got = epsilon_net(G, eps)
+        assert got == want
+        assert all(type(x.offset) is float for x in got)
+        assert list(metric_graph._net(G, eps).points) == want
+
 
 class TestFiniteMetric:
     def test_two_points(self):
@@ -633,7 +674,8 @@ class TestMemo:
         assert {k[0].__name__ for k in memo} == {
             "_peel", "_sp_tree", "_vd_table", "diameter", "_cycle_lengths",
             "persistence_sequence", "_build_monotone_model", "_merge_tree_at",
-            "_sweep_at"}
+            "_sweep_at", "_net", "_net_metric", "_vd_sym", "_model_arrays",
+            "_net_places"}
         # one model and one merge tree per canonical basepoint, and one
         # sweep that the smoothing and its Betti number share
         assert len(memo_keys(G, _merge_tree_at)) == 2
@@ -655,6 +697,26 @@ class TestMemo:
         assert betti_after_smoothing(G, p_end, eps) == S.graph.betti1
         assert epsilon_smoothing(G, p, 0.5 * eps) is not S
         assert memo_keys(G, _sweep_at) == [(p, eps), (p, 0.5 * eps)]
+
+    def test_one_net_per_mesh(self):
+        # the quotient correspondence, the merge-tree distortion and the
+        # net hyperbolicity at one mesh share one net and its block, and a
+        # numpy float mesh reaches the net a float built
+        G = random_graph(self.SPEC, 0)
+        p = GraphPoint(vertex=G.vertices[0])
+        mesh = 0.2 * diameter(G)
+        corr = quotient_correspondence(G, epsilon_smoothing(G, p, 0.3 * diameter(G)), mesh)
+        tree_distortion(G, p, np.float64(mesh))
+        hyp_graph(G, np.float64(mesh))
+        assert memo_keys(G, _net) == [(mesh,)]
+        assert memo_keys(G, _net_metric) == [(mesh,)]
+        assert type(memo_keys(G, _net)[0][0]) is float
+        net = _net(G, mesh)
+        assert list(net.points) == epsilon_net(G, mesh)
+        D = _net_metric(G, mesh)
+        assert np.array_equal(D, finite_metric(G, net.points))
+        assert np.array_equal(corr.DX[:len(D), :len(D)], D)
+        assert not D.flags.writeable
 
     def test_smoothings_do_not_keep_their_graph_alive(self):
         # each smoothing in G's memo points back to G, weakly: no cycle, so
@@ -773,11 +835,11 @@ def test_bad_scale_rejected(theta, call, name, bad):
 @pytest.mark.parametrize("k", [4.0, 1.0])
 def test_epsilon_net_rejects_tolerance_scale(theta, monkeypatch, k):
     # at 4 tolerances the longest edge alone would get 2.5e8 points; with
-    # no GraphPoint to build, a net that skips the check fails at once
+    # no net to lay out, a net that skips the check fails at once
     def no_points(*args, **kwargs):
-        raise AssertionError("epsilon_net built a point")
+        raise AssertionError("epsilon_net laid out its points")
 
-    monkeypatch.setattr(metric_graph, "GraphPoint", no_points)
+    monkeypatch.setattr(metric_graph, "_net_at", no_points)
     with pytest.raises(ValueError, match="eps"):
         epsilon_net(theta, k * theta._tol)
 
@@ -824,14 +886,18 @@ class TestCanonicalOnce:
         given = net_g + net_s + cands
         canonicalised.clear()
         for x in net_g:
-            _locate(S, x)
             _to_model_point(model, x)
             _place(G, model, x)
-        for q in net_s:
-            _represent(S, q)
         for c in cands:
             _occurrences(G, steps, c)
         assert not {id(x) for x in given} & set(canonicalised)
+        # the quotient path locates and represents whole nets, as arrays:
+        # no point of either net goes through canonical
+        canonicalised.clear()
+        corr = quotient_correspondence(G, S, 0.25)
+        assert corr.left[:len(net_g)] == tuple(net_g)
+        assert corr.right[len(net_g):] == tuple(net_s)
+        assert canonicalised == []
 
     def test_model_points_are_canonical(self, theta):
         # from u, the farthest points of e2 and e3 are cuts of the model, at

@@ -17,11 +17,16 @@ from metricgraph import (
 )
 from metricgraph.harness import EnsembleSpec, random_graph
 from metricgraph import reeb_smoothing
-from metricgraph.reeb_smoothing import _class, _locate, _rep_at, _represent
+from metricgraph.reeb_smoothing import _classes, _reps
 
-from oracles import smoothing_levels, smoothing_slots
+from oracles import quotient_points, smoothing_levels, smoothing_slots
 
 TOL = 1e-9
+
+
+def class_names(S):
+    """S's vertex and edge names in the order of their class codes."""
+    return list(S.graph.vertices) + [e.id for e in S.graph.edges]
 
 
 def point_at_level(S, eid, lvl):
@@ -250,11 +255,23 @@ class TestSlotOracle:
         S = epsilon_smoothing(G, p, eps)
         T = smoothing_slots.epsilon_smoothing(G, p, eps)
         assert S.to_json_obj() == T.to_json_obj()
-        for (name, s), x in T._rep.items():
-            assert _rep_at(S, name, s) == x, (name, s)
-        for s, at in enumerate(T._name_of):
-            for x, name in at.items():
-                assert _class(S, s, x) == name, (s, x)
+        # every lookup at once on the array path, and one at a time by the
+        # per-point oracle
+        names = class_names(S)
+        code = {name: k for k, name in enumerate(names)}
+        elems, num = quotient_points.numbering(S)
+        reps = list(T._rep.items())
+        got = _reps(S, np.array([code[name] for (name, _), _ in reps], dtype=np.int64),
+                    np.array([s for (_, s), _ in reps], dtype=np.int64))
+        for ((name, s), x), k in zip(reps, got.tolist()):
+            assert elems[k] == x, (name, s)
+            assert quotient_points._rep_at(S, name, s) == x, (name, s)
+        classes = [(s, x, name) for s, at in enumerate(T._name_of) for x, name in at.items()]
+        got = _classes(S, np.array([num[x] for _, x, _ in classes], dtype=np.int64),
+                       np.array([s for s, _, _ in classes], dtype=np.int64))
+        for (s, x, name), c in zip(classes, got.tolist()):
+            assert names[c] == name, (s, x)
+            assert quotient_points._class(S, s, x) == name, (s, x)
         corr = quotient_correspondence(G, S, mesh)
         left, right, DX, DY = smoothing_slots.correspondence_parts(G, T, mesh)
         assert list(corr.left) == left
@@ -313,12 +330,17 @@ class TestSlotOracle:
         S = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), eps)
         entries = (sum(len(slots) for slots, _ in S._names)
                    + sum(len(slots) for slots, _ in S._reps.values()))
-        assert entries <= 2 * len(S._elems)
+        assert entries <= 2 * (len(S._model.graph.vertices) + len(S._model.graph.edges))
+
+
+def located(G, S, mesh, x):
+    """The class of point x of G's mesh-net in the quotient correspondence."""
+    return quotient_correspondence(G, S, mesh).right[epsilon_net(G, mesh).index(x)]
 
 
 class TestBuiltPointsAreCanonical:
-    """_locate and _represent build points that may lie within tolerance
-    of an edge end, and snap them."""
+    """The quotient path locates and represents points that may lie within
+    tolerance of an edge end, and snaps them."""
 
     def test_locate_snaps_into_a_vertex(self):
         # S's longest edge is about 600, so its tolerance, 5.12e-7, is above
@@ -329,7 +351,22 @@ class TestBuiltPointsAreCanonical:
                         + [(f"e{k}", f"v{k - 1}", f"v{k}", 1.0) for k in range(1, 600)])
         S = epsilon_smoothing(G, GraphPoint(vertex="p"), 0.5)
         assert S.graph._tol > 100.0 * G._tol
-        assert _locate(S, GraphPoint(vertex="w")) == GraphPoint(vertex="n0")
+        w = GraphPoint(vertex="w")
+        assert quotient_points._locate(S, w) == GraphPoint(vertex="n0")
+        assert located(G, S, 1.0, w) == GraphPoint(vertex="n0")
+
+    def test_level_a_merge_gap_above_a_critical_snaps_to_it(self):
+        # w lies exactly the merge gap (100 x G's tolerance) above p, so its
+        # level joins p's slot and w is located at n0; S's tolerance is below
+        # the gap, so the S edge above n0 would not snap back to it
+        gap = 100.0 * 1e-9
+        G = MetricGraph(["p", "w", "x"], [("pw", "p", "w", gap), ("wx", "w", "x", 1.0)])
+        assert 100.0 * G._tol == gap
+        S = epsilon_smoothing(G, GraphPoint(vertex="p"), 0.5)
+        assert S.graph._tol < gap
+        w = GraphPoint(vertex="w")
+        assert quotient_points._locate(S, w) == GraphPoint(vertex="n0")
+        assert located(G, S, 0.5, w) == GraphPoint(vertex="n0")
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0, 2.5])
     def test_located_and_represented_points(self, theta, c12_decorated, eps):
@@ -338,12 +375,37 @@ class TestBuiltPointsAreCanonical:
         for G, p in ((theta, GraphPoint(vertex="u")), (theta, GraphPoint(edge="e3", offset=0.75)),
                      (c12_decorated, GraphPoint(vertex="p"))):
             S = epsilon_smoothing(G, p, eps)
-            for x in epsilon_net(G, 0.25):
-                y = _locate(S, x)
+            corr = quotient_correspondence(G, S, 0.25)
+            n = len(epsilon_net(G, 0.25))
+            for y in corr.right[:n]:
                 assert S.graph.canonical(y) == y
-            for q in epsilon_net(S.graph, 0.25):
-                r = _represent(S, q)
+            for r in corr.left[n:]:
                 assert G.canonical(r) == r
+            left, right, _, _ = quotient_points.correspondence_parts(G, S, 0.25)
+            assert list(corr.left) == left
+            assert list(corr.right) == right
+
+
+class TestQuotientPointsOracle:
+    """The whole-net location and representation against the per-point
+    path of tests/oracles/quotient_points.py, far from unit scale too."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(smoothing_cases(max_vertices=30, max_beta=10),
+           st.sampled_from([2.0 ** -40, 1.0, 2.0 ** 40]))
+    def test_matches_per_point_path(self, case, k):
+        G, p, eps = case
+        G, eps = scaled(G, k), eps * k
+        if not p.is_vertex():
+            p = GraphPoint(edge=p.edge, offset=p.offset * k)
+        S = epsilon_smoothing(G, p, eps)
+        mesh = max(0.1 * diameter(G), G.total_length / 100.0)
+        corr = quotient_correspondence(G, S, mesh)
+        left, right, DX, DY = quotient_points.correspondence_parts(G, S, mesh)
+        assert list(corr.left) == left
+        assert list(corr.right) == right
+        assert np.array_equal(corr.DX, DX)
+        assert np.array_equal(corr.DY, DY)
 
 
 def scaled(G, k):
