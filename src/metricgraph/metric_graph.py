@@ -650,6 +650,7 @@ def _extended(W: np.ndarray, D: np.ndarray, a: _Exits, b: _Exits) -> np.ndarray:
 # -- diameter (exact) ------------------------------------------------------
 
 _DIAM_BLOCK = 2048  # edge pairs per vectorised block; bounds the temporaries
+_LANDMARKS = 4      # farthest-point rows that bound every vertex pair in diameter
 
 
 def _max_min_block(funcs, corners):
@@ -659,44 +660,43 @@ def _max_min_block(funcs, corners):
     The slopes a, b are floats shared by the block; each c and each corner
     coordinate is an array over the block (c may also be a float). Corners
     are CCW. Candidates: corners, switch-line crossings with the boundary,
-    and pairwise switch-line intersections. Each float expression has the
-    same operands in the same order as the loop over one polygon in
-    tests/oracles/diameter_pairs.py, so the two agree bit for bit.
+    and pairwise switch-line intersections, each kind formed in one
+    broadcast over (lines or line pairs) x (sides) x block. Each float
+    expression has the same operands in the same order as the loop over one
+    polygon in tests/oracles/diameter_pairs.py, so the two agree bit for
+    bit; the oracle's skip of a pair of parallel switch lines is a mask.
     """
-    m = len(corners)
-    sides = [(corners[k], corners[(k + 1) % m]) for k in range(m)]
-    lines = [(a1 - a2, b1 - b2, c1 - c2)
-             for k, (a1, b1, c1) in enumerate(funcs)
-             for (a2, b2, c2) in funcs[k + 1:]]
-    everywhere = np.ones(len(corners[0][0]), dtype=bool)
-    xs = [x for (x, _) in corners]
-    ys = [y for (_, y) in corners]
-    oks = [everywhere] * m
-    for (A, B, C) in lines:
-        for ((x0, y0), (x1, y1)) in sides:
-            # intersect A*s+B*t+C=0 with the side
-            den = A * (x1 - x0) + B * (y1 - y0)
-            lam = -(A * x0 + B * y0 + C) / den
-            oks.append((np.abs(den) >= 1e-15) & (lam >= -1e-9) & (lam <= 1 + 1e-9))
-            xs.append(x0 + lam * (x1 - x0))
-            ys.append(y0 + lam * (y1 - y0))
-    for k, (A1, B1, C1) in enumerate(lines):
-        for (A2, B2, C2) in lines[k + 1:]:
-            den = A1 * B2 - A2 * B1  # slopes are shared, so den is a float
-            if abs(den) < 1e-15:
-                continue
-            xs.append((-C1 * B2 + C2 * B1) / den)
-            ys.append((-A1 * C2 + A2 * C1) / den)
-            oks.append(everywhere)
-    X, Y, ok = np.array(xs), np.array(ys), np.array(oks)
+    n = len(corners[0][0])
+    ab = np.array([(a, b) for (a, b, _) in funcs])
+    c = np.array([np.broadcast_to(f[2], n) for f in funcs])
+    # the switch lines A*s + B*t + C = 0, one per pair of functions
+    f1, f2 = np.triu_indices(len(funcs), 1)
+    A, B = (ab[f1] - ab[f2]).T
+    C = c[f1] - c[f2]
+    x0 = np.array([x for (x, _) in corners])
+    y0 = np.array([y for (_, y) in corners])
+    dx, dy = np.roll(x0, -1, axis=0) - x0, np.roll(y0, -1, axis=0) - y0
+    # every line with every side (x0, y0) + lam * (dx, dy)
+    A3, B3 = A[:, None, None], B[:, None, None]
+    den = A3 * dx + B3 * dy
+    lam = -(A3 * x0 + B3 * y0 + C[:, None]) / den
+    on_side = (np.abs(den) >= 1e-15) & (lam >= -1e-9) & (lam <= 1 + 1e-9)
+    # every pair of lines that cross (slopes are shared, so det is a float)
+    h1, h2 = np.triu_indices(len(A), 1)
+    det = A[h1] * B[h2] - A[h2] * B[h1]
+    cross = np.abs(det) >= 1e-15
+    h1, h2, det = h1[cross], h2[cross], det[cross, None]
+    X = np.concatenate([x0, (x0 + lam * dx).reshape(-1, n),
+                        (-C[h1] * B[h2, None] + C[h2] * B[h1, None]) / det])
+    Y = np.concatenate([y0, (y0 + lam * dy).reshape(-1, n),
+                        (-A[h1, None] * C[h2] + A[h2, None] * C[h1]) / det])
+    ok = np.concatenate([np.ones(x0.shape, dtype=bool), on_side.reshape(-1, n),
+                         np.ones((len(det), n), dtype=bool)])
 
     # polygon membership via half-planes
     slack = -1e-9 * (1 + np.abs(X) + np.abs(Y))
-    for ((px, py), (qx, qy)) in sides:
-        ok &= (qx - px) * (Y - py) - (qy - py) * (X - px) >= slack
-    val = np.full(X.shape, np.inf)
-    for (a, b, c) in funcs:
-        np.minimum(val, a * X + b * Y + c, out=val)
+    ok &= (dx[:, None] * (Y - y0[:, None]) - dy[:, None] * (X - x0[:, None]) >= slack).all(axis=0)
+    val = (ab[:, :1, None] * X + ab[:, 1:, None] * Y + c[:, None]).min(axis=0)
     return np.where(ok, val, -np.inf).max(axis=0)
 
 
@@ -704,55 +704,96 @@ def _max_min_block(funcs, corners):
 def diameter(G: MetricGraph) -> float:
     """Exact diameter of the geodesic space: the max over edge pairs of the
     min of four affine functions, the routes between a point on each edge.
+    A pair is evaluated only when its bound reaches the running maximum,
+    which is always a value the kernel forms, so the result is ``==`` to
+    evaluating every pair. Trees are built only for the landmarks below and
+    for the ends of the lower-index edge of each pair that U cannot rule
+    out (``routes`` reads those two rows).
 
-    Every pair (e, e) is evaluated first. The running maximum then takes
-    the min of the four routes at the corner that joins the two ends of
-    the largest table entry, a value the kernel forms when it evaluates
-    that pair, so it starts near the diameter and never exceeds the result.
-    A pair of distinct edges is skipped when its bound plus a margin is
-    below the running maximum. Its routes f1 = s + t + c1 and
+    Table bound. For a pair of distinct edges, f1 = s + t + c1 and
     f4 = -s - t + c4 have opposite slopes, as have f2 and f3, so at every
-    (s, t) the min of the four is at most
+    (s, t) the min of the four routes is at most
 
-        b = min(c1 + c4, c2 + c3) / 2,
+        b = min(c1 + c4, c2 + c3) / 2.
 
-    which is l1 + l2 + (the least of the four endpoint distances) or less,
-    up to the trees' slack. The margin covers the kernel's rounding: it
-    forms f1 = fl(w + c1) and f4 = fl(-w + c4) with w = fl(s + t), and
-    when both are positive their sum is c1 + c4 to a relative 2^-53, so
-    their min is at most b (1 + 2^-53) / (1 - 2^-53) < b + 3 ulps of b;
-    the margin is 4 ulps of b. The bound reads the kernel's own c floats,
-    so no skipped pair holds a value above the running maximum, and the
-    result is ``==`` to evaluating every pair. Bounds are formed block by
-    block, so memory stays O(_DIAM_BLOCK).
+    The kernel forms f1 = fl(w + c1) and f4 = fl(-w + c4) with w = fl(s + t),
+    and when both are positive their sum is c1 + c4 to a relative 2^-53, so
+    their min is at most b (1 + 2^-53) / (1 - 2^-53) < b + 3 ulps of b; the
+    margin is 4 ulps of b.
+
+    Landmark bound. _LANDMARKS rows r, taken farthest-point first from
+    vertex 0, bound every vertex pair by U[x, y] = min_r row_r[x] + row_r[y],
+    and b fed with U for the table entries, b_U, bounds b. Its margin: on
+    lengths divided by the unit, with u = 2^-53, a row is a float sum along
+    a path each step of which skips improvements of at most 1e-15, so along
+    a shortest path of at most V - 1 edges row_x[y] <= d(x, y) (1 + 2V u) +
+    V 1e-15, while row_r[x] >= d(r, x) (1 - V u). With d(x, y) <= d(r, x) +
+    d(r, y) and the folds of U, the c's and b_U (a few u each), the kernel's
+    value on the pair is below b_U (1 + (3V + 8) u) + V 1e-15, up to terms
+    in u^2. The margin V 2^-48 b_U + 2V 1e-15 = 32V u b_U + 2V 1e-15 covers
+    that with room for its own rounding; a wider margin only keeps more
+    pairs. With one landmark r for all four entries, b_U is at most
+    (S_r(i) + S_r(j)) / 2, where S_r(e) sums e's length and its ends'
+    row_r entries, so an edge whose S_r plus the largest S_r falls short
+    for some r is in no surviving pair, and U is formed only among the
+    other edges.
+
+    Pairs (e, e). On the triangles s <= t and s >= t, with the direct route
+    |s - t| as a fifth function, c1 = 0 and c4 = 2l exactly, so at every
+    candidate, inside the triangle or within the kernel's 1e-9 slack
+    outside it, min(f1, f4) = min(w, fl(2l - w)) <= l, as fl is monotone
+    and l is a float: a pair (e, e) is evaluated only when l reaches the
+    running maximum, and that bound needs no margin.
+
+    The running maximum starts at the min of the four routes at the corner
+    that joins the two ends of the largest landmark entry, a value the
+    kernel forms when it evaluates that pair. Bounds and kernel calls run
+    block by block, so memory stays O(_DIAM_BLOCK), and only filled rows of
+    the table are read.
     """
     if not G._edge_tuple:
         return 0.0
     # the kernel's tolerances are set for lengths near 1, so it runs on
     # lengths divided by G._unit; the result then scales exactly with G
-    unit = G._unit
-    D = G._vd_rows(np.arange(len(G.vertices))) / unit
+    unit, n = G._unit, len(G.vertices)
     eu, ev = G._ends.T
     L = G._lengths / unit
+    lm, near = [], np.full(n, np.inf)
+    for _ in range(_LANDMARKS):
+        lm.append(int(near.argmax()))  # vertex 0 first: every entry is inf
+        vd = G._vd_rows(np.array(lm[-1:]))
+        near = np.minimum(near, vd[lm[-1]])
+    R = vd[lm] / unit
 
     def routes(i, j):
-        # d(s on e_i, t on e_j) through each pair of endpoints
+        # d(s on e_i, t on e_j) through each pair of endpoints; reads the
+        # rows eu[i] and ev[i], which must be filled
         l1, l2 = L[i], L[j]
         return [
-            (1.0, 1.0, D[eu[i], eu[j]]),
-            (1.0, -1.0, D[eu[i], ev[j]] + l2),
-            (-1.0, 1.0, D[ev[i], eu[j]] + l1),
-            (-1.0, -1.0, D[ev[i], ev[j]] + l1 + l2),
+            (1.0, 1.0, vd[eu[i], eu[j]] / unit),
+            (1.0, -1.0, vd[eu[i], ev[j]] / unit + l2),
+            (-1.0, 1.0, vd[ev[i], eu[j]] / unit + l1),
+            (-1.0, -1.0, vd[ev[i], ev[j]] / unit + l1 + l2),
         ]
 
-    m = len(L)
-    # pairs i < j in row-major order; row i starts at flat index starts[i]
-    counts = np.arange(m - 1, -1, -1)
-    starts = np.cumsum(counts) - counts
+    def margined(b):
+        return b + (b * n * 2.0 ** -48 + 2 * n * 1e-15)
+
     best = 0.0
+    # the corner of a pair (i, j), i < j, at the two ends x, y of the
+    # largest landmark entry: the kernel forms this value there
+    r, y = divmod(int(R.argmax()), n)
+    (i, x), (j, y) = sorted((G._iadj[z][0][2], z) for z in (lm[r], y))
+    if i != j:
+        G._vd_rows(G._ends[i])
+        s = 0.0 if eu[i] == x else L[i]
+        t = 0.0 if eu[j] == y else L[j]
+        best = max(best, float(min(sa * s + sb * t + c for (sa, sb, c) in routes(i, j))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k0 in range(0, m, _DIAM_BLOCK):
-            i = np.arange(k0, min(k0 + _DIAM_BLOCK, m))
+        ee = np.flatnonzero(L >= best)
+        G._vd_rows(G._ends[ee].ravel())
+        for k0 in range(0, len(ee), _DIAM_BLOCK):
+            i = ee[k0:k0 + _DIAM_BLOCK]
             funcs, l1, zero = routes(i, i), L[i], np.zeros(len(i))
             # a pair (e, e): the triangles s <= t and s >= t, with the
             # direct route |s - t| as a fifth function
@@ -761,20 +802,25 @@ def diameter(G: MetricGraph) -> float:
             hi = _max_min_block(funcs + [(-1.0, 1.0, 0.0)],
                                 [(zero, zero), (l1, l1), (zero, l1)])
             best = max(best, float(lo.max()), float(hi.max()))
-        # the corner of a pair (i, j), i < j, at the two ends x, y of the
-        # largest table entry: the kernel forms this value there
-        x, y = divmod(int(D.argmax()), len(D))
-        (i, x), (j, y) = sorted((G._iadj[z][0][2], z) for z in (x, y))
-        if i != j:
-            s = 0.0 if eu[i] == x else L[i]
-            t = 0.0 if eu[j] == y else L[j]
-            best = max(best, float(min(sa * s + sb * t + c
-                                       for (sa, sb, c) in routes(i, j))))
-        npairs = m * (m - 1) // 2
-        for k0 in range(0, npairs, _DIAM_BLOCK):
-            k = np.arange(k0, min(k0 + _DIAM_BLOCK, npairs))
-            i = np.searchsorted(starts, k, side="right") - 1
-            j = k - starts[i] + i + 1
+        # distinct pairs: the edges that pass every single-landmark bound,
+        # then b_U among them, in bands of rows of about 64 _DIAM_BLOCK pairs
+        Ru, Rv = R[:, eu], R[:, ev]
+        S = Ru + Rv + L
+        reach = margined((S + S.max(axis=1, keepdims=True)) / 2.0) >= best
+        cand = np.flatnonzero(reach.all(axis=0))
+        band = max(1, 64 * _DIAM_BLOCK // max(len(cand), 1))
+        pairs = [np.zeros((0, 2), dtype=np.int64)]
+        for k0 in range(0, len(cand), band):
+            i, j = cand[k0:k0 + band, None], cand[k0:]
+            uu, uv, vu, vv = ((P[:, i] + Q[:, None, j]).min(axis=0)
+                              for P in (Ru, Rv) for Q in (Ru, Rv))
+            bound = np.minimum(uu + (vv + L[i] + L[j]), (uv + L[j]) + (vu + L[i])) / 2.0
+            a, b = np.nonzero((margined(bound) >= best) & (i < j))
+            pairs.append(np.column_stack([i[a, 0], j[b]]))
+        pi, pj = np.concatenate(pairs).T
+        G._vd_rows(G._ends[pi].ravel())
+        for k0 in range(0, len(pi), _DIAM_BLOCK):
+            i, j = pi[k0:k0 + _DIAM_BLOCK], pj[k0:k0 + _DIAM_BLOCK]
             funcs = routes(i, j)
             c1, c2, c3, c4 = (c for (_, _, c) in funcs)
             bound = np.minimum(c1 + c4, c2 + c3) / 2.0

@@ -10,7 +10,7 @@ from metricgraph import MetricGraph, diameter, epsilon_net, finite_metric
 from metricgraph import metric_graph
 from metricgraph.harness import EnsembleSpec, random_graph
 
-from conftest import trees
+from conftest import tie_graphs, trees
 from oracles import diameter_pairs
 
 TOL = 1e-9
@@ -67,6 +67,26 @@ class TestOracle:
         # the oracle's candidate tests run on lengths divided by the
         # graph's unit, as the library's do, so the two agree at 2^+-60
         G = MetricGraph(*tree)
+        assert quiet_diameter(G) == diameter_pairs.diameter(G)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.sampled_from([-60, 0, 60]))
+    # a path with a loop at each end, where the landmark bound read
+    # without its margin skips the pair that holds the diameter
+    @example((["v0", "v1", "v2", "v3"],
+              [("e2", "v0", "v3", 0.25), ("e3", "v1", "v2", 0.9114282641278384),
+               ("e9", "v1", "v3", 0.5), ("e10", "v2", "v2", 1.1353148629812868),
+               ("e12", "v0", "v0", 1.9563044204116413)]), 0)
+    # a triangle whose diameter, half its cycle, reads an ulp higher on
+    # its longest edge alone than on any pair of distinct edges
+    @example((["v0", "v1", "v2"],
+              [("e0", "v0", "v1", 1 / 3), ("e1", "v0", "v2", 1.0877732227724648),
+               ("e2", "v1", "v2", 1.6277221404848041)]), 0)
+    def test_tie_graphs(self, graph, k):
+        # equal lengths, parallel twins and self-loops: a landmark's two
+        # folds and a row's single fold round differently here
+        vertices, edges = graph
+        G = MetricGraph(vertices, [(i, u, v, L * 2.0 ** k) for (i, u, v, L) in edges])
         assert quiet_diameter(G) == diameter_pairs.diameter(G)
 
     def test_fixtures(self, theta, c12, c12_decorated):
@@ -151,6 +171,13 @@ class TestPrune:
         G = ensemble_graph(1, 300, 40)
         m = len(G.edges)
         assert evaluated_pairs(G, monkeypatch) <= m * (m - 1) // 2 // 100
+
+    def test_large_graph_builds_few_trees(self):
+        # the cli-large graph: its landmarks and its few surviving pairs
+        # fill at most 20 of the 300 rows
+        G = ensemble_graph(1, 300, 40)
+        diameter(G)
+        assert G._vd_table()[1].sum() <= 20
 
 
 class TestInvariance:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from metricgraph import graph_to_json_obj, save_graph
 from metricgraph.cli import main
@@ -389,3 +390,85 @@ def test_cli_nan_scale(tmp_path, theta, args, name):
     result = CliRunner().invoke(main, args + ["--graph", path])
     assert result.exit_code == 2
     assert f"{name} must be" in result.output
+
+
+# every command that reads a graph file, with the arguments it needs
+_FUZZ_COMMANDS = (
+    ["info"], ["seq"], ["tree"], ["smooth", "--epsilon", "0.5"], ["delta", "--n", "1"],
+    ["hyp"], ["barcode"], ["net"],
+    ["distance", "--point", '{"vertex": "a"}', "--point", '{"edge": "e0", "offset": 0.25}'],
+)
+_ODD_VALUES = (None, True, False, 0, 7, -1.5, "NaN", "1.0", "", [], {}, ["a"], float("nan"))
+_FUZZ_LENGTHS = (1.0, 0.5, 3, 1e308, 1e-300, 5e307, float("nan"))
+
+
+def _json_text(x) -> str:
+    """JSON text where a tuple is an object given as (key, value) pairs, so
+    that a key can occur twice (the parser keeps the last)."""
+    if isinstance(x, tuple):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in x) + "}"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(_json_text, x)) + "]"
+    return json.dumps(x)
+
+
+@st.composite
+def odd_graph_files(draw):
+    """The text of a graph file with odd fields: an empty graph, a path, a
+    triangle, a theta or a disconnected graph, on lengths from 1e-300 to
+    1e308 and NaN (all equal, or each its own), then up to three edits: a
+    field dropped, replaced by an odd value, or given twice with an odd
+    value first or last; an edge given twice; an odd vertex entry."""
+    shape = draw(st.sampled_from(["empty", "path", "triangle", "theta", "disconnected"]))
+    ends = {"empty": [], "path": ["ab", "bc"], "triangle": ["ab", "bc", "ca"],
+            "theta": ["ab", "ab", "ab"], "disconnected": ["ab"]}[shape]
+    vertices = [] if shape == "empty" else ["a", "b", "c"]
+    length = st.sampled_from(_FUZZ_LENGTHS)
+    same = draw(length)
+    edges = [[("id", f"e{k}"), ("u", u), ("v", v),
+              ("length", same if draw(st.booleans()) else draw(length))]
+             for k, (u, v) in enumerate(ends)]
+    top = {"vertices": vertices, "edges": edges}
+    odd = st.sampled_from(_ODD_VALUES)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "odd", "twice", "twin", "vertex", "top"]))
+        if edit == "twin" and edges:
+            edges.append(list(draw(st.sampled_from(edges))))
+        elif edit == "vertex":
+            vertices.append(draw(odd))
+        elif edit == "top":
+            top[draw(st.sampled_from(sorted(top)))] = draw(odd)
+        elif edges:
+            fields = draw(st.sampled_from(edges))
+            k = draw(st.integers(0, len(fields) - 1)) if fields else None
+            if edit == "drop" and fields:
+                del fields[k]
+            elif edit == "odd" and fields:
+                fields[k] = (fields[k][0], draw(odd))
+            elif edit == "twice" and fields:
+                extra = (fields[k][0], draw(odd))
+                fields.insert(k + draw(st.integers(0, 1)), extra)
+    return _json_text(tuple((key, [tuple(e) for e in value] if value is edges else value)
+                            for key, value in top.items()))
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(odd_graph_files())
+    @example('{"vertices": [], "edges": []}')
+    @example('{"vertices": ["a", "b", "c"], "edges": [{"id": "e0", "u": "a", "v": "b", "length": 1}]}')
+    @example(json.dumps({"vertices": ["a", "b", "c"], "edges": [
+        {"id": f"e{k}", "u": u, "v": v, "length": 5e307} for k, (u, v) in enumerate(["ab", "bc", "ca"])]}))
+    def test_odd_graph_files(self, tmp_path_factory, text):
+        # bad input is a usage error (exit 2) where it enters; nothing else
+        # escapes, and whatever exits 0 printed strict JSON
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        path.write_text(text)
+        for args in _FUZZ_COMMANDS:
+            result = CliRunner().invoke(main, [args[0], "--graph", str(path)] + args[1:])
+            assert result.exit_code in (0, 2), (args, text, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), \
+                (args, text, result.exception)
+            if result.exit_code == 0:
+                json.loads(result.stdout)
