@@ -27,7 +27,7 @@ from .metric_graph import (
     point_from_json_obj,
     point_to_json_obj,
 )
-from .persistence import persistence_sequence, vr_h1_barcode
+from .persistence import _check_vr_points, persistence_sequence, vr_h1_barcode
 from .reeb_smoothing import epsilon_smoothing
 
 
@@ -147,7 +147,9 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
     """Degree-1 Vietoris-Rips barcode of a mesh-net of the graph."""
     G = load_graph(graph_path)
     m = _default_mesh(G, mesh)
-    bc = vr_h1_barcode(finite_metric(G, epsilon_net(G, m)))
+    net = epsilon_net(G, m)
+    _check_vr_points(len(net))
+    bc = vr_h1_barcode(finite_metric(G, net))
     if fmt == "csv":
         _emit(_csv_lines(["birth", "death"],
                          [[_fmt(b), _fmt(d)] for (b, d) in bc.bars]), out)

@@ -9,8 +9,10 @@ the first Betti number read as zero.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -92,21 +94,60 @@ def seq_distance(s1: PersistenceSequence, s2: PersistenceSequence) -> float:
 # -- Vietoris-Rips H1 --------------------------------------------------------
 
 _NO_COFACET = np.iinfo(np.int64).max
+_NO_VALUE = np.iinfo(np.int32).max
+
+
+def _triangle_key(value, n: int, i, j, k):
+    """Filtration key of the triangle {i, j, k} for an edge i < j and a
+    third vertex k (broadcast): it orders triangles by (value rank, a, b, c)
+    for the sorted vertices a < b < c, in int64."""
+    a, c = np.minimum(k, i), np.maximum(k, j)
+    return ((np.asarray(value, dtype=np.int64) * n + a) * n + (i + j + k - a - c)) * n + c
+
+
+def _edge_ranks(D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct upper-triangle values of D, ascending, and R, where
+    R[x, y] is the rank of D[min(x, y), max(x, y)] among them (0 on the
+    diagonal). Ranks are below C(300, 2) at the point cap, so R is int32."""
+    n = D.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    values, rank = np.unique(D[iu, ju], return_inverse=True)
+    R = np.zeros((n, n), dtype=np.int32)
+    R[iu, ju] = rank
+    R += R.T
+    return values, R
 
 
 def _cofacet_keys(R: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Filtration keys of the triangles {i, j, k}, one row per edge (i, j)
     with i < j and one column per k; the columns k = i and k = j hold
-    _NO_COFACET. A triangle's key orders it by (value rank, a, b, c) for its
-    sorted vertices a < b < c."""
-    n = R.shape[0]
-    k = np.arange(n)
+    _NO_COFACET."""
     ii, jj = i[:, None], j[:, None]
+    k = np.arange(R.shape[0])
     value = np.maximum(np.maximum(R[i], R[j]), R[i, j][:, None])
-    a, c = np.minimum(k, ii), np.maximum(k, jj)
-    keys = ((value * n + a) * n + (ii + jj + k - a - c)) * n + c
+    keys = _triangle_key(value, R.shape[0], ii, jj, k)
     keys[(k == ii) | (k == jj)] = _NO_COFACET
     return keys
+
+
+def _cofacet_pivots(R: np.ndarray, i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each edge's earliest cofacet: its third vertex k and its key, the
+    least entry of the edge's row of _cofacet_keys. Cofacets of equal value
+    sort as (k, i, j) for k < i, (i, k, j) for i < k < j and (i, j, k) for
+    k > j, a triple that grows with k, so the earliest is the first k of
+    least value, and only its key is formed."""
+    rows = np.arange(len(i))
+    V = np.maximum(R[i], R[j])
+    np.maximum(V, R[i, j][:, None], out=V)
+    V[rows, i] = V[rows, j] = _NO_VALUE
+    k = V.argmin(axis=1)
+    return k, _triangle_key(V[rows, k], R.shape[0], i, j, k)
+
+
+def _check_vr_points(n: int) -> None:
+    """Reject a point set past the VR cap, before its matrix is built."""
+    if n > _VR_MAX_POINTS:
+        raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
 
 
 def vr_h1_barcode(D) -> Barcode:
@@ -124,27 +165,34 @@ def vr_h1_barcode(D) -> Barcode:
     matrix does: columns are edges in reverse filtration order, and a
     column's pivot is its earliest cofacet. The n - 1 edges of the H0
     spanning tree (union-find over the edge order) have no pivot and are
-    skipped. An edge whose earliest cofacet t has it as its latest facet is
-    an apparent pair (e, t) and needs no reduction; only the other columns
-    are reduced, as sorted arrays of triangle keys.
+    skipped.
+
+    An edge whose earliest cofacet t has it as its latest facet is an
+    apparent pair (e, t) and needs no reduction. The earliest cofacet is
+    found on int32 value ranks as the first third vertex of least value
+    (see ``_cofacet_pivots``), which is the least cofacet key. The other
+    columns are reduced implicitly: a column is the set of edges whose
+    coboundaries it sums, and its entries are merged lazily from their
+    sorted coboundaries on a heap, where equal heads cancel in pairs and
+    the least survivor is the pivot. A reduced column is stored as its edge
+    set, an apparent one is its own edge. The pivot p is popped off the
+    heap, and the column added to clear it enters from above p: its entries
+    below p sum to zero, and its p cancels the popped one. These are the
+    GF(2) additions of an explicit reduction, in the same order, so every
+    pivot, every pair and the barcode are the same.
     """
     D = checked_distances(D)
     n = D.shape[0]
-    if n > _VR_MAX_POINTS:
-        raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
+    _check_vr_points(n)
     tol = REL_TOL * length_unit(float(np.abs(D).max(initial=0.0)))
     if n < 3:
         return Barcode(degree=1, bars=())
 
-    # R[x, y]: rank of the edge value D[min, max] among the distinct values
+    values, R = _edge_ranks(D)
     iu, ju = np.triu_indices(n, k=1)
     birth = D[iu, ju]
-    values, rank = np.unique(birth, return_inverse=True)
-    R = np.zeros((n, n), dtype=np.int64)
-    R[iu, ju] = rank
-    R += R.T
     ar = np.arange(n)
-    EK = (R * n + np.minimum.outer(ar, ar)) * n + np.maximum.outer(ar, ar)
+    EK = (R.astype(np.int64) * n + np.minimum.outer(ar, ar)) * n + np.maximum.outer(ar, ar)
     ekey = EK[iu, ju]
     order = np.argsort(ekey)
 
@@ -169,41 +217,68 @@ def vr_h1_barcode(D) -> Barcode:
                 break
     cols = order[~tree[order]]
 
-    # apparent pairs, blockwise over the (edges x n) cofacet keys
+    # apparent pairs, blockwise over the (edges x n) cofacet values
     pivot = np.empty(len(cols), dtype=np.int64)
     apparent = np.empty(len(cols), dtype=bool)
-    step = max(1, (1 << 18) // n)
+    # 2^16 int32 entries a block: larger fresh blocks cost more in page
+    # faults than in arithmetic
+    step = max(1, (1 << 16) // n)
     for s in range(0, len(cols), step):
         blk = cols[s:s + step]
         i, j = iu[blk], ju[blk]
-        keys = _cofacet_keys(R, i, j)
-        k = keys.argmin(axis=1)
-        pivot[s:s + step] = keys[np.arange(len(blk)), k]
+        k, pivot[s:s + step] = _cofacet_pivots(R, i, j)
         apparent[s:s + step] = (EK[i, k] < ekey[blk]) & (EK[j, k] < ekey[blk])
 
     pivot_of: Dict[int, int] = dict(zip(pivot[apparent].tolist(),
                                         cols[apparent].tolist()))
-    reduced: Dict[int, np.ndarray] = {}
+    reduced: Dict[int, Tuple[int, ...]] = {}
+    cob: Dict[int, List[int]] = {}
 
-    def column(e: int) -> np.ndarray:
-        col = reduced.get(e)
-        if col is None:
-            col = np.sort(_cofacet_keys(R, iu[e:e + 1], ju[e:e + 1])[0])[:-2]
-        return col
+    def merge(heap: list, e: int, after: int) -> None:
+        """Put e's coboundary entries with keys above ``after`` on the heap."""
+        keys = cob.get(e)
+        if keys is None:
+            keys = cob[e] = np.sort(_cofacet_keys(R, iu[e:e + 1], ju[e:e + 1])[0])[:-2].tolist()
+        at = bisect_right(keys, after)
+        if at < len(keys):
+            heapq.heappush(heap, (keys[at], e, at))
 
-    rest = cols[~apparent][::-1].tolist()
-    for e in rest:
-        col = column(e)
+    def pop(heap: list) -> int:
+        """Pop the least entry, putting the next of its coboundary in."""
+        key, e, at = heap[0]
+        keys = cob[e]
+        if at + 1 < len(keys):
+            heapq.heapreplace(heap, (keys[at + 1], e, at + 1))
+        else:
+            heapq.heappop(heap)
+        return key
+
+    def pop_pivot(heap: list) -> int:
+        """Pop equal entries in pairs, which cancel, up to the least one
+        left over, the pivot."""
+        while heap:
+            key = pop(heap)
+            if not heap or heap[0][0] != key:
+                return key
+            pop(heap)
+        # the complete 2-skeleton has no H1 left at the top
+        raise AssertionError("VR reduction left unkilled cycles")
+
+    for e in cols[~apparent][::-1].tolist():
+        heap: List[Tuple[int, int, int]] = []
+        merge(heap, e, -1)
+        edges = {e}
         while True:
-            if not col.size:
-                # the complete 2-skeleton has no H1 left at the top
-                raise AssertionError("VR reduction left unkilled cycles")
-            other = pivot_of.get(int(col[0]))
+            p = pop_pivot(heap)
+            other = pivot_of.get(p)
             if other is None:
                 break
-            col = np.setxor1d(col, column(other), assume_unique=True)
-        pivot_of[int(col[0])] = e
-        reduced[e] = col
+            added = reduced.get(other, (other,))
+            for f in added:
+                merge(heap, f, p)
+            edges.symmetric_difference_update(added)
+        pivot_of[p] = e
+        reduced[e] = tuple(edges)
 
     paired = np.fromiter(pivot_of.values(), dtype=np.int64, count=len(pivot_of))
     death = values[np.fromiter(pivot_of, dtype=np.int64, count=len(pivot_of))

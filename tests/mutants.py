@@ -52,6 +52,9 @@ _POINT_ORACLE = "tests/test_reeb_smoothing.py::TestQuotientPointsOracle::test_ma
 _DIAM_ORACLE = ("tests/test_diameter.py::TestOracle::test_ensemble_graphs",
                 "tests/test_diameter.py::TestPrune::test_small_ensemble_graphs")
 _DIAM_TIES = "tests/test_diameter.py::TestOracle::test_tie_graphs"
+_VR_PIVOTS = "tests/test_persistence.py::TestCofacetPivots::test_pivot_is_least_key"
+_VR_ORACLE = ("tests/test_persistence.py::TestVrColumnOracle::test_euclidean",
+              "tests/test_persistence.py::TestVrColumnOracle::test_ensemble_graph_nets")
 _UNREACHED_ROUNDING = ("the margin covers a kernel value up to 3 ulps above the pair's "
                        "bound; no test input was found whose evaluated maximum comes "
                        "that close to a skipped pair's bound")
@@ -175,6 +178,37 @@ MUTANTS: Tuple[Mutant, ...] = (
            "S.max(axis=1, keepdims=True)",
            "S.min(axis=1, keepdims=True)",
            _DIAM_ORACLE + (_DIAM_TIES,)),
+    # VR H1: apparent pairs on int32 values, implicit column reduction
+    Mutant("VR pivot: last k of least value", "persistence.py",
+           "    k = V.argmin(axis=1)\n",
+           "    k = V.shape[1] - 1 - V[:, ::-1].argmin(axis=1)\n",
+           (_VR_PIVOTS,)),
+    Mutant("VR pivot: the edge's own rank dropped from V", "persistence.py",
+           "    np.maximum(V, R[i, j][:, None], out=V)\n",
+           "",
+           (_VR_PIVOTS,)),
+    Mutant("VR pivot: k = i and k = j left unmasked", "persistence.py",
+           "    V[rows, i] = V[rows, j] = _NO_VALUE\n",
+           "",
+           (_VR_PIVOTS,)),
+    Mutant("VR reduction: equal heap heads not cancelled", "persistence.py",
+           "            if not heap or heap[0][0] != key:\n"
+           "                return key\n"
+           "            pop(heap)\n",
+           "            return key\n",
+           _VR_ORACLE),
+    Mutant("VR reduction: a reduced column stored as its own edge only", "persistence.py",
+           "reduced[e] = tuple(edges)",
+           "reduced[e] = (e,)",
+           _VR_ORACLE),
+    Mutant("VR ranks held in int16", "persistence.py",
+           "R = np.zeros((n, n), dtype=np.int32)",
+           "R = np.zeros((n, n), dtype=np.int16)",
+           ("tests/test_persistence.py::TestCofacetPivots::test_at_the_cap",)),
+    Mutant("barcode cap checked after the matrix is built", "cli.py",
+           "    _check_vr_points(len(net))\n",
+           "",
+           ("tests/test_harness_cli.py::TestCli::test_barcode_cap_before_the_matrix",)),
     # the CLI's error boundary
     Mutant("CLI turns only OSError into exit 2", "cli.py",
            "except (OSError, ValueError) as exc:",

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from metricgraph import graph_to_json_obj, save_graph
+from metricgraph import cli, graph_to_json_obj, save_graph
 from metricgraph.cli import main
 from metricgraph.harness import (
     EnsembleSpec,
@@ -378,6 +378,21 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["verify", "--count", "-3"])
         assert result.exit_code == 2
+
+    def test_barcode_cap_before_the_matrix(self, tmp_path, monkeypatch):
+        # on the gh-nets 100-vertex graph mesh 0.1 gives a net of about
+        # 1,400 points, past the VR cap: no distance matrix may be built
+        G = random_graph(EnsembleSpec(seed=1, vertex_range=(100, 100),
+                                      beta1_range=(15, 15)), 0)
+        path = _write_graph(tmp_path, G, "g100.json")
+
+        def no_matrix(*args):
+            raise AssertionError("finite_metric called on a net past the VR cap")
+
+        monkeypatch.setattr(cli, "finite_metric", no_matrix)
+        result = CliRunner().invoke(main, ["barcode", "--graph", path, "--mesh", "0.1"])
+        assert result.exit_code == 2, result.output
+        assert "too many points for VR persistence: 14" in result.output
 
 
 @pytest.mark.parametrize("args, name", [

@@ -207,6 +207,55 @@ class TestVrColumnOracle:
         assert vr_h1_barcode(D) == vr_columns.h1_barcode(D)
 
 
+def pivots_and_key_minima(D: np.ndarray, block: int = 2000):
+    """The earliest cofacet key of every edge, from the apparent stage's
+    helper and as the least entry of the edge's row of cofacet keys,
+    blockwise over the edges."""
+    _, R = persistence._edge_ranks(D)
+    iu, ju = np.triu_indices(D.shape[0], k=1)
+    got, want = [], []
+    for s in range(0, len(iu), block):
+        i, j = iu[s:s + block], ju[s:s + block]
+        got.append(persistence._cofacet_pivots(R, i, j)[1])
+        want.append(persistence._cofacet_keys(R, i, j).min(axis=1))
+    return np.concatenate(got), np.concatenate(want)
+
+
+def ensemble_net(seed: int, n_v: int, beta: int, mesh: float) -> np.ndarray:
+    G = random_graph(EnsembleSpec(seed=seed, vertex_range=(n_v, n_v),
+                                  beta1_range=(beta, beta)), 0)
+    return finite_metric(G, epsilon_net(G, mesh))
+
+
+class TestCofacetPivots:
+    """The apparent stage's pivot, the first third vertex of least value,
+    is the least key of the edge's cofacets."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(euclidean_metrics())
+    @example(ensemble_net(3, 12, 3, 0.5))
+    def test_pivot_is_least_key(self, D):
+        # vr_h1_barcode forms no pivot below three points
+        if D.shape[0] >= 3:
+            got, want = pivots_and_key_minima(D)
+            assert np.array_equal(got, want)
+
+    def test_at_the_cap(self):
+        # the gh-nets 100-vertex graph at mesh 0.55: 257-300 points, so
+        # edge ranks run past int16
+        mesh = 0.55
+        G = random_graph(EnsembleSpec(seed=1, vertex_range=(100, 100),
+                                      beta1_range=(15, 15)), 0)
+        D = finite_metric(G, epsilon_net(G, mesh))
+        assert 257 <= D.shape[0] <= persistence._VR_MAX_POINTS
+        assert persistence._edge_ranks(D)[1].max() > 2 ** 15
+        got, want = pivots_and_key_minima(D)
+        assert np.array_equal(got, want)
+        # VR stability with Virk's barcode of the graph, {(0, l_i / 3)}
+        basis = Barcode(bars=tuple((0.0, a) for a in persistence_sequence(G).entries))
+        assert bottleneck_distance(vr_h1_barcode(D), basis) <= 2.0 * mesh + TOL
+
+
 class TestMinimalCycleBasis:
     def test_tree_empty(self):
         G = MetricGraph(vertices=["a", "b", "c"],
