@@ -19,11 +19,12 @@ from .harness import EnsembleSpec, _csv_lines, _fmt, load_graph, verify
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
+    _net,
+    _net_metric,
     default_mesh,
     diameter,
     distance,
     epsilon_net,
-    finite_metric,
     point_from_json_obj,
     point_to_json_obj,
 )
@@ -147,9 +148,8 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
     """Degree-1 Vietoris-Rips barcode of a mesh-net of the graph."""
     G = load_graph(graph_path)
     m = _default_mesh(G, mesh)
-    net = epsilon_net(G, m)
-    _check_vr_points(len(net))
-    bc = vr_h1_barcode(finite_metric(G, net))
+    _check_vr_points(len(_net(G, m).points))
+    bc = vr_h1_barcode(_net_metric(G, m))
     if fmt == "csv":
         _emit(_csv_lines(["birth", "death"],
                          [[_fmt(b), _fmt(d)] for (b, d) in bc.bars]), out)

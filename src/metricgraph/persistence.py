@@ -325,31 +325,28 @@ def _greedy_basis(G: MetricGraph, candidates: List[int], beta: int) -> List[floa
 
 def _horton_candidates(G: MetricGraph) -> List[int]:
     """Each edge closed by the shortest-path tree of each root, as GF(2)
-    edge bitmasks in construction order. Pendant edges are bridges, so
-    they are in every tree and close nothing: only the core's edges are
-    closed (see ``MetricGraph._peel``), and only the core's vertices get
-    masks. A core vertex's mask is its tree path from the first core
-    vertex the tree settles, its parent's mask plus its tree edge. For a
-    root in a pendant tree, that leaves out the walk up to the core, which
-    both ends of a closed edge share, so the candidate is the same. The
-    tree settles its core in one block after that walk, each parent first,
-    so one pass over the block builds every mask."""
-    vidx = G._vidx
-    up, pendant, _ = G._peel()
-    ncore = len(G.vertices) - len(pendant)
+    edge bitmasks in construction order. The roots are the core's branch
+    vertices, or its first vertex when the core is one cycle (see
+    ``minimal_cycle_basis``); core-edge ends count as ``_iadj`` lists them,
+    each parallel edge and both halves of a loop. Pendant edges are
+    bridges, so they are in every tree and close nothing: only the core's
+    edges are closed (see ``MetricGraph._peel``), and only the core's
+    vertices get masks. A root's tree settles the core first, each parent
+    before its children, so one pass builds every mask, a core vertex's
+    tree path from the root: its parent's mask plus its tree edge."""
+    vidx, iadj = G._vidx, G._iadj
+    up = G._peel()[0]
+    core = [v for v in range(len(G.vertices)) if up[v] is None]
+    roots = [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]
     bits = [1 << k for k in range(len(G.edges))]
     closable = [(k, a, b) for k, (a, b) in enumerate((vidx[e.u], vidx[e.v]) for e in G.edges)
                 if up[a] is None and up[b] is None]
     masks = [0] * len(G.vertices)
     cands: List[int] = []
-    for root in range(len(G.vertices)):
+    for root in roots:
         tree = G._sp_tree(root)
-        order, parent, via = tree.order, tree.parent, tree.via
-        start = 0
-        while up[order[start]] is not None:
-            start += 1
-        masks[order[start]] = 0
-        for v in order[start + 1:start + ncore]:
+        parent, via = tree.parent, tree.via
+        for v in tree.order[1:len(core)]:
             masks[v] = masks[parent[v]] ^ bits[via[v]]
         cands.extend(masks[a] ^ masks[b] ^ bits[k]
                      for (k, a, b) in closable if via[a] != k and via[b] != k)
@@ -360,26 +357,28 @@ def minimal_cycle_basis(G: MetricGraph) -> List[float]:
     """Lengths of a minimum-weight GF(2) cycle basis, ascending. Built once
     per graph; each call returns a new list.
 
-    Horton's theorem (Horton, SIAM J. Comput. 1987): for a root r and an
-    edge xy, let C(r, xy) be xy plus the tree paths from r to x and to y in
-    a shortest-path tree rooted at r (shared steps cancel mod 2). These
-    cycles, over all roots and edges, contain a minimum basis. The trees'
-    tie-breaking does not matter: for a cycle C through r, the C(r, e) over
-    the edges e of C sum to C, and each weighs at most w(C), since x and y
-    are each reached within their arc of C away from e. The cycle space is
-    a matroid, so the greedy selection over the candidates in ascending
-    weight finds a minimum basis, and every minimum basis has the same
-    sorted weights. The trees skip improvements of at most 1e-15 of G's
-    length unit (``MetricGraph._sp_tree``), so a tree path is longer than
-    a shortest path by at most (V - 1) 1e-15 units, and each returned
-    length is within 2 (V - 1) 1e-15 units of the exact one. The unit
-    scales with G, so the result scales exactly.
-
-    Every vertex stays a root, pendant ones included: a root's tree on the
-    core depends on the distance at which it enters the core, so it can
-    break a tie otherwise than its attachment's tree and close a cycle
-    whose float weight differs. Each candidate is weighed over its edges
-    in index order.
+    Horton's theorem (Horton, SIAM J. Comput. 1987), with the roots
+    restricted to a feedback vertex set (Kavitha, Liebchen, Mehlhorn,
+    Michail, Rizzi, Ueckerdt and Zweig, "Cycle bases in graphs", Comput.
+    Sci. Rev. 2009): for a root r and an edge xy, let C(r, xy) be xy plus
+    the tree paths from r to x and to y in a shortest-path tree rooted at
+    r (shared steps cancel mod 2). A minimum basis consists of simple
+    cycles, which run in the 2-core. For β ≥ 2 each one passes through a
+    branch vertex, a core vertex with at least 3 core-edge ends: a simple
+    cycle through vertices of 2 ends only would be a whole component of the
+    core, which is connected and holds β ≥ 2 cycles. For β = 1 the core is
+    the one cycle. So each cycle C of a minimum basis passes through a root
+    r of ``_horton_candidates``, and whatever the trees' tie-breaking, the
+    C(r, e) over the edges e of C sum to C, and each weighs at most w(C),
+    since x and y are each reached within their arc of C away from e. The
+    cycle space is a matroid, so the greedy selection over the candidates
+    in ascending weight finds a minimum basis, and every minimum basis has
+    the same sorted weights. The trees skip improvements of at most 1e-15
+    of G's length unit (``MetricGraph._sp_tree``), so a tree path is
+    longer than a shortest path by at most (V - 1) 1e-15 units, and each
+    returned length is within 2 (V - 1) 1e-15 units of the exact one. The
+    unit scales with G, so the result scales exactly. Each candidate is
+    weighed over its edges in index order.
     """
     return list(_cycle_lengths(G))
 

@@ -55,6 +55,9 @@ _DIAM_TIES = "tests/test_diameter.py::TestOracle::test_tie_graphs"
 _VR_PIVOTS = "tests/test_persistence.py::TestCofacetPivots::test_pivot_is_least_key"
 _VR_ORACLE = ("tests/test_persistence.py::TestVrColumnOracle::test_euclidean",
               "tests/test_persistence.py::TestVrColumnOracle::test_ensemble_graph_nets")
+_HORTON_LARGE = "tests/test_persistence.py::TestHortonWalkOracle::test_large_graph"
+_ROOT_TREES = "tests/test_persistence.py::TestBranchRootTrees::test_ensemble_graphs[1-300-40]"
+_LOOP_ROOTS = "tests/test_persistence.py::TestBranchRootTrees::test_loops_count_twice"
 _UNREACHED_ROUNDING = ("the margin covers a kernel value up to 3 ulps above the pair's "
                        "bound; no test input was found whose evaluated maximum comes "
                        "that close to a skipped pair's bound")
@@ -178,6 +181,22 @@ MUTANTS: Tuple[Mutant, ...] = (
            "S.max(axis=1, keepdims=True)",
            "S.min(axis=1, keepdims=True)",
            _DIAM_ORACLE + (_DIAM_TIES,)),
+    # Horton candidates from the 2-core's branch vertices
+    Mutant("roots: core degree ≥ 4", "persistence.py",
+           "for (w, _, _) in iadj[v]) >= 3] or core[:1]",
+           "for (w, _, _) in iadj[v]) >= 4] or core[:1]",
+           (_HORTON_LARGE, _ROOT_TREES, _LOOP_ROOTS)),
+    # a loop is stored as two halves to one midpoint vertex, so counting
+    # distinct neighbours counts it once
+    Mutant("roots: a loop counted once", "persistence.py",
+           "sum(up[w] is None for (w, _, _) in iadj[v])",
+           "len({w for (w, _, _) in iadj[v] if up[w] is None})",
+           (_LOOP_ROOTS, "tests/test_persistence.py::TestHortonWalkOracle::test_tie_graphs")),
+    Mutant("roots: first core vertex only", "persistence.py",
+           "roots = [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]",
+           "roots = core[:1]",
+           (_HORTON_LARGE, _ROOT_TREES,
+            "tests/test_persistence.py::TestBranchRoots::test_cli_large_graphs[1]")),
     # VR H1: apparent pairs on int32 values, implicit column reduction
     Mutant("VR pivot: last k of least value", "persistence.py",
            "    k = V.argmin(axis=1)\n",
@@ -206,7 +225,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "R = np.zeros((n, n), dtype=np.int16)",
            ("tests/test_persistence.py::TestCofacetPivots::test_at_the_cap",)),
     Mutant("barcode cap checked after the matrix is built", "cli.py",
-           "    _check_vr_points(len(net))\n",
+           "    _check_vr_points(len(_net(G, m).points))\n",
            "",
            ("tests/test_harness_cli.py::TestCli::test_barcode_cap_before_the_matrix",)),
     # the CLI's error boundary

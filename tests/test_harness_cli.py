@@ -387,9 +387,9 @@ class TestCli:
         path = _write_graph(tmp_path, G, "g100.json")
 
         def no_matrix(*args):
-            raise AssertionError("finite_metric called on a net past the VR cap")
+            raise AssertionError("_net_metric called on a net past the VR cap")
 
-        monkeypatch.setattr(cli, "finite_metric", no_matrix)
+        monkeypatch.setattr(cli, "_net_metric", no_matrix)
         result = CliRunner().invoke(main, ["barcode", "--graph", path, "--mesh", "0.1"])
         assert result.exit_code == 2, result.output
         assert "too many points for VR persistence: 14" in result.output

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from metricgraph import (
@@ -15,14 +16,15 @@ from metricgraph import (
     finite_metric,
     minimal_cycle_basis,
     persistence_sequence,
+    save_graph,
     seq_distance,
     vr_h1_barcode,
 )
 from metricgraph.harness import EnsembleSpec, random_graph
-from metricgraph import persistence
+from metricgraph import cli, persistence
 from metricgraph.persistence import _horton_candidates
 
-from conftest import TINY_PARALLEL, pendant_graphs, tie_graphs
+from conftest import TINY_PARALLEL, memo_keys, pendant_graphs, tie_graphs
 from oracles import (
     bottleneck_exhaustive,
     horton_walks,
@@ -326,7 +328,8 @@ def scaled(graph, k):
 
 class TestHortonWalkOracle:
     """The index-based trees and the one-pass masks against the dict-keyed
-    Dijkstra and the parent-chain walk they replaced."""
+    Dijkstra and the parent-chain walk they replaced, over the branch roots
+    the oracle finds by peeling leaves by name."""
 
     @staticmethod
     def assert_same(G):
@@ -342,8 +345,9 @@ class TestHortonWalkOracle:
             rank = {v: k for k, v in enumerate(tree.order)}
             assert tree.order[0] == r
             assert all(rank[tree.parent[v]] < rank[v] for v in tree.order[1:])
-        assert _horton_candidates(G) == horton_walks.horton_candidates(G)
-        assert minimal_cycle_basis(G) == horton_walks.minimal_cycle_basis(G)
+        roots = horton_walks.branch_roots(G)
+        assert _horton_candidates(G) == horton_walks.horton_candidates(G, roots)
+        assert minimal_cycle_basis(G) == horton_walks.minimal_cycle_basis(G, roots)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(tie_graphs(), st.integers(-60, 60))
@@ -449,6 +453,116 @@ class TestPendantTrees:
             G = random_graph(spec, 0)
             TestHortonWalkOracle.assert_same(G)
             assert len(G._peel()[1]) > len(G.vertices) // 2
+
+
+# a tie the branch roots break otherwise than every root: the triangle
+# through e1 sums to 0.6000000000000001 in construction order, the one
+# through e3 to 0.6, and only v0's tree (v0 has two core-edge ends) closes it
+TIE_06 = (["v0", "v1", "v2"], [("e0", "v0", "v1", 0.3), ("e1", "v1", "v2", 0.1),
+                               ("e2", "v0", "v2", 0.2), ("e3", "v1", "v2", 0.1)])
+# a triangle with a loop at a, and a loop at d on a stem from c: d has 3
+# core-edge ends only if its loop counts twice
+LOOPS = (["a", "b", "c", "d"], [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.0),
+                                ("ca", "c", "a", 1.0), ("la", "a", "a", 2.0),
+                                ("cd", "c", "d", 1.0), ("ld", "d", "d", 3.0)])
+
+
+def edge_tuples(G):
+    return [(e.id, e.u, e.v, e.length) for e in G.edges]
+
+
+def sp_tree_roots(G):
+    """The roots of the shortest-path trees G has built, ascending."""
+    return sorted(r for (r,) in memo_keys(G, MetricGraph._sp_tree))
+
+
+class TestBranchRoots:
+    """Horton candidates from the branch vertices only against those from
+    every vertex (the oracle's default roots)."""
+
+    @staticmethod
+    def assert_bounded(G):
+        # each length is at least the exact one and at most every root's
+        # plus the trees' slack; mcb_exhaustive weighs G's own (split)
+        # edges in construction order, as _mask_weight does
+        got = minimal_cycle_basis(G)
+        every = horton_walks.minimal_cycle_basis(G)
+        exact = mcb_exhaustive.minimum_cycle_basis_lengths(list(G.vertices), edge_tuples(G))
+        slack = 2 * (len(G.vertices) - 1) * 1e-15 * G._unit
+        assert len(got) == len(every) == len(exact) == G.betti1
+        assert all(x <= y + slack for x, y in zip(got, every))
+        assert all(x >= y for x, y in zip(got, exact))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tie_graphs(), st.sampled_from([-60, 0, 60]))
+    @example(TIE_06, 0)
+    @example(TIE_06, -60)
+    @example(LOOPS, 60)
+    def test_tie_graphs(self, graph, k):
+        self.assert_bounded(scaled(graph, k))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pendant_graphs(), st.sampled_from([-60, 0, 60]))
+    def test_pendant_graphs(self, graph, k):
+        self.assert_bounded(scaled(graph, k))
+
+    def test_tie_broken_otherwise(self):
+        # not == to every root on tie graphs, but within the bound
+        G = MetricGraph(*TIE_06)
+        assert horton_walks.branch_roots(G) == ["v1", "v2"]
+        assert minimal_cycle_basis(G) == [0.2, 0.6000000000000001]
+        assert horton_walks.minimal_cycle_basis(G) == [0.2, 0.6]
+        assert mcb_exhaustive.minimum_cycle_basis_lengths(*TIE_06) == [0.2, 0.6]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(2, 60), st.integers(0, 20),
+           st.sampled_from([-60, 0, 60]))
+    def test_ensemble_graphs(self, seed, n_v, beta, k):
+        spec = EnsembleSpec(seed=seed, count=1, vertex_range=(n_v, n_v),
+                            beta1_range=(beta, beta))
+        H = random_graph(spec, 0)
+        G = scaled((list(H.vertices), edge_tuples(H)), k)
+        assert minimal_cycle_basis(G) == horton_walks.minimal_cycle_basis(G)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cli_large_graphs(self, seed):
+        G = random_graph(EnsembleSpec(seed=seed, vertex_range=(300, 300),
+                                      beta1_range=(40, 40)), 0)
+        assert minimal_cycle_basis(G) == horton_walks.minimal_cycle_basis(G)
+
+
+class TestBranchRootTrees:
+    """One shortest-path tree per branch vertex, at most 2 beta - 2 in all."""
+
+    @staticmethod
+    def assert_trees(G):
+        want = [G._vidx[v] for v in horton_walks.branch_roots(G)]
+        assert sp_tree_roots(G) == want
+        assert len(want) <= 2 * G.betti1 - 2
+
+    @pytest.mark.parametrize("seed, n_v, beta", [(1, 300, 40), (2, 300, 40), (1, 1000, 100)])
+    def test_ensemble_graphs(self, seed, n_v, beta):
+        G = random_graph(EnsembleSpec(seed=seed, vertex_range=(n_v, n_v),
+                                      beta1_range=(beta, beta)), 0)
+        minimal_cycle_basis(G)
+        self.assert_trees(G)
+
+    def test_loops_count_twice(self):
+        G = MetricGraph(*LOOPS)
+        assert minimal_cycle_basis(G) == [2.0, 3.0, 3.0]
+        assert horton_walks.branch_roots(G) == ["a", "c", "d"]
+        self.assert_trees(G)
+
+    def test_seq_command(self, tmp_path, monkeypatch):
+        G = random_graph(EnsembleSpec(seed=1, vertex_range=(300, 300),
+                                      beta1_range=(40, 40)), 0)
+        path = tmp_path / "g300.json"
+        save_graph(G, str(path))
+        loaded, load = [], cli.load_graph
+        monkeypatch.setattr(cli, "load_graph", lambda p: loaded.append(load(p)) or loaded[0])
+        result = CliRunner().invoke(cli.main, ["seq", "--graph", str(path)])
+        assert result.exit_code == 0, result.output
+        self.assert_trees(loaded[0])
 
 
 class TestCycleBasisCache:
