@@ -9,6 +9,8 @@ produced it.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -34,6 +36,7 @@ _MAX_EXACT = 7
 _MAX_HYP_NET = 400
 _HYP_SEED = 128        # longest pairs that hyperbolicity compares all against all
 _HYP_BLOCK = 1 << 14   # splits per later block of hyperbolicity's scan
+_HYP_CHUNK = 1 << 14   # columns per chunk of hyperbolicity's pair tables
 
 
 @dataclass(frozen=True)
@@ -226,23 +229,22 @@ def brute_force_dgh(DX, DY, pointed: Optional[Tuple[int, int]] = None,
     return value, tuple(found.get(hi) or feasible(gaps[hi]))
 
 
-def _split_gaps(U, I, J, S, c0: int, c1: int) -> float:
-    """Largest gap over the splits {pair b, pair a} with c0 <= b < c1 and
-    a < c1, in the sorted pair order (I, J, S).
+def _lazy_table(n: int, width: int) -> np.ndarray:
+    """An n x width float32 array whose pages take memory only once
+    written. numpy asks for huge pages on arrays of 4 MiB or more, which
+    would make a chunk filled a few columns per row resident whole; those
+    are put on an anonymous map instead."""
+    if 4 * n * width < 1 << 22:
+        return np.empty((n, width), np.float32)
+    return np.frombuffer(mmap.mmap(-1, 4 * n * width), np.float32).reshape(n, width)
 
-    A split's gap is its sum minus the larger of its quadruple's two other
-    pair-sums, with the float operations of the all-pairs loop; on a
-    symmetric U it does not matter which of the two pairs comes first.
-    """
-    w = c1 - c0
-    W = U[np.concatenate((I[c0:c1], J[c0:c1]))]  # rows: k of each new pair, then l
-    XI = np.take(W, I[:c1], axis=1)              # U[k, i] over U[l, i]
-    XJ = np.take(W, J[:c1], axis=1)              # U[k, j] over U[l, j]
-    c = np.add(XI[:w], XJ[w:], out=XI[:w])       # d(i,k) + d(j,l)
-    np.maximum(c, np.add(XI[w:], XJ[:w], out=XI[w:]), out=c)  # d(i,l) + d(j,k)
-    gap = np.add(S[c0:c1, None], S[:c1], out=XJ[:w])
-    gap -= c
-    return float(gap.max())
+
+def _screen_cut(x: float) -> np.float32:
+    """The largest float32 at most x - 2^-18: the least float32 gap that a
+    split can show in the screen and still be worth evaluating exactly."""
+    x -= 2.0 ** -18
+    c = np.float32(x)
+    return c if float(c) <= x else np.nextafter(c, np.float32(-np.inf))
 
 
 def hyperbolicity(D) -> float:
@@ -268,8 +270,25 @@ def hyperbolicity(D) -> float:
     triangle inequality fails by at most tau = max D[i,k] - D[i,j] - D[j,k]
     (rounded nets break it by ulps) the lemma gives min + tau, and the
     margin 2*tau + 16 ulps of the largest entry also covers the rounding of
-    tau and of each gap. Every split that is evaluated uses the float
-    operations of the all-pairs loop, so the result is ``==`` to it.
+    each gap.
+
+    Splits are screened in float32, and only those that can matter are
+    evaluated in float64, with the loop's float operations. The screen's
+    matrix V is D scaled by the power of two that puts its largest entry in
+    [1, 2), so entries round to float32 within 2^-24. Its pair tables
+    UI[x, a] = V[x, I[a]] and UJ[x, a] = V[x, J[a]] grow in chunks of
+    ``_HYP_CHUNK`` columns and are never copied; pairs (k, l) read the rows
+    UI[k] + UJ[l] and UI[l] + UJ[k]. A float32 gap, formed with the loop's
+    expression, is within 5 * 2^-23 < 2^-19 of the float64 one (four
+    entries rounded within 2^-24, three sums below 4 within 2^-23), so a
+    split that beats best or is its block's largest shows a float32 gap
+    above max(best, the block's largest) - 2^-18. Only those splits are
+    evaluated, each once; best takes only their values and misses none that
+    beat it, so the result is ``==`` to the loop's. Near 0, where a
+    tree-like D has many splits, the screen cannot tell 0 from an ulp: a
+    block whose gaps and best all lie below 2^-17 waits to the end and is
+    screened again only if it can still beat best. tau is read off V plus
+    its error bound 2^-21 > 6 * 2^-24; a larger tau only widens the margin.
     """
     D = checked_distances(D)
     n = D.shape[0]
@@ -282,18 +301,73 @@ def hyperbolicity(D) -> float:
     U += U.T
     order = np.argsort(-s, kind="stable")
     I, J, S = iu[order], ju[order], s[order]
-    tau = max(float((U - U[:, j, None] - U[j]).max()) for j in range(n))
-    margin = 2.0 * tau + 16.0 * np.spacing(np.abs(S).max())
+    # the screen's matrix: U * 2^shift, with its largest entry in [1, 2)
+    longest = float(np.abs(S).max())
+    shift = 1 - math.frexp(longest)[1]
+    V = np.ldexp(U, shift).astype(np.float32)
+    SV = V[I, J]
+    step = max(1, _HYP_BLOCK // (n * n))  # middle points j per step of tau
+    tau = max(float((V - V[j:j + step, :, None] - V[j:j + step, None, :]).max())
+              for j in range(0, n, step))
+    margin = 2.0 * math.ldexp(tau + 2.0 ** -21, -shift) + 16.0 * np.spacing(longest)
     # pairs with s + margin > best are a prefix of the order; -(S + margin)
     # is ascending, so searchsorted counts them
     bound = -(S + margin)
-    best, c0, c1 = 0.0, 0, min(len(S), _HYP_SEED)
+    width = min(len(S), _HYP_CHUNK)
+    UI: List[np.ndarray] = []
+    UJ: List[np.ndarray] = []
+    put_off: List[Tuple[float, int, int, int]] = []
+    best = 0.0
+
+    def screen(c0: int, c1: int, q0: int, floor: float) -> None:
+        """Raise best by the splits of the pairs c0..c1 with the pairs of
+        the table chunk at q0 below c1, or put them off if their largest
+        float32 gap and best both lie below floor."""
+        nonlocal best
+        K, L, SK = I[c0:c1], J[c0:c1], SV[c0:c1, None]
+        if c1 - c0 == 1:  # one row: read it as a view, not a copy
+            K, L = slice(K[0], K[0] + 1), slice(L[0], L[0] + 1)
+        h = min(c1 - q0, width)
+        TI, TJ = UI[q0 // width][:, :h], UJ[q0 // width][:, :h]
+        c = np.add(TI[K], TJ[L])                 # d(k,i) + d(l,j)
+        x = np.add(TI[L], TJ[K])                 # d(l,i) + d(k,j)
+        np.maximum(c, x, out=c)
+        g = np.add(SK, SV[q0:q0 + h], out=x)
+        g -= c
+        most = float(g.max())
+        top = max(math.ldexp(best, shift), most)
+        if top < floor:
+            put_off.append((most, c0, c1, q0))
+            return
+        cut = _screen_cut(top)
+        if most > cut:
+            r, a = np.nonzero(g > cut)
+            b, a = r + c0, a + q0
+            keep = a < b  # each split once
+            b, a = b[keep], a[keep]
+            k, l, i, j = I[b], J[b], I[a], J[a]
+            exact = (S[b] + S[a]) - np.maximum(U[k, i] + U[l, j], U[l, i] + U[k, j])
+            best = float(exact.max(initial=best))
+
+    c0, c1 = 0, min(len(S), _HYP_SEED)
     while True:
-        best = max(best, _split_gaps(U, I, J, S, c0, c1))
+        for q0 in range(c0 - c0 % width, c1, width):  # the new columns, chunk by chunk
+            if q0 == width * len(UI):
+                UI.append(_lazy_table(n, width))
+                UJ.append(_lazy_table(n, width))
+            q, lo, hi = q0 // width, max(c0, q0), min(c1, q0 + width)
+            UI[q][:, lo - q0:hi - q0] = V[I[lo:hi]].T  # V is symmetric
+            UJ[q][:, lo - q0:hi - q0] = V[J[lo:hi]].T
+        for q0 in range(0, c1, width):
+            screen(c0, c1, q0, 2.0 ** -17)
         alive = int(np.searchsorted(bound, -best))
         if c1 >= alive:
-            return best / 2.0
+            break
         c0, c1 = c1, min(alive, c1 + max(1, _HYP_BLOCK // c1))
+    for most, c0, c1, q0 in put_off:
+        if most > _screen_cut(math.ldexp(best, shift)):
+            screen(c0, c1, q0, 0.0)
+    return best / 2.0
 
 
 def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, float]:

@@ -16,7 +16,9 @@ Tolerances are relative: a float comparison allows REL_TOL of the length
 unit of its input, the power of two given by ``length_unit``. A graph's
 unit comes from its longest edge, so scaling every length by 2^k scales
 every tolerance, and every result, by exactly 2^k. A graph must lie in the
-float window: its total length finite and its tolerance a normal float.
+float window: its total length at most the largest float over
+max(1e9, 64 E) for E edges, so that every length the library forms from
+it stays finite, and its tolerance a normal float.
 """
 
 from __future__ import annotations
@@ -202,13 +204,18 @@ class MetricGraph:
         # the length unit of the longest edge, and the graph's tolerance
         self._unit = length_unit(max((e.length for e in final), default=1.0))
         self._tol = REL_TOL * self._unit
-        # every sum of lengths must stay finite, and every tolerance
-        # comparison must have room below it
+        # every length the library forms must stay finite, and every
+        # tolerance comparison must have room below it. The largest factors
+        # it applies to the total length: a net point's length * k, with
+        # k < 5e8 as eps exceeds 4 tolerances, on an edge shorter than 2
+        # units; verify's (16 beta + 12) x an upper bound below 3 total
+        # lengths, with beta < E; and the exit kernel's sum of two distances
         total = sum(e.length for e in final)
-        if not (math.isfinite(total) and self._tol >= sys.float_info.min):
+        top = sys.float_info.max / max(1e9, 64.0 * len(final))
+        if not (total <= top and self._tol >= sys.float_info.min):
             raise ValueError(f"edge lengths outside the float window: the total length "
-                             f"{total!r} must be finite and the tolerance {self._tol!r} "
-                             f"a normal float")
+                             f"{total!r} must be at most {top:.6g} and the tolerance "
+                             f"{self._tol!r} at least {sys.float_info.min!r}")
         # per edge index, its ends' vertex indices and its length
         self._ends = np.array([(self._vidx[e.u], self._vidx[e.v]) for e in final],
                               dtype=np.int64).reshape(-1, 2)

@@ -60,14 +60,17 @@ TINY_PARALLEL = (["x", "y"], [("a", "x", "y", 3e-17), ("b", "x", "y", 1e-17),
                               ("c", "x", "y", 2e-17)])
 
 # graphs outside the float window, as (vertices, edges): every length is a
-# positive finite float, but the total length overflows or the tolerance
-# is not a normal float
+# positive finite float, but the total length is too large for the lengths
+# formed from it to stay finite, or the tolerance is not a normal float
 OUTSIDE_FLOAT_WINDOW = {
     "triangle-1e308": (["a", "b", "c"], [("ab", "a", "b", 1e308), ("bc", "b", "c", 1e308),
                                          ("ca", "c", "a", 1e308)]),
     "path-1e308": (["a", "b", "c", "d"], [("ab", "a", "b", 1e308), ("bc", "b", "c", 1e308),
                                           ("cd", "c", "d", 1e308)]),
     "parallel-1e-320": (["a", "b"], [("e1", "a", "b", 1e-320), ("e2", "a", "b", 1e-320)]),
+    # a finite total length, but a net point's length * k would overflow
+    "triangle-5e307": (["a", "b", "c"], [("ab", "a", "b", 5e307), ("bc", "b", "c", 5e307),
+                                         ("ca", "c", "a", 5e307)]),
 }
 
 

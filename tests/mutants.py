@@ -58,6 +58,10 @@ _VR_ORACLE = ("tests/test_persistence.py::TestVrColumnOracle::test_euclidean",
 _HORTON_LARGE = "tests/test_persistence.py::TestHortonWalkOracle::test_large_graph"
 _ROOT_TREES = "tests/test_persistence.py::TestBranchRootTrees::test_ensemble_graphs[1-300-40]"
 _LOOP_ROOTS = "tests/test_persistence.py::TestBranchRootTrees::test_loops_count_twice"
+_HYP_ORACLE = ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[euclidean]",
+               "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[quarter-rounded]",
+               "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[uniform]")
+_HYP_TAU = "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_triangle_excess_below_float32"
 _UNREACHED_ROUNDING = ("the margin covers a kernel value up to 3 ulps above the pair's "
                        "bound; no test input was found whose evaluated maximum comes "
                        "that close to a skipped pair's bound")
@@ -125,11 +129,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            (_SLOT_ORACLE, _POINT_ORACLE)),
     # the float window
     Mutant("float-window guard disabled", "metric_graph.py",
-           "if not (math.isfinite(total) and self._tol >= sys.float_info.min):",
+           "if not (total <= top and self._tol >= sys.float_info.min):",
            "if False:",
            tuple(f"tests/test_metric_graph.py::TestConstruction::test_outside_float_window[{name}]"
-                 for name in ("parallel-1e-320", "path-1e308", "triangle-1e308"))
-           + ("tests/test_harness_cli.py::TestCli::test_outside_float_window[triangle-1e308-tree]",)),
+                 for name in ("parallel-1e-320", "path-1e308", "triangle-1e308", "triangle-5e307"))
+           + ("tests/test_harness_cli.py::TestCli::test_outside_float_window[triangle-1e308-tree]",
+              "tests/test_harness_cli.py::TestCliFuzz::test_triangle_5e307_every_command[net]")),
+    Mutant("float window without the net factor", "metric_graph.py",
+           "top = sys.float_info.max / max(1e9, 64.0 * len(final))",
+           "top = sys.float_info.max / (64.0 * len(final))",
+           ("tests/test_metric_graph.py::TestConstruction::test_float_window_edges",)),
     Mutant("epsilon_net without its tolerance guard", "metric_graph.py",
            "if G._edge_tuple and eps <= 4.0 * G._tol:",
            "if False:",
@@ -181,6 +190,54 @@ MUTANTS: Tuple[Mutant, ...] = (
            "S.max(axis=1, keepdims=True)",
            "S.min(axis=1, keepdims=True)",
            _DIAM_ORACLE + (_DIAM_TIES,)),
+    # hyperbolicity's float32 screen on pair tables
+    Mutant("hyperbolicity screen without its slack", "gh_bounds.py",
+           "    x -= 2.0 ** -18\n",
+           "",
+           _HYP_ORACLE),
+    Mutant("hyperbolicity screen slack below its error bound", "gh_bounds.py",
+           "    x -= 2.0 ** -18\n",
+           "    x -= 2.0 ** -24\n",
+           ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_float32_inverts_two_gaps",)),
+    Mutant("hyperbolicity screen not normalised", "gh_bounds.py",
+           "    shift = 1 - math.frexp(longest)[1]\n",
+           "    shift = 0\n",
+           tuple(f"tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_beyond_float32_range[{k}]"
+                 for k in (200, 1000))
+           + ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_entries_spanning_2_to_the_150[200]",)),
+    Mutant("hyperbolicity put-off blocks never screened again", "gh_bounds.py",
+           "            screen(c0, c1, q0, 0.0)\n",
+           "            pass\n",
+           ("tests/test_kernel_oracles.py::test_verify_nets_symmetric",)),
+    Mutant("hyperbolicity table UJ built from I", "gh_bounds.py",
+           "UJ[q][:, lo - q0:hi - q0] = V[J[lo:hi]].T",
+           "UJ[q][:, lo - q0:hi - q0] = V[I[lo:hi]].T",
+           _HYP_ORACLE),
+    Mutant("hyperbolicity stop margin without 2 tau", "gh_bounds.py",
+           "margin = 2.0 * math.ldexp(tau + 2.0 ** -21, -shift) + 16.0 * np.spacing(longest)",
+           "margin = 16.0 * np.spacing(longest)",
+           _HYP_ORACLE[2:] + (_HYP_TAU,)),
+    Mutant("hyperbolicity tau without its float32 error bound", "gh_bounds.py",
+           "math.ldexp(tau + 2.0 ** -21, -shift)",
+           "math.ldexp(tau, -shift)",
+           (_HYP_TAU,)),
+    Mutant("hyperbolicity stops after the seed block", "gh_bounds.py",
+           "        if c1 >= alive:\n            break\n",
+           "        break\n",
+           _HYP_ORACLE),
+    Mutant("hyperbolicity stops one pair early", "gh_bounds.py",
+           "alive = int(np.searchsorted(bound, -best))",
+           "alive = int(np.searchsorted(bound, -best)) - 1",
+           ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_winning_split_holds_the_shortest_pair",)),
+    Mutant("hyperbolicity tables on numpy's allocator", "gh_bounds.py",
+           "    if 4 * n * width < 1 << 22:\n",
+           "    if True:\n",
+           ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_table_memory_at_the_cap",)),
+    Mutant("hyperbolicity table chunk read one column short", "gh_bounds.py",
+           "h = min(c1 - q0, width)",
+           "h = min(c1 - q0, width) - (c1 - q0 > width)",
+           tuple(f"tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_narrow_table_chunks[{kind}]"
+                 for kind in ("euclidean", "uniform"))),
     # Horton candidates from the 2-core's branch vertices
     Mutant("roots: core degree ≥ 4", "persistence.py",
            "for (w, _, _) in iadj[v]) >= 3] or core[:1]",

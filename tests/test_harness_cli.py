@@ -487,3 +487,13 @@ class TestCliFuzz:
                 (args, text, result.exception)
             if result.exit_code == 0:
                 json.loads(result.stdout)
+
+    @pytest.mark.parametrize("args", _FUZZ_COMMANDS, ids=lambda args: args[0])
+    def test_triangle_5e307_every_command(self, tmp_path, args):
+        # its total length is finite, but nets and sums of two distances
+        # once overflowed deep inside the commands, with other messages
+        path = _write_json_graph(tmp_path, *OUTSIDE_FLOAT_WINDOW["triangle-5e307"])
+        result = CliRunner().invoke(main, [args[0], "--graph", path] + args[1:])
+        assert result.exit_code == 2, result.output
+        assert "outside the float window" in result.output
+        assert result.stdout == ""

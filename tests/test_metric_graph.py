@@ -110,11 +110,13 @@ class TestConstruction:
             MetricGraph(*OUTSIDE_FLOAT_WINDOW[name])
 
     def test_float_window_edges(self):
-        # a total length just below the largest float, and a longest edge
-        # whose tolerance is a normal float
-        G = MetricGraph(["a", "b", "c"], [("ab", "a", "b", 8e307), ("bc", "b", "c", 8e307)])
-        assert G.total_length == 1.6e308
-        assert diameter(G) == pytest.approx(1.6e308, rel=1e-12)
+        # a total length just below the largest float over 1e9, and a
+        # longest edge whose tolerance is a normal float
+        G = MetricGraph(["a", "b", "c"], [("ab", "a", "b", 8e298), ("bc", "b", "c", 8e298)])
+        assert G.total_length == 1.6e299
+        assert diameter(G) == pytest.approx(1.6e299, rel=1e-12)
+        with pytest.raises(ValueError, match=r"must be at most 1\.79769e\+299"):
+            MetricGraph(["a", "b", "c"], [("ab", "a", "b", 9e298), ("bc", "b", "c", 9e298)])
         G = MetricGraph(["a", "b"], [("e1", "a", "b", 1e-290), ("e2", "a", "b", 2e-290)])
         assert G._tol >= sys.float_info.min
         assert distance(G, GraphPoint(edge="e1", offset=0.5e-290), GraphPoint(vertex="b")) == 0.5e-290
@@ -717,6 +719,17 @@ class TestMemo:
         assert np.array_equal(D, finite_metric(G, net.points))
         assert np.array_equal(corr.DX[:len(D), :len(D)], D)
         assert not D.flags.writeable
+
+    def test_one_quotient_per_key(self):
+        # a repeated (smoothing, float(mesh)) reaches the correspondence
+        # built first, whose matrices no caller can change
+        G = random_graph(self.SPEC, 0)
+        S = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), 0.3 * diameter(G))
+        mesh = 0.2 * diameter(G)
+        corr = quotient_correspondence(G, S, mesh)
+        assert quotient_correspondence(G, S, np.float64(mesh)) is corr
+        assert quotient_correspondence(G, S, 0.5 * mesh) is not corr
+        assert not corr.DX.flags.writeable and not corr.DY.flags.writeable
 
     def test_smoothings_do_not_keep_their_graph_alive(self):
         # each smoothing in G's memo points back to G, weakly: no cycle, so

@@ -3,6 +3,13 @@
 Each tolerance is REL_TOL of the length unit of its own input, and
 multiplying by a power of two is exact, so the results below agree bit for
 bit (==) with 2^k times the unit-scale ones, and counts are equal.
+
+The window covered: graphs of at most 12 vertices (ensemble and tie
+graphs) with lengths from 0.1 to 2, scaled by 2^k for k in -30..30, and
+verify ensembles with lengths from 2^-31 to 2^31. That lies far inside the
+float window every graph must lie in (``metric_graph``: total length at
+most the largest float over max(1e9, 64 E), tolerance a normal float),
+whose edges ``test_metric_graph.py`` tests.
 """
 
 import functools
