@@ -19,6 +19,7 @@ from .harness import EnsembleSpec, _csv_lines, _fmt, load_graph, verify
 from .metric_graph import (
     GraphPoint,
     MetricGraph,
+    _check_points,
     _net,
     _net_metric,
     default_mesh,
@@ -28,7 +29,7 @@ from .metric_graph import (
     point_from_json_obj,
     point_to_json_obj,
 )
-from .persistence import _check_vr_points, persistence_sequence, vr_h1_barcode
+from .persistence import _VR_MAX_POINTS, persistence_sequence, vr_h1_barcode
 from .reeb_smoothing import epsilon_smoothing
 
 
@@ -148,7 +149,7 @@ def barcode(graph_path: str, mesh: Optional[float], out: Optional[str], fmt: str
     """Degree-1 Vietoris-Rips barcode of a mesh-net of the graph."""
     G = load_graph(graph_path)
     m = _default_mesh(G, mesh)
-    _check_vr_points(len(_net(G, m).points))
+    _check_points("VR persistence", len(_net(G, m).points), _VR_MAX_POINTS)
     bc = vr_h1_barcode(_net_metric(G, m))
     if fmt == "csv":
         _emit(_csv_lines(["birth", "death"],

@@ -21,6 +21,7 @@ from .metric_graph import (
     REL_TOL,
     GraphPoint,
     MetricGraph,
+    _check_points,
     _net,
     _net_metric,
     check_positive,
@@ -379,9 +380,7 @@ def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, floa
         return 0.0, 0.0
     if mesh is None:
         mesh = default_mesh(diameter(G))
-    n = len(_net(G, float(mesh)).points)
-    if n > _MAX_HYP_NET:
-        raise ValueError(f"hyperbolicity net has {n} points; use a coarser mesh")
+    _check_points("hyperbolicity", len(_net(G, float(mesh)).points), _MAX_HYP_NET)
     return hyperbolicity(_net_metric(G, float(mesh))), 4.0 * mesh
 
 

@@ -244,7 +244,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # verification rows
 
-# hyp_graph's error for a net above its size cap: "instance too large for
+# the error of every net-size cap (metric_graph._check_points), which the
+# hyperbolicity row meets on a net above its cap: "instance too large for
 # this check", not "wrong"
 _SKIP_MARKER = "coarser mesh"
 

@@ -207,7 +207,7 @@ class MetricGraph:
         # every length the library forms must stay finite, and every
         # tolerance comparison must have room below it. The largest factors
         # it applies to the total length: a net point's length * k, with
-        # k < 5e8 as eps exceeds 4 tolerances, on an edge shorter than 2
+        # k below the net budget _NET_POINTS, on an edge shorter than 2
         # units; verify's (16 beta + 12) x an upper bound below 3 total
         # lengths, with beta < E; and the exit kernel's sum of two distances
         total = sum(e.length for e in final)
@@ -849,19 +849,19 @@ def default_mesh(diam: float) -> float:
     return 0.05 * diam if diam > 0 else 1.0
 
 
-def _check_net_mesh(G: MetricGraph, eps) -> None:
-    """An epsilon-net's scale: > 0, and where there are edges above 4
-    tolerances (the longest edge would get 2.5e8 points)."""
-    check_positive("eps", eps)
-    if G._edge_tuple and eps <= 4.0 * G._tol:
-        raise ValueError(f"eps must exceed 4 x the graph's tolerance {G._tol!r}, not {eps!r}")
+_NET_POINTS = 5000  # the net budget: a δ call holds about a dozen n x n float64 blocks
 
 
-def _net_at(G: MetricGraph, eps: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of ``epsilon_net(G, eps)`` given as in ``_canonical_at``:
-    each edge gets m = ceil(length / eps - 1e-12) intervals, so its points
-    lie at length * k / m for k = 1 .. m - 1."""
-    m = np.ceil(G._lengths / eps - 1e-12).astype(np.int64)
+def _check_points(what: str, n, most: int) -> None:
+    """Refuse n points for ``what`` past its cap, before anything is built."""
+    if n > most:
+        raise ValueError(f"too many points for {what}: {n:g} > {most}; use a coarser mesh")
+
+
+def _net_at(G: MetricGraph, m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of a net given as in ``_canonical_at``: edge j gets m[j]
+    intervals (see ``_net``), so its points lie at length * k / m for
+    k = 1 .. m - 1."""
     count = np.maximum(m - 1, 0)
     edge = np.repeat(np.arange(len(m)), count)
     k = np.arange(1, len(edge) + 1) - np.repeat(np.cumsum(count) - count, count)
@@ -876,12 +876,14 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
 
     Deterministic: vertices in sorted order, then edges in construction
     order with ascending offsets. Covering radius is at most eps/2 along
-    each edge, so at most eps in the graph. The points are canonical: each
-    interior point lies at least eps/2 inside its edge, and where there are
-    edges eps must exceed 4 tolerances.
+    each edge, so at most eps in the graph. At most _NET_POINTS points (see
+    ``_net``). The points are canonical: the longest edge gets fewer than
+    _NET_POINTS intervals, so eps > 1/_NET_POINTS length units, and each
+    interior point lies at least eps/2 inside its edge, far beyond the
+    tolerance of 1e-9 units.
     """
-    _check_net_mesh(G, eps)
-    return _points_at(G, *_net_at(G, eps))
+    check_positive("eps", eps)
+    return list(_net(G, float(eps)).points)
 
 
 class _Net(NamedTuple):
@@ -893,16 +895,21 @@ class _Net(NamedTuple):
 
 @per_graph
 def _net(G: MetricGraph, mesh: float) -> _Net:
-    """``epsilon_net(G, mesh)``, built once per (G, float(mesh))."""
-    _check_net_mesh(G, mesh)
-    at = _net_at(G, mesh)
+    """``epsilon_net(G, mesh)`` for a checked mesh, built once per (G,
+    float(mesh)). Its points are counted, and refused past _NET_POINTS,
+    before any is laid out; at a tiny mesh m is inf, not an overflow."""
+    with np.errstate(over="ignore"):
+        m = np.ceil(G._lengths / mesh - 1e-12)
+    _check_points("an epsilon-net", len(G.vertices) + np.maximum(m - 1, 0).sum(), _NET_POINTS)
+    at = _net_at(G, m.astype(np.int64))
     return _Net(tuple(_points_at(G, *at)), _exits_at(G, *at))
 
 
 @per_graph
 def _net_metric(G: MetricGraph, mesh: float) -> np.ndarray:
     """The distance matrix of ``_net(G, mesh)``, built once and read-only."""
-    D = _metric(_vd_sym(G), _net(G, mesh).exits)
+    net = _net(G, mesh)  # the budget, before any vertex tree
+    D = _metric(_vd_sym(G), net.exits)
     D.setflags(write=False)
     return D
 

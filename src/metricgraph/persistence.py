@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .metric_graph import REL_TOL, MetricGraph, checked_distances, is_index, length_unit, per_graph
+from .metric_graph import (REL_TOL, MetricGraph, _check_points, checked_distances, is_index,
+                           length_unit, per_graph)
 
 _VR_MAX_POINTS = 300
 
@@ -144,12 +145,6 @@ def _cofacet_pivots(R: np.ndarray, i: np.ndarray, j: np.ndarray) -> Tuple[np.nda
     return k, _triangle_key(V[rows, k], R.shape[0], i, j, k)
 
 
-def _check_vr_points(n: int) -> None:
-    """Reject a point set past the VR cap, before its matrix is built."""
-    if n > _VR_MAX_POINTS:
-        raise ValueError(f"too many points for VR persistence: {n} > {_VR_MAX_POINTS}")
-
-
 def vr_h1_barcode(D) -> Barcode:
     """H1 barcode of the Vietoris-Rips filtration of a finite pseudometric.
 
@@ -183,7 +178,7 @@ def vr_h1_barcode(D) -> Barcode:
     """
     D = checked_distances(D)
     n = D.shape[0]
-    _check_vr_points(n)
+    _check_points("VR persistence", n, _VR_MAX_POINTS)
     tol = REL_TOL * length_unit(float(np.abs(D).max(initial=0.0)))
     if n < 3:
         return Barcode(degree=1, bars=())

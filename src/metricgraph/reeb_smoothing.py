@@ -429,14 +429,7 @@ def quotient_correspondence(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Co
     if S._source() is not G:
         raise ValueError("mismatched provenance: the smoothing was not built from this graph")
     check_positive("mesh", mesh)
-    return _quotient_at(G, S, float(mesh))
-
-
-@per_graph
-def _quotient_at(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Correspondence:
-    """``quotient_correspondence``, built once per (G, S, float(mesh)); its
-    DX and DY are read-only."""
-    SG = S.graph
+    SG, mesh = S.graph, float(mesh)
     net_g, net_s = _net(G, mesh), _net(SG, mesh)
     loc = _canonical_at(SG, *_locate_net(S, *_net_places(G, S._basepoint, mesh)))
     rep = _represent_net(G, S, net_s.exits)
@@ -445,7 +438,5 @@ def _quotient_at(G: MetricGraph, S: SmoothedGraph, mesh: float) -> Correspondenc
     DY = _metric(_vd_sym(SG), _Exits(*map(np.concatenate, zip(_exits_at(SG, *loc), net_s.exits))))
     left = net_g.points + tuple(_points_at(G, *rep))
     right = tuple(_points_at(SG, *loc)) + net_s.points
-    DX.setflags(write=False)
-    DY.setflags(write=False)
     return Correspondence(left=left, right=right, DX=DX, DY=DY,
                           pairs=tuple(zip(range(len(left)), range(len(left)))))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from metricgraph import GraphPoint, MetricGraph
+from metricgraph import GraphPoint, MetricGraph, metric_graph, reeb_smoothing
+from metricgraph.harness import EnsembleSpec
 
 
 @pytest.fixture
@@ -32,6 +33,22 @@ def c12_decorated():
                ("c1", "a", "b", 6.0),
                ("c2", "a", "b", 6.0),
                ("tail", "b", "q", 2.0)])
+
+
+# the gh-nets 100-vertex graph: at mesh 0.02 its net has 6,891 points, and
+# a δ call on it once died of a MemoryError under a 1 GiB address space
+BUDGET_SPEC = EnsembleSpec(seed=1, vertex_range=(100, 100), beta1_range=(15, 15))
+
+
+def forbid_net_work(monkeypatch):
+    """Make laying out a net's points, building the vertex trees of its
+    block and the exit kernel fail, in each module that reads them."""
+    def fail(*args, **kwargs):
+        raise AssertionError("net work done past the budget")
+
+    for name in ("_net_at", "_vd_sym", "_exit_block"):
+        monkeypatch.setattr(metric_graph, name, fail)
+    monkeypatch.setattr(reeb_smoothing, "_vd_sym", fail)
 
 
 def memo_keys(G: MetricGraph, builder) -> list:

@@ -139,10 +139,30 @@ MUTANTS: Tuple[Mutant, ...] = (
            "top = sys.float_info.max / max(1e9, 64.0 * len(final))",
            "top = sys.float_info.max / (64.0 * len(final))",
            ("tests/test_metric_graph.py::TestConstruction::test_float_window_edges",)),
-    Mutant("epsilon_net without its tolerance guard", "metric_graph.py",
-           "if G._edge_tuple and eps <= 4.0 * G._tol:",
-           "if False:",
-           ("tests/test_metric_graph.py::test_epsilon_net_rejects_tolerance_scale[4.0]",)),
+    # the net budget, and the one check every cap raises through
+    Mutant("net budget disabled", "metric_graph.py",
+           "    _check_points(\"an epsilon-net\", len(G.vertices) + np.maximum(m - 1, 0).sum(), _NET_POINTS)\n",
+           "",
+           ("tests/test_metric_graph.py::test_epsilon_net_rejects_tolerance_scale[4.0]",
+            "tests/test_metric_graph.py::TestNetBudget::test_vertices_count",
+            "tests/test_metric_graph.py::TestNetBudget::test_over_budget_refused_before_layout[hyp_graph]",
+            "tests/test_harness_cli.py::TestNetBudget::test_over_budget_exits_2[delta]")),
+    Mutant("net counted without its vertices", "metric_graph.py",
+           "len(G.vertices) + np.maximum(m - 1, 0).sum()",
+           "np.maximum(m - 1, 0).sum()",
+           ("tests/test_metric_graph.py::TestNetBudget::test_vertices_count",)),
+    Mutant("count cast to int64 before the check", "metric_graph.py",
+           "m = np.ceil(G._lengths / mesh - 1e-12)\n",
+           "m = np.ceil(G._lengths / mesh - 1e-12).astype(np.int64)\n",
+           ("tests/test_metric_graph.py::TestNetBudget::test_tiny_mesh_counted_without_overflow[5e-324]",)),
+    Mutant("block trees before the budget", "metric_graph.py",
+           "    net = _net(G, mesh)  # the budget, before any vertex tree\n",
+           "    _vd_sym(G)\n    net = _net(G, mesh)\n",
+           ("tests/test_metric_graph.py::TestNetBudget::test_over_budget_refused_before_layout[tree_distortion]",)),
+    Mutant("a cap compared with >=", "metric_graph.py",
+           "    if n > most:\n",
+           "    if n >= most:\n",
+           ("tests/test_metric_graph.py::TestNetBudget::test_vertices_count",)),
     # one smoothing per (G, canonical p, float(eps))
     Mutant("smoothing memo keyed by the raw basepoint", "reeb_smoothing.py",
            "return _sweep_at(G, G.canonical(p), float(eps))",
@@ -282,7 +302,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "R = np.zeros((n, n), dtype=np.int16)",
            ("tests/test_persistence.py::TestCofacetPivots::test_at_the_cap",)),
     Mutant("barcode cap checked after the matrix is built", "cli.py",
-           "    _check_vr_points(len(_net(G, m).points))\n",
+           "    _check_points(\"VR persistence\", len(_net(G, m).points), _VR_MAX_POINTS)\n",
            "",
            ("tests/test_harness_cli.py::TestCli::test_barcode_cap_before_the_matrix",)),
     # the CLI's error boundary

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +17,7 @@ from metricgraph.harness import (
     verify,
 )
 
-from conftest import OUTSIDE_FLOAT_WINDOW
+from conftest import BUDGET_SPEC, OUTSIDE_FLOAT_WINDOW, forbid_net_work
 
 
 class TestRandomGraph:
@@ -393,6 +396,47 @@ class TestCli:
         result = CliRunner().invoke(main, ["barcode", "--graph", path, "--mesh", "0.1"])
         assert result.exit_code == 2, result.output
         assert "too many points for VR persistence: 14" in result.output
+
+
+class TestNetBudget:
+    """The commands that read a mesh-net exit 2 on one past the budget,
+    before any of its points, trees or blocks is built."""
+
+    @pytest.mark.parametrize("args", [["net"], ["barcode"], ["hyp"], ["delta", "--n", "0"]],
+                             ids=lambda args: args[0])
+    def test_over_budget_exits_2(self, tmp_path, monkeypatch, args):
+        path = _write_graph(tmp_path, random_graph(BUDGET_SPEC, 0), "g100.json")
+        forbid_net_work(monkeypatch)
+        result = CliRunner().invoke(main, args + ["--graph", path, "--mesh", "0.02"])
+        assert result.exit_code == 2, result.output
+        assert "too many points for an epsilon-net: 6891 > 5000" in result.output
+        assert result.stdout == ""
+
+    def test_small_betti_reads_no_net(self, tmp_path, monkeypatch):
+        # beta = 15 <= n: delta returns before it lays out a net
+        path = _write_graph(tmp_path, random_graph(BUDGET_SPEC, 0), "g100.json")
+        forbid_net_work(monkeypatch)
+        result = CliRunner().invoke(main, ["delta", "--graph", path, "--n", "20",
+                                           "--mesh", "0.02"])
+        assert result.exit_code == 0, result.output
+        assert "first betti number already small" in result.output
+
+    def test_over_budget_delta_in_1_gib(self, tmp_path):
+        # the refused net's δ call died of a MemoryError (exit 1) in a 1 GiB
+        # address space; now it exits 2 in a child process with that limit
+        resource = pytest.importorskip("resource")
+        path = _write_graph(tmp_path, random_graph(BUDGET_SPEC, 0), "g100.json")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code = "import sys; from metricgraph.cli import main; sys.exit(main())"
+        proc = subprocess.run([sys.executable, "-c", code, "delta", "--graph", path,
+                               "--n", "0", "--mesh", "0.02"],
+                              capture_output=True, text=True, preexec_fn=limit,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 2, proc.stderr
+        assert "6891 > 5000" in proc.stderr
 
 
 @pytest.mark.parametrize("args, name", [

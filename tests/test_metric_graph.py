@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -59,8 +60,8 @@ from metricgraph.metric_graph import (
     validate_path,
 )
 
-from conftest import (OUTSIDE_FLOAT_WINDOW, TINY_PARALLEL, memo_keys, random_point,
-                      tie_graphs, trees)
+from conftest import (BUDGET_SPEC, OUTSIDE_FLOAT_WINDOW, TINY_PARALLEL, forbid_net_work,
+                      memo_keys, random_point, tie_graphs, trees)
 from oracles import diameter_pairs, finite_metric_exits, theta_routes
 
 TOL = 1e-9
@@ -518,6 +519,52 @@ class TestEpsilonNet:
         assert list(metric_graph._net(G, eps).points) == want
 
 
+def path_graph(n: int) -> MetricGraph:
+    return MetricGraph([f"v{k}" for k in range(n)],
+                       [(f"e{k}", f"v{k}", f"v{k + 1}", 1.0) for k in range(n - 1)])
+
+
+class TestNetBudget:
+    """Every net is counted against one budget, _NET_POINTS, from its
+    interval counts, before any point, tree or block is built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda G, p, S, mesh: epsilon_net(G, mesh),
+        lambda G, p, S, mesh: hyp_graph(G, mesh),
+        lambda G, p, S, mesh: tree_distortion(G, p, mesh),
+        lambda G, p, S, mesh: quotient_correspondence(G, S, mesh),
+        lambda G, p, S, mesh: delta_n_bounds(G, 0, p, mesh),
+    ], ids=["epsilon_net", "hyp_graph", "tree_distortion", "quotient_correspondence",
+            "delta_n_bounds"])
+    def test_over_budget_refused_before_layout(self, monkeypatch, call):
+        G = random_graph(BUDGET_SPEC, 0)
+        p = GraphPoint(vertex=G.vertices[0])
+        S = epsilon_smoothing(G, p, 1.5 * persistence_sequence(G).a(1))
+        forbid_net_work(monkeypatch)
+        with pytest.raises(ValueError, match="too many points for an epsilon-net: "
+                                             "6891 > 5000; use a coarser mesh"):
+            call(G, p, S, 0.02)
+        # a refused net is not memoised
+        assert memo_keys(G, _net) == []
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300])
+    def test_tiny_mesh_counted_without_overflow(self, theta, eps):
+        # length / eps is inf or near the float limit: counted in floats, it
+        # is refused with no overflow or invalid cast on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too many points for an epsilon-net"):
+                epsilon_net(theta, eps)
+
+    def test_vertices_count(self):
+        # every vertex is a net point, so a graph with more vertices than
+        # the budget has no net at all, and one with as many has its own
+        with pytest.raises(ValueError, match="5001 > 5000"):
+            epsilon_net(path_graph(5001), math.inf)
+        G = path_graph(5000)
+        assert epsilon_net(G, math.inf) == [GraphPoint(vertex=v) for v in G.vertices]
+
+
 class TestFiniteMetric:
     def test_two_points(self):
         G = segment(3.0)
@@ -719,17 +766,6 @@ class TestMemo:
         assert np.array_equal(D, finite_metric(G, net.points))
         assert np.array_equal(corr.DX[:len(D), :len(D)], D)
         assert not D.flags.writeable
-
-    def test_one_quotient_per_key(self):
-        # a repeated (smoothing, float(mesh)) reaches the correspondence
-        # built first, whose matrices no caller can change
-        G = random_graph(self.SPEC, 0)
-        S = epsilon_smoothing(G, GraphPoint(vertex=G.vertices[0]), 0.3 * diameter(G))
-        mesh = 0.2 * diameter(G)
-        corr = quotient_correspondence(G, S, mesh)
-        assert quotient_correspondence(G, S, np.float64(mesh)) is corr
-        assert quotient_correspondence(G, S, 0.5 * mesh) is not corr
-        assert not corr.DX.flags.writeable and not corr.DY.flags.writeable
 
     def test_smoothings_do_not_keep_their_graph_alive(self):
         # each smoothing in G's memo points back to G, weakly: no cycle, so
