@@ -260,9 +260,9 @@ def tree_distortion(G: MetricGraph, p: GraphPoint, mesh: float) -> TreeDistortio
     """
     check_positive("mesh", mesh)
     cp, mesh = G.canonical(p), float(mesh)
+    D = _net_metric(G, mesh)  # the net budget, before the model is built
     H, tree = _build_monotone_model(G, cp).graph, _merge_tree_at(G, cp)
     M = _model_arrays(G, cp)
-    D = _net_metric(G, mesh)
 
     # each net point's model vertex, or the upper end of its model edge
     # (see _place), and its level

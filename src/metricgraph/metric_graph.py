@@ -83,8 +83,9 @@ def per_graph(build):
     """Memoise ``build(G, *key)`` in ``G._memo[(build, *key)]``: it runs on
     the first call for a (G, key), and every later call shares its result.
     The graph is immutable, so a result never goes stale; no caller may
-    mutate one (``_vd_rows`` alone fills its table's rows). Unlike
-    ``functools.lru_cache``, the memo does not keep a graph alive."""
+    mutate one (``_vd_rows`` and ``_vd_sym`` alone fill the rows of the
+    vertex table). Unlike ``functools.lru_cache``, the memo does not keep
+    a graph alive."""
 
     @functools.wraps(build)
     def memoised(G, *key):
@@ -331,6 +332,15 @@ class MetricGraph:
         peeled.reverse()
         return up, peeled, dist0
 
+    def _branch_roots(self) -> List[int]:
+        """The core's branch vertices, those with at least 3 core-edge ends
+        as ``_iadj`` lists them (each parallel edge and both halves of a
+        loop), or its first vertex when the core is one cycle. The cycle
+        candidates and the vertex table read only these roots' trees."""
+        up, iadj = self._peel()[0], self._iadj
+        core = [v for v in range(len(up)) if up[v] is None]
+        return [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]
+
     @per_graph
     def _sp_tree(self, root: int) -> _Tree:
         """Shortest-path tree rooted at vertex index ``root``: per vertex
@@ -405,8 +415,9 @@ class MetricGraph:
 
     @per_graph
     def _vd_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The V x V vertex-distance table and its mask of filled rows (see
-        ``_vd_rows``); a tree's is filled whole by ``_tree_table``."""
+        """The V x V vertex-distance table and its mask of filled rows, row
+        by row by ``_vd_rows`` or whole by ``_vd_sym``; a tree's is filled
+        whole by ``_tree_table``."""
         n = len(self._vertices)
         if len(self._edge_tuple) == n - 1:
             return self._tree_table(), np.ones(n, dtype=bool)
@@ -592,9 +603,215 @@ def _symmetric(vd: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @per_graph
 def _vd_sym(G: MetricGraph) -> np.ndarray:
     """``_symmetric`` over every vertex, for points that include every
-    vertex, as nets do; it builds every vertex's tree."""
+    vertex, as nets do. The whole table is filled by ``_replay_table``,
+    which builds only the branch roots' trees (and those of rows it cannot
+    certify)."""
+    vd, filled = G._vd_table()
+    if not filled.all():
+        filled[:] = False  # until the replay has rewritten every row
+        _replay_table(G, vd)
+        filled[:] = True
     rows = np.arange(len(G.vertices))
-    return _symmetric(G._vd_rows(rows), rows)
+    return np.where(rows[:, None] > rows, vd.T, vd)  # _symmetric, without its gather
+
+
+_CERT_BLOCK = 1 << 20  # row x directed-edge entries per certificate block
+
+
+def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
+    """Fill every row of vd, each ``==`` to ``_sp_tree(root).dist``, from
+    the trees of the branch roots (``MetricGraph._branch_roots``) alone.
+
+    Root r's Dijkstra starts on the core at s with value d: s = r and d =
+    0.0 on the core, else s ends r's walk up its pendant tree and d is the
+    walk's sum. A root's row keeps its tree's row. For any other r, s lies
+    on a chain of degree-2 core vertices between two roots a and b (or is
+    a root), and the candidate row R is the elementwise min of the chain
+    values summed from d left to right, as Dijkstra sums them, and of a's
+    and b's trees replayed from the values reached at a and b: X[a] = that
+    value, then X[w] = X[parent(w)] + length(via(w)) level by level of the
+    tree, for all rows that read it at once.
+
+    Only the certificate (``_certified``) carries exactness. R with R[s]
+    = d is Dijkstra's core row if (1) every core edge (v, w, l) gives nd
+    = R[v] + l with nd == R[w] or R[w] < nd - slack (Dijkstra's own
+    test, slack 1e-15 units), and (2) each core w != s has such an edge
+    with nd == R[w] and R[v] < R[w]. By (1) each offer to w is R[w] or
+    more than the slack above it, so dist[w] never falls below R[w],
+    never leaves it and never refuses it. By induction on the pops, each
+    vertex is popped at its R: when w is popped, take the first unpopped
+    vertex z on the chain of (2)'s parents from s to w. Its parent was
+    popped at its R and offered R[z], so dist[z] = R[z], and R[z] < R[w]
+    <= dist[w] unless z = w; so z = w. The certificate is sufficient, not
+    necessary (Dijkstra's row may hold an offer within the slack below a
+    value); a row that fails is rebuilt by ``_sp_tree``. The pendant
+    columns are then ``_sp_tree``'s pendant pass, for all rows at once:
+    each column is its parent column plus the edge, except on the rows
+    whose own walk passes it, which keep the walk's sums."""
+    up, pendant, _ = G._peel()
+    iadj, n = G._iadj, len(G.vertices)
+    roots = G._branch_roots()
+    is_root = [False] * n
+    for a in roots:
+        is_root[a] = True
+    core = [v for v in range(n) if up[v] is None]
+    cpos = [-1] * n
+    for i, v in enumerate(core):
+        cpos[v] = i
+
+    # each root's start s and value d, and the walk's (row, column, sum)
+    start, offset = list(range(n)), [0.0] * n
+    walk: List[Tuple[int, int, float]] = []
+    for r in pendant:
+        v, d = r, 0.0
+        while up[v] is not None:
+            walk.append((r, v, d))
+            u, length, _ = up[v]
+            d += length
+            v = u
+        start[r], offset[r] = v, d
+
+    # the chains between roots: per core vertex off the roots, its chain
+    # (the vertices c0 .. ck, c0 and ck roots, and the k lengths) and place
+    chain_at: Dict[int, Tuple[List[int], List[float], int]] = {}
+    used: Set[int] = set()
+    for a in roots:
+        for (w, length, k) in iadj[a]:
+            if up[w] is not None or k in used:
+                continue
+            verts, lengths = [a], [length]
+            used.add(k)
+            while not is_root[w]:
+                verts.append(w)
+                for (x, length, j) in iadj[w]:
+                    if j != k and up[x] is None:
+                        break
+                lengths.append(length)
+                used.add(j)
+                w, k = x, j
+            verts.append(w)
+            for i in range(1, len(verts) - 1):
+                chain_at[verts[i]] = (verts, lengths, i)
+
+    # the chain values, and per root a the (row, value reached at a) pairs
+    # of the rows that read a's tree
+    direct_r, direct_c, direct_d = [], [], []
+    reads: Dict[int, Dict[int, float]] = {a: {} for a in roots}
+    for r in range(n):
+        if is_root[r]:
+            continue
+        s, d = start[r], offset[r]
+        if s not in chain_at:  # s is a root
+            reads[s][r] = d
+            continue
+        verts, lengths, i = chain_at[s]
+        for step in (-1, 1):
+            x, j = d, i
+            while True:
+                x += lengths[j if step > 0 else j - 1]
+                j += step
+                if not 0 < j < len(verts) - 1:
+                    break
+                direct_r.append(r)
+                direct_c.append(cpos[verts[j]])
+                direct_d.append(x)
+            a = verts[j]
+            reads[a][r] = min(x, reads[a].get(r, math.inf))
+
+    # the candidates: C[r, i] is row r's value at core vertex core[i]
+    nc = len(core)
+    C = np.full((n, nc), math.inf)
+    C[direct_r, direct_c] = direct_d
+    for a, rows_of in reads.items():
+        if rows_of:
+            rows = list(rows_of)
+            X = np.empty((nc, len(rows)))
+            X[cpos[a]] = list(rows_of.values())
+            for w, p, length in _tree_levels(G, a, cpos, nc):
+                X[w] = X[p] + length
+            C[rows] = np.minimum(C[rows], X.T)
+    spos = [cpos[s] for s in start]
+    C[range(n), spos] = offset
+    bad = [r for r in _certified(G, C, spos) if not is_root[r]]
+
+    vd[:, core] = C
+    del C
+    # the pendant columns, level by level outward from the core (each
+    # vertex's parent comes first, so levels appear in order), each
+    # level's walk entries set after it
+    level = [0] * n
+    levels: List[List[int]] = []
+    for w in pendant:
+        level[w] = level[up[w][0]] + 1
+        if level[w] > len(levels):
+            levels.append([])
+        levels[level[w] - 1].append(w)
+    walks: List[List[Tuple[int, int, float]]] = [[] for _ in levels]
+    for entry in walk:
+        walks[level[entry[1]] - 1].append(entry)
+    for ws, entries in zip(levels, walks):
+        vd[:, ws] = vd[:, [up[w][0] for w in ws]] + [up[w][1] for w in ws]
+        if entries:
+            wr, wc, wd = zip(*entries)
+            vd[wr, wc] = wd
+    for r in roots + bad:
+        vd[r] = G._sp_tree(r).dist
+
+
+def _certified(G: MetricGraph, C: np.ndarray, s: Sequence[int]) -> List[int]:
+    """The rows of C that ``_replay_table``'s certificate does not pass,
+    where C holds candidate core rows (one column per core vertex, in
+    vertex order) that start at core positions s. It is checked for blocks
+    of rows x directed core edges (v, w, l), sorted by w."""
+    up, iadj = G._peel()[0], G._iadj
+    core = [v for v in range(len(up)) if up[v] is None]
+    cpos = {v: i for i, v in enumerate(core)}
+    src, lens, count = [], [], []
+    for w in core:
+        ends = [(cpos[v], length) for (v, length, _) in iadj[w] if up[v] is None]
+        src += [v for v, _ in ends]
+        lens += [length for _, length in ends]
+        count.append(len(ends))
+    src, lens = np.array(src, dtype=np.int64), np.array(lens)
+    dst = np.repeat(np.arange(len(core)), count)
+    first = np.cumsum(count) - count
+    slack = 1e-15 * G._unit
+    s = np.asarray(s)
+    bad: List[int] = []
+    step = max(1, _CERT_BLOCK // len(src))
+    for b0 in range(0, len(C), step):
+        R = C[b0:b0 + step]
+        Rv, Rw = R[:, src], R[:, dst]
+        nd = Rv + lens
+        eq = nd == Rw
+        parent = np.logical_or.reduceat(eq & (Rv < Rw), first, axis=1)
+        parent[range(len(R)), s[b0:b0 + step]] = True
+        ok = (eq | (Rw < nd - slack)).all(axis=1) & parent.all(axis=1)
+        bad += (np.flatnonzero(~ok) + b0).tolist()
+    return bad
+
+
+def _tree_levels(G: MetricGraph, a: int, cpos: List[int], nc: int) -> List[Tuple[np.ndarray, ...]]:
+    """Root a's tree on the core below a, level by level: per depth, the
+    vertices' and their parents' core positions (``cpos``), and their tree
+    edges' lengths as a column. The tree settles the core (``nc``
+    vertices) first, each vertex after its parent, so depths appear in
+    order."""
+    tree = G._sp_tree(a)
+    parent, via = tree.parent, tree.via
+    depth = [0] * len(parent)
+    levels: List[List[int]] = []
+    for v in tree.order[1:nc]:
+        d = depth[v] = depth[parent[v]] + 1
+        if d > len(levels):
+            levels.append([])
+        levels[d - 1].append(v)
+    flat = [v for level in levels for v in level]
+    w = np.array([cpos[v] for v in flat])
+    p = np.array([cpos[parent[v]] for v in flat])
+    length = G._lengths[[via[v] for v in flat]][:, None]
+    cuts = np.cumsum([0] + [len(level) for level in levels]).tolist()
+    return [(w[i:j], p[i:j], length[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
 def _exit_block(W: np.ndarray, a: _Exits, b: _Exits) -> np.ndarray:
@@ -880,10 +1097,15 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     ``_net``). The points are canonical: the longest edge gets fewer than
     _NET_POINTS intervals, so eps > 1/_NET_POINTS length units, and each
     interior point lies at least eps/2 inside its edge, far beyond the
-    tolerance of 1e-9 units.
+    tolerance of 1e-9 units. A net that G's memo holds is read from it;
+    any other is built without being filed, so a search over many meshes
+    leaves nothing behind.
     """
     check_positive("eps", eps)
-    return list(_net(G, float(eps)).points)
+    net = G._memo.get((_net.__wrapped__, float(eps)))  # see per_graph
+    if net is None:
+        net = _net.__wrapped__(G, float(eps))
+    return list(net.points)
 
 
 class _Net(NamedTuple):

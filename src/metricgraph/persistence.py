@@ -329,19 +329,18 @@ def _horton_candidates(G: MetricGraph) -> List[int]:
     vertices get masks. A root's tree settles the core first, each parent
     before its children, so one pass builds every mask, a core vertex's
     tree path from the root: its parent's mask plus its tree edge."""
-    vidx, iadj = G._vidx, G._iadj
+    vidx = G._vidx
     up = G._peel()[0]
-    core = [v for v in range(len(G.vertices)) if up[v] is None]
-    roots = [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]
+    ncore = up.count(None)
     bits = [1 << k for k in range(len(G.edges))]
     closable = [(k, a, b) for k, (a, b) in enumerate((vidx[e.u], vidx[e.v]) for e in G.edges)
                 if up[a] is None and up[b] is None]
     masks = [0] * len(G.vertices)
     cands: List[int] = []
-    for root in roots:
+    for root in G._branch_roots():
         tree = G._sp_tree(root)
         parent, via = tree.parent, tree.via
-        for v in tree.order[1:len(core)]:
+        for v in tree.order[1:ncore]:
             masks[v] = masks[parent[v]] ^ bits[via[v]]
         cands.extend(masks[a] ^ masks[b] ^ bits[k]
                      for (k, a, b) in closable if via[a] != k and via[b] != k)

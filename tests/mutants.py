@@ -58,6 +58,13 @@ _VR_ORACLE = ("tests/test_persistence.py::TestVrColumnOracle::test_euclidean",
 _HORTON_LARGE = "tests/test_persistence.py::TestHortonWalkOracle::test_large_graph"
 _ROOT_TREES = "tests/test_persistence.py::TestBranchRootTrees::test_ensemble_graphs[1-300-40]"
 _LOOP_ROOTS = "tests/test_persistence.py::TestBranchRootTrees::test_loops_count_twice"
+_TABLE = "tests/test_metric_graph.py::TestReplayedTable::"
+_TABLE_ROWS = _TABLE + "test_rows_are_trees"
+_TABLE_ROOTS = _TABLE + "test_only_branch_roots_on_tie_free_graphs"
+_TABLE_DELTA = _TABLE + "test_fresh_delta_builds_branch_trees_only"
+_TABLE_GRID = _TABLE + "test_grid_rows_fall_back"
+_CERT_SLACK = _TABLE + "test_certificate_honours_the_slack"
+_CERT_PARENT = _TABLE + "test_certificate_needs_a_lower_parent"
 _HYP_ORACLE = ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[euclidean]",
                "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[quarter-rounded]",
                "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[uniform]")
@@ -259,21 +266,49 @@ MUTANTS: Tuple[Mutant, ...] = (
            tuple(f"tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_narrow_table_chunks[{kind}]"
                  for kind in ("euclidean", "uniform"))),
     # Horton candidates from the 2-core's branch vertices
-    Mutant("roots: core degree ≥ 4", "persistence.py",
+    Mutant("roots: core degree ≥ 4", "metric_graph.py",
            "for (w, _, _) in iadj[v]) >= 3] or core[:1]",
            "for (w, _, _) in iadj[v]) >= 4] or core[:1]",
            (_HORTON_LARGE, _ROOT_TREES, _LOOP_ROOTS)),
     # a loop is stored as two halves to one midpoint vertex, so counting
     # distinct neighbours counts it once
-    Mutant("roots: a loop counted once", "persistence.py",
+    Mutant("roots: a loop counted once", "metric_graph.py",
            "sum(up[w] is None for (w, _, _) in iadj[v])",
            "len({w for (w, _, _) in iadj[v] if up[w] is None})",
            (_LOOP_ROOTS, "tests/test_persistence.py::TestHortonWalkOracle::test_tie_graphs")),
-    Mutant("roots: first core vertex only", "persistence.py",
-           "roots = [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]",
-           "roots = core[:1]",
+    Mutant("roots: first core vertex only", "metric_graph.py",
+           "return [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]",
+           "return core[:1]",
            (_HORTON_LARGE, _ROOT_TREES,
             "tests/test_persistence.py::TestBranchRoots::test_cli_large_graphs[1]")),
+    # the vertex table replayed from the branch roots' trees, each row
+    # certified by Dijkstra's own comparisons
+    Mutant("table certificate without its slack", "metric_graph.py",
+           "(Rw < nd - slack)",
+           "(Rw < nd)",
+           (_CERT_SLACK,)),
+    Mutant("table certificate's parent condition with <=", "metric_graph.py",
+           "eq & (Rv < Rw)",
+           "eq & (Rv <= Rw)",
+           (_CERT_PARENT,)),
+    Mutant("table keeps uncertified candidate rows", "metric_graph.py",
+           "    for r in roots + bad:\n",
+           "    for r in roots:\n",
+           (_CERT_SLACK, _TABLE_GRID)),
+    Mutant("table replay summed from the branch end, the offset added last", "metric_graph.py",
+           "            X[cpos[a]] = list(rows_of.values())\n"
+           "            for w, p, length in _tree_levels(G, a, cpos, nc):\n"
+           "                X[w] = X[p] + length\n"
+           "            C[rows] = np.minimum(C[rows], X.T)\n",
+           "            X[cpos[a]] = 0.0\n"
+           "            for w, p, length in _tree_levels(G, a, cpos, nc):\n"
+           "                X[w] = X[p] + length\n"
+           "            C[rows] = np.minimum(C[rows], X.T + np.array(list(rows_of.values()))[:, None])\n",
+           (_TABLE_ROOTS, _TABLE_DELTA)),
+    Mutant("table pendant column filled over the root's own walk", "metric_graph.py",
+           "            vd[wr, wc] = wd\n",
+           "",
+           (_TABLE_ROWS, _TABLE + "test_cli_large_graphs[1]")),
     # VR H1: apparent pairs on int32 values, implicit column reduction
     Mutant("VR pivot: last k of least value", "persistence.py",
            "    k = V.argmin(axis=1)\n",

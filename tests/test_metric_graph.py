@@ -48,11 +48,13 @@ from metricgraph.reeb_smoothing import _sweep_at
 from metricgraph.harness import EnsembleSpec, random_graph, verify
 from metricgraph.metric_graph import (
     _build_monotone_model,
+    _model_arrays,
     _net,
     _net_metric,
     _occurrences,
     _repeat_candidates,
     _to_model_point,
+    _vd_sym,
     path_end,
     path_from_traversals,
     path_start,
@@ -61,7 +63,7 @@ from metricgraph.metric_graph import (
 )
 
 from conftest import (BUDGET_SPEC, OUTSIDE_FLOAT_WINDOW, TINY_PARALLEL, forbid_net_work,
-                      memo_keys, random_point, tie_graphs, trees)
+                      memo_keys, pendant_graphs, random_point, tie_graphs, trees)
 from oracles import diameter_pairs, finite_metric_exits, theta_routes
 
 TOL = 1e-9
@@ -519,6 +521,29 @@ class TestEpsilonNet:
         assert list(metric_graph._net(G, eps).points) == want
 
 
+class TestEpsilonNetMemo:
+    """``epsilon_net`` reads a net G's memo holds, and files none it builds."""
+
+    def test_mesh_search_files_nothing(self):
+        G = random_graph(BUDGET_SPEC, 0)
+        lo, hi = 0.0, max(e.length for e in G.edges)
+        for _ in range(60):  # perfbench's bisection for a 160-point net
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if len(epsilon_net(G, mid)) <= 160 else (mid, hi)
+        assert memo_keys(G, _net) == []
+
+    def test_filed_net_read_back(self):
+        G = random_graph(BUDGET_SPEC, 0)
+        mesh = 0.1
+        unfiled = epsilon_net(G, mesh)
+        _net_metric(G, mesh)
+        filed = _net(G, mesh)
+        assert memo_keys(G, _net) == [(mesh,)]
+        got = epsilon_net(G, np.float64(mesh))
+        assert got == unfiled == list(filed.points)
+        assert all(x is y for x, y in zip(got, filed.points))
+
+
 def path_graph(n: int) -> MetricGraph:
     return MetricGraph([f"v{k}" for k in range(n)],
                        [(f"e{k}", f"v{k}", f"v{k + 1}", 1.0) for k in range(n - 1)])
@@ -546,6 +571,13 @@ class TestNetBudget:
             call(G, p, S, 0.02)
         # a refused net is not memoised
         assert memo_keys(G, _net) == []
+
+    def test_tree_distortion_refuses_before_the_model(self):
+        G = random_graph(BUDGET_SPEC, 0)
+        with pytest.raises(ValueError, match="too many points for an epsilon-net"):
+            tree_distortion(G, GraphPoint(vertex=G.vertices[0]), 0.02)
+        for builder in (_build_monotone_model, _merge_tree_at, _model_arrays):
+            assert memo_keys(G, builder) == [], builder.__name__
 
     @pytest.mark.parametrize("eps", [5e-324, 1e-300])
     def test_tiny_mesh_counted_without_overflow(self, theta, eps):
@@ -620,7 +652,11 @@ class TestFiniteMetric:
 
 
 def assert_table_is_trees(G: MetricGraph):
-    T = G._vd_rows(np.arange(len(G.vertices)))
+    """The whole vertex table, as ``_vd_sym`` fills it, has each row ``==``
+    to its root's shortest-path tree."""
+    _vd_sym(G)
+    T, filled = G._vd_table()
+    assert filled.all()
     for k in range(len(G.vertices)):
         assert T[k].tolist() == G._sp_tree(k).dist, k
 
@@ -665,6 +701,89 @@ class TestTreeTable:
         monkeypatch.undo()
         assert np.array_equal(D, finite_metric_exits.finite_metric(G, net))
         assert diam == diameter_pairs.diameter(G)
+        assert_table_is_trees(G)
+
+
+def grid_with_pendants(k: int) -> MetricGraph:
+    """A k x k grid, rows of 0.1 and columns of 0.2, with a pendant edge
+    of 0.3 on every vertex. Routes of equal length sum their edges in
+    different orders, so rows replayed from a branch root's tree differ
+    by an ulp from some roots' own trees."""
+    V = [f"g{i}_{j}" for i in range(k) for j in range(k)]
+    E = [(f"h{i}_{j}", f"g{i}_{j}", f"g{i + 1}_{j}", 0.1)
+         for i in range(k - 1) for j in range(k)]
+    E += [(f"v{i}_{j}", f"g{i}_{j}", f"g{i}_{j + 1}", 0.2)
+          for i in range(k) for j in range(k - 1)]
+    E += [(f"p{x}", x, f"q{x}", 0.3) for x in list(V)]
+    return MetricGraph(V + [f"q{x}" for x in V], E)
+
+
+class TestReplayedTable:
+    """``_vd_sym`` fills the whole table from the branch roots' trees, and
+    every row it keeps is certified ``==`` to its root's own tree."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(tie_graphs(), pendant_graphs(), ensemble_graphs()),
+           st.sampled_from([-60, 0, 60]))
+    def test_rows_are_trees(self, graph, k):
+        vertices, edges = graph
+        assert_table_is_trees(MetricGraph(vertices, [(i, u, v, L * 2.0 ** k)
+                                                     for (i, u, v, L) in edges]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cli_large_graphs(self, seed):
+        spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
+        assert_table_is_trees(random_graph(spec, 0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ensemble_graphs())
+    def test_only_branch_roots_on_tie_free_graphs(self, graph):
+        G = MetricGraph(*graph)
+        _vd_sym(G)
+        roots = {(r,) for r in G._branch_roots()} if G.betti1 else set()
+        assert set(memo_keys(G, MetricGraph._sp_tree)) == roots
+
+    def test_fresh_delta_builds_branch_trees_only(self):
+        # the cycle basis and the net block read the same 43 trees
+        spec = EnsembleSpec(seed=1, vertex_range=(300, 300), beta1_range=(40, 40))
+        G = random_graph(spec, 0)
+        delta_n_bounds(G, 0, GraphPoint(vertex=G.vertices[0]), G.total_length / 150)
+        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._branch_roots()]
+        assert len(G._branch_roots()) == 43
+
+    def test_certificate_honours_the_slack(self):
+        # Dijkstra from s sets w to 10 through edge sw first and keeps it:
+        # the route through u is one ulp shorter, within the slack. So the
+        # row of exact minima is not Dijkstra's row, and Dijkstra's own row
+        # has an offer within the slack of its value: the certificate is
+        # sufficient, not necessary, and passes neither
+        G = MetricGraph(["s", "u", "w"], [("sw", "s", "w", 10.0), ("su", "s", "u", 4.0),
+                                         ("uw", "u", "w", 6.0 - 2.0 ** -49)])
+        assert G._sp_tree(0).dist == [0.0, 4.0, 10.0]
+        rows = np.array([[0.0, 4.0, 10.0], [0.0, 4.0, 10.0 - 2.0 ** -49]])
+        assert metric_graph._certified(G, rows, [0, 0]) == [0, 1]
+        # s is the root; w's candidate reaches s one ulp low, so its row is
+        # rebuilt, and u's is kept
+        _vd_sym(G)
+        assert memo_keys(G, MetricGraph._sp_tree) == [(0,), (2,)]
+        assert_table_is_trees(G)
+
+    def test_certificate_needs_a_lower_parent(self):
+        # 9 absorbs the edge vw, so v and w, both too low, would pass for
+        # each other's parent; neither has a parent below it
+        G = MetricGraph(["s", "v", "w"], [("sv", "s", "v", 10.0), ("sw", "s", "w", 10.0),
+                                         ("vw", "v", "w", 1e-20)])
+        assert G._sp_tree(0).dist == [0.0, 10.0, 10.0]
+        rows = np.array([[0.0, 10.0, 10.0], [0.0, 9.0, 9.0]])
+        assert metric_graph._certified(G, rows, [0, 0]) == [1]
+        assert_table_is_trees(G)
+
+    def test_grid_rows_fall_back(self):
+        G = grid_with_pendants(5)
+        _vd_sym(G)
+        roots = G._branch_roots()
+        built = {k for (k,) in memo_keys(G, MetricGraph._sp_tree)}
+        assert built > set(roots)
         assert_table_is_trees(G)
 
 
