@@ -8,6 +8,7 @@ verification check fails, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional
 
@@ -68,8 +69,8 @@ def _basepoint(G: MetricGraph, text: Optional[str]) -> GraphPoint:
 def _default_mesh(G: MetricGraph, mesh: Optional[float]) -> float:
     if mesh is None:
         return default_mesh(diameter(G))
-    if not mesh > 0:
-        raise click.UsageError("--mesh must be > 0")
+    if not 0 < mesh < math.inf:
+        raise click.UsageError("--mesh must be a finite number > 0")
     return mesh
 
 

@@ -23,6 +23,7 @@ it stays finite, and its tolerance a normal float.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -161,7 +162,11 @@ class MetricGraph:
     """Immutable connected multigraph with positive edge lengths."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Tuple[str, str, str, float]]):
-        vset: Set[str] = set(str(v) for v in vertices)
+        names = list(map(str, vertices))
+        vset: Set[str] = set(names)
+        if len(vset) < len(names):
+            dup = next(v for v, k in collections.Counter(names).items() if k > 1)
+            raise ValueError(f"duplicate vertex name: {dup}")
         edef: List[Edge] = []
         ids: Set[str] = set()
         for (eid, u, v, length) in edges:
@@ -416,60 +421,24 @@ class MetricGraph:
     @per_graph
     def _vd_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """The V x V vertex-distance table and its mask of filled rows, row
-        by row by ``_vd_rows`` or whole by ``_vd_sym``; a tree's is filled
-        whole by ``_tree_table``."""
+        by row by ``_vd_rows`` or whole by ``_vd_sym``."""
         n = len(self._vertices)
-        if len(self._edge_tuple) == n - 1:
-            return self._tree_table(), np.ones(n, dtype=bool)
         return np.empty((n, n)), np.zeros(n, dtype=bool)
 
     def _vd_rows(self, rows: np.ndarray) -> np.ndarray:
         """The V x V vertex-distance table, with row k (the ``_sp_tree``
         distances from vertex k, in vertex order) filled for every k in
-        ``rows``. A tree's table is filled whole, ``==`` to the trees, as
-        both add each unique path's lengths from its root outward;
-        otherwise rows come from ``_sp_tree`` on first use and are kept, so
+        ``rows``. Rows come from ``_sp_tree`` on first use and are kept, so
         only the requested roots' trees are built. A tree's Dijkstra covers
-        only the 2-core, and its pendant entries are the same sums from the
-        root outward, so every row is ``==`` to a Dijkstra over the whole
-        graph. The raw rows are not exactly symmetric: two roots' trees can
-        sum one path in different orders."""
+        only the 2-core, and its pendant entries are the sums from the root
+        outward, so every row is ``==`` to a Dijkstra over the whole graph.
+        The raw rows are not exactly symmetric: two roots' trees can sum
+        one path in different orders."""
         vd, filled = self._vd_table()
         for k in rows[~filled[rows]].tolist():
             vd[k] = self._sp_tree(k).dist
             filled[k] = True
         return vd
-
-    def _tree_table(self) -> np.ndarray:
-        """A tree's whole table (E = V - 1), in two sweeps over its
-        preorder from vertex 0, where each subtree is an index range. On a
-        tree, ``_sp_tree(x)`` sets each distance once, from the parent, so
-        its row sums the unique paths from x outward: (0.0 + l1) + l2 + ...
-        Each x in subtree(v) reaches v's parent u through v, and every other
-        x reaches v through u; both sweeps add that path's last edge to its
-        prefix, as the tree does, so the table is ``==`` to the trees' rows."""
-        n = len(self._vertices)
-        order, parent, plen, stack = [], [-1] * n, [0.0] * n, [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for (w, length, _) in self._iadj[v]:
-                if w != parent[v]:
-                    parent[w], plen[w] = v, length
-                    stack.append(w)
-        pos, size = {v: i for i, v in enumerate(order)}, [1] * n
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        # B[j, i]: the distance from the i-th vertex of the preorder to the j-th
-        B = np.zeros((n, n))
-        steps = [(pos[v], pos[parent[v]], pos[v] + size[v], plen[v]) for v in order[1:]]
-        for (i, q, end, length) in reversed(steps):  # x in subtree(v) to u
-            B[q, i:end] = B[i, i:end] + length
-        for (i, q, end, length) in steps:  # every other x to v
-            B[i, :i] = B[q, :i] + length
-            B[i, end:] = B[q, end:] + length
-        at = [pos[v] for v in range(n)]  # each vertex's place in the preorder
-        return B.T[np.ix_(at, at)]
 
     def _exits(self, pt: GraphPoint) -> List[Tuple[str, float]]:
         """(vertex, cost to reach it) pairs through which geodesics from pt
@@ -620,7 +589,8 @@ _CERT_BLOCK = 1 << 20  # row x directed-edge entries per certificate block
 
 def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
     """Fill every row of vd, each ``==`` to ``_sp_tree(root).dist``, from
-    the trees of the branch roots (``MetricGraph._branch_roots``) alone.
+    the trees of the branch roots (``MetricGraph._branch_roots``) alone. A
+    tree is a graph whose core is one vertex with no edges.
 
     Root r's Dijkstra starts on the core at s with value d: s = r and d =
     0.0 on the core, else s ends r's walk up its pendant tree and d is the
@@ -644,32 +614,58 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
     popped at its R and offered R[z], so dist[z] = R[z], and R[z] < R[w]
     <= dist[w] unless z = w; so z = w. The certificate is sufficient, not
     necessary (Dijkstra's row may hold an offer within the slack below a
-    value); a row that fails is rebuilt by ``_sp_tree``. The pendant
-    columns are then ``_sp_tree``'s pendant pass, for all rows at once:
-    each column is its parent column plus the edge, except on the rows
-    whose own walk passes it, which keep the walk's sums."""
+    value); a row that fails is rebuilt by ``_sp_tree``.
+
+    The pendant columns are ``_sp_tree``'s walk and pendant pass for all
+    rows at once, in two sweeps over the rows taken in a DFS preorder of
+    the pendant forest after the core, where each pendant vertex v's
+    subtree is a run of rows. Each row in subtree(v) reaches v's parent u
+    through v, and every other row reaches v through u; the bottom-up
+    sweep (which also gives each walk's d) and the top-down sweep add the
+    edge uv to the near end's value, as the tree does, so both are ``==``
+    to it."""
     up, pendant, _ = G._peel()
     iadj, n = G._iadj, len(G.vertices)
     roots = G._branch_roots()
-    is_root = [False] * n
-    for a in roots:
-        is_root[a] = True
+    branch = set(roots)
     core = [v for v in range(n) if up[v] is None]
-    cpos = [-1] * n
-    for i, v in enumerate(core):
-        cpos[v] = i
+    nc = len(core)
 
-    # each root's start s and value d, and the walk's (row, column, sum)
-    start, offset = list(range(n)), [0.0] * n
-    walk: List[Tuple[int, int, float]] = []
-    for r in pendant:
-        v, d = r, 0.0
-        while up[v] is not None:
-            walk.append((r, v, d))
-            u, length, _ = up[v]
-            d += length
-            v = u
-        start[r], offset[r] = v, d
+    # the rows: the core, then the pendant forest in DFS preorder, so each
+    # pendant vertex's subtree is a run of rows; pos[v] is v's row, and
+    # each row starts at its own core row or at its pendant tree's
+    kids: List[List[int]] = [[] for _ in range(n)]
+    for w in pendant:
+        kids[up[w][0]].append(w)
+    order, stack = core.copy(), [w for v in core for w in kids[v]]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += kids[v]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    spos, size = list(range(n)), [1] * n
+    for v in order[nc:]:
+        spos[pos[v]] = spos[pos[up[v][0]]]
+    for v in reversed(order[nc:]):
+        size[pos[up[v][0]]] += size[pos[v]]
+    runs = [(i, pos[up[v][0]], i + size[i], up[v][1]) for i, v in enumerate(order[nc:], nc)]
+    # the pendant leaves, whose runs are their own rows, are swept at once
+    inner = [run for run in runs if size[run[0]] > 1]
+    li, lq, ll = ([run[k] for run in runs if size[run[0]] == 1] for k in (0, 1, 3))
+
+    # B[x, i]: the distance from row i's root to row x's vertex, kept in
+    # vd's memory until the last step puts it in vertex order. Bottom-up,
+    # each row in subtree(v) reaches v's parent u through v: the walks,
+    # whose sums at the start are the offsets d
+    B = vd
+    B.flat[::n + 1] = 0.0  # the diagonal
+    B[lq, li] = B[li, li] + ll
+    for (i, q, j, length) in reversed(inner):
+        B[q, i:j] = B[i, i:j] + length
+    starts, every = np.array(spos), np.arange(n)
+    offset = B[starts, every].tolist()
 
     # the chains between roots: per core vertex off the roots, its chain
     # (the vertices c0 .. ck, c0 and ck roots, and the k lengths) and place
@@ -681,7 +677,7 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
                 continue
             verts, lengths = [a], [length]
             used.add(k)
-            while not is_root[w]:
+            while w not in branch:
                 verts.append(w)
                 for (x, length, j) in iadj[w]:
                     if j != k and up[x] is None:
@@ -698,9 +694,9 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
     direct_r, direct_c, direct_d = [], [], []
     reads: Dict[int, Dict[int, float]] = {a: {} for a in roots}
     for r in range(n):
-        if is_root[r]:
+        if order[r] in branch:
             continue
-        s, d = start[r], offset[r]
+        s, d = core[spos[r]], offset[r]
         if s not in chain_at:  # s is a root
             reads[s][r] = d
             continue
@@ -713,47 +709,36 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
                 if not 0 < j < len(verts) - 1:
                     break
                 direct_r.append(r)
-                direct_c.append(cpos[verts[j]])
+                direct_c.append(pos[verts[j]])
                 direct_d.append(x)
             a = verts[j]
             reads[a][r] = min(x, reads[a].get(r, math.inf))
 
     # the candidates: C[r, i] is row r's value at core vertex core[i]
-    nc = len(core)
     C = np.full((n, nc), math.inf)
     C[direct_r, direct_c] = direct_d
     for a, rows_of in reads.items():
         if rows_of:
-            rows = list(rows_of)
+            rows = np.array(list(rows_of))
             X = np.empty((nc, len(rows)))
-            X[cpos[a]] = list(rows_of.values())
-            for w, p, length in _tree_levels(G, a, cpos, nc):
+            X[pos[a]] = list(rows_of.values())
+            for w, p, length in _tree_levels(G, a, pos, nc):
                 X[w] = X[p] + length
             C[rows] = np.minimum(C[rows], X.T)
-    spos = [cpos[s] for s in start]
-    C[range(n), spos] = offset
-    bad = [r for r in _certified(G, C, spos) if not is_root[r]]
-
-    vd[:, core] = C
+    C[every, starts] = offset
+    bad = [order[r] for r in _certified(G, C, starts) if order[r] not in branch]
+    B[:nc] = C.T
     del C
-    # the pendant columns, level by level outward from the core (each
-    # vertex's parent comes first, so levels appear in order), each
-    # level's walk entries set after it
-    level = [0] * n
-    levels: List[List[int]] = []
-    for w in pendant:
-        level[w] = level[up[w][0]] + 1
-        if level[w] > len(levels):
-            levels.append([])
-        levels[level[w] - 1].append(w)
-    walks: List[List[Tuple[int, int, float]]] = [[] for _ in levels]
-    for entry in walk:
-        walks[level[entry[1]] - 1].append(entry)
-    for ws, entries in zip(levels, walks):
-        vd[:, ws] = vd[:, [up[w][0] for w in ws]] + [up[w][1] for w in ws]
-        if entries:
-            wr, wc, wd = zip(*entries)
-            vd[wr, wc] = wd
+
+    # top-down, every row outside subtree(v) reaches v through u; a
+    # leaf's row is read by no other pendant vertex, so the leaves go last
+    for (i, q, j, length) in inner:
+        B[i, :i] = B[q, :i] + length
+        B[i, j:] = B[q, j:] + length
+    B[li] = B[lq] + np.array(ll)[:, None]
+    B[li, li] = 0.0
+    at = np.array(pos)
+    vd[:] = B[at[:, None], at].T  # the gather copies B first
     for r in roots + bad:
         vd[r] = G._sp_tree(r).dist
 
@@ -762,7 +747,9 @@ def _certified(G: MetricGraph, C: np.ndarray, s: Sequence[int]) -> List[int]:
     """The rows of C that ``_replay_table``'s certificate does not pass,
     where C holds candidate core rows (one column per core vertex, in
     vertex order) that start at core positions s. It is checked for blocks
-    of rows x directed core edges (v, w, l), sorted by w."""
+    of about _CERT_BLOCK rows x directed core edges (v, w, l), sorted by w.
+    A core with no edges is one vertex, every row's start: it has nothing
+    to check, and no block."""
     up, iadj = G._peel()[0], G._iadj
     core = [v for v in range(len(up)) if up[v] is None]
     cpos = {v: i for i, v in enumerate(core)}
@@ -778,14 +765,15 @@ def _certified(G: MetricGraph, C: np.ndarray, s: Sequence[int]) -> List[int]:
     slack = 1e-15 * G._unit
     s = np.asarray(s)
     bad: List[int] = []
-    step = max(1, _CERT_BLOCK // len(src))
-    for b0 in range(0, len(C), step):
-        R = C[b0:b0 + step]
+    blocks = min(len(C), -(-len(C) * len(src) // _CERT_BLOCK))
+    for k in range(blocks):
+        b0, b1 = k * len(C) // blocks, (k + 1) * len(C) // blocks
+        R = C[b0:b1]
         Rv, Rw = R[:, src], R[:, dst]
         nd = Rv + lens
         eq = nd == Rw
         parent = np.logical_or.reduceat(eq & (Rv < Rw), first, axis=1)
-        parent[range(len(R)), s[b0:b0 + step]] = True
+        parent[range(len(R)), s[b0:b1]] = True
         ok = (eq | (Rw < nd - slack)).all(axis=1) & parent.all(axis=1)
         bad += (np.flatnonzero(~ok) + b0).tolist()
     return bad
@@ -847,9 +835,7 @@ def _metric(W: np.ndarray, ex: _Exits) -> np.ndarray:
 def finite_metric(G: MetricGraph, points: Sequence[GraphPoint]):
     """Pairwise distance matrix of the given points (numpy array), from the
     exit kernel (``_exit_block``). Duplicate points are fine; the result is
-    then a pseudometric. Only the exit vertices' trees are built (a tree's
-    whole table is filled at once by two sweeps, ``==`` to its
-    shortest-path trees; see ``MetricGraph._tree_table``)."""
+    then a pseudometric. Only the exit vertices' trees are built."""
     ex = _exit_arrays(G, [G.canonical(p) for p in points])
     # the exit vertices, ascending, and each exit's index among them
     used = np.zeros(len(G._vidx), dtype=bool)
@@ -1634,6 +1620,9 @@ def graph_from_json_obj(obj: dict) -> MetricGraph:
         raise ValueError("graph json needs 'vertices' and 'edges'")
     if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
         raise ValueError("graph json 'vertices' and 'edges' must be lists")
+    for v in obj["vertices"]:
+        if not isinstance(v, str):
+            raise ValueError(f"vertex name must be a string, not {v!r}")
     edges = []
     for e in obj["edges"]:
         if not isinstance(e, dict):
@@ -1641,6 +1630,9 @@ def graph_from_json_obj(obj: dict) -> MetricGraph:
         for k in ("id", "u", "v", "length"):
             if k not in e:
                 raise ValueError(f"edge entry missing '{k}'")
+        for k in ("id", "u", "v"):
+            if not isinstance(e[k], str):
+                raise ValueError(f"edge {k} must be a string, not {e[k]!r}")
         edges.append((e["id"], e["u"], e["v"], e["length"]))
     return MetricGraph(obj["vertices"], edges)
 

@@ -64,6 +64,7 @@ _TABLE_ROOTS = _TABLE + "test_only_branch_roots_on_tie_free_graphs"
 _TABLE_DELTA = _TABLE + "test_fresh_delta_builds_branch_trees_only"
 _TABLE_GRID = _TABLE + "test_grid_rows_fall_back"
 _CERT_SLACK = _TABLE + "test_certificate_honours_the_slack"
+_TREE_TABLE = "tests/test_metric_graph.py::TestTreeTable::test_matches_sp_trees"
 _CERT_PARENT = _TABLE + "test_certificate_needs_a_lower_parent"
 _HYP_ORACLE = ("tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[euclidean]",
                "tests/test_kernel_oracles.py::TestPrunedHyperbolicity::test_oracles[quarter-rounded]",
@@ -296,19 +297,32 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    for r in roots:\n",
            (_CERT_SLACK, _TABLE_GRID)),
     Mutant("table replay summed from the branch end, the offset added last", "metric_graph.py",
-           "            X[cpos[a]] = list(rows_of.values())\n"
-           "            for w, p, length in _tree_levels(G, a, cpos, nc):\n"
+           "            X[pos[a]] = list(rows_of.values())\n"
+           "            for w, p, length in _tree_levels(G, a, pos, nc):\n"
            "                X[w] = X[p] + length\n"
            "            C[rows] = np.minimum(C[rows], X.T)\n",
-           "            X[cpos[a]] = 0.0\n"
-           "            for w, p, length in _tree_levels(G, a, cpos, nc):\n"
+           "            X[pos[a]] = 0.0\n"
+           "            for w, p, length in _tree_levels(G, a, pos, nc):\n"
            "                X[w] = X[p] + length\n"
            "            C[rows] = np.minimum(C[rows], X.T + np.array(list(rows_of.values()))[:, None])\n",
            (_TABLE_ROOTS, _TABLE_DELTA)),
-    Mutant("table pendant column filled over the root's own walk", "metric_graph.py",
-           "            vd[wr, wc] = wd\n",
+    # the pendant columns: two sweeps over runs of a preorder
+    Mutant("table bottom-up sweep skipped", "metric_graph.py",
+           "        B[q, i:j] = B[i, i:j] + length\n",
+           "        pass\n",
+           (_TABLE_ROWS, _TREE_TABLE)),
+    Mutant("table leaves keep the top-down value on their own row", "metric_graph.py",
+           "    B[li, li] = 0.0\n",
            "",
-           (_TABLE_ROWS, _TABLE + "test_cli_large_graphs[1]")),
+           (_TABLE_ROWS, _TREE_TABLE)),
+    Mutant("table subtree run one short", "metric_graph.py",
+           "i + size[i], up[v][1])",
+           "i + size[i] - 1, up[v][1])",
+           (_TABLE_ROWS, _TREE_TABLE)),
+    Mutant("one-vertex core flags every row", "metric_graph.py",
+           "    return bad\n",
+           "    return bad if blocks else list(range(len(C)))\n",
+           (_TABLE_ROOTS, "tests/test_metric_graph.py::TestTreeTable::test_builds_the_core_tree_only")),
     # VR H1: apparent pairs on int32 values, implicit column reduction
     Mutant("VR pivot: last k of least value", "persistence.py",
            "    k = V.argmin(axis=1)\n",

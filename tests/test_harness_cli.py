@@ -451,6 +451,18 @@ def test_cli_nan_scale(tmp_path, theta, args, name):
     assert f"{name} must be" in result.output
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("args", [["net"], ["barcode"], ["hyp"], ["delta", "--n", "0"]],
+                         ids=lambda args: args[0])
+def test_cli_mesh_must_be_finite(tmp_path, theta, args, value):
+    # inf once reached the JSON writer (hyp, barcode, delta) or exited 0 (net)
+    path = _write_graph(tmp_path, theta, "theta.json")
+    result = CliRunner().invoke(main, args + ["--graph", path, "--mesh", value])
+    assert result.exit_code == 2, result.output
+    assert "--mesh must be a finite number > 0" in result.output
+    assert result.stdout == ""
+
+
 # every command that reads a graph file, with the arguments it needs
 _FUZZ_COMMANDS = (
     ["info"], ["seq"], ["tree"], ["smooth", "--epsilon", "0.5"], ["delta", "--n", "1"],
@@ -519,6 +531,9 @@ class TestCliFuzz:
     @example('{"vertices": ["a", "b", "c"], "edges": [{"id": "e0", "u": "a", "v": "b", "length": 1}]}')
     @example(json.dumps({"vertices": ["a", "b", "c"], "edges": [
         {"id": f"e{k}", "u": u, "v": v, "length": 5e307} for k, (u, v) in enumerate(["ab", "bc", "ca"])]}))
+    @example('{"vertices": [1, "1"], "edges": [{"id": "e", "u": 1, "v": "1", "length": 1.0}]}')
+    @example('{"vertices": ["a", "a", "b"], "edges": [{"id": "e", "u": "a", "v": "b", "length": 1.0}]}')
+    @example('{"vertices": [true, null, 1.5], "edges": [{"id": 1.5, "u": true, "v": null, "length": 1.0}]}')
     def test_odd_graph_files(self, tmp_path_factory, text):
         # bad input is a usage error (exit 2) where it enters; nothing else
         # escapes, and whatever exits 0 printed strict JSON

@@ -2,13 +2,14 @@ import collections
 import gc
 import json
 import math
+import re
 import sys
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metricgraph import (
     EdgePath,
@@ -78,6 +79,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate edge id"):
             MetricGraph(vertices=["a", "b"],
                         edges=[("e", "a", "b", 1.0), ("e", "a", "b", 2.0)])
+
+    def test_duplicate_vertex_name(self):
+        # a name given twice was one vertex; "1" and 1 are one name
+        with pytest.raises(ValueError, match="duplicate vertex name: a"):
+            MetricGraph(vertices=["a", "a", "b"], edges=[("e", "a", "b", 1.0)])
+        with pytest.raises(ValueError, match="duplicate vertex name: 1"):
+            MetricGraph(vertices=[1, "1"], edges=[("e", 1, "1", 1.0)])
 
     def test_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown endpoint"):
@@ -662,8 +670,9 @@ def assert_table_is_trees(G: MetricGraph):
 
 
 class TestTreeTable:
-    """A tree's whole vertex-distance table, filled by two sweeps, is ``==``
-    to its shortest-path trees' rows."""
+    """A tree's whole vertex-distance table, filled by the branch-root
+    replay on its one-vertex core, is ``==`` to its shortest-path trees'
+    rows."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(trees())
@@ -687,21 +696,35 @@ class TestTreeTable:
         assert S.betti1 == 0 and len(S.vertices) > 200
         assert_table_is_trees(S)
 
-    def test_builds_no_sp_tree(self, monkeypatch):
+    def test_builds_the_core_tree_only(self):
         spec = EnsembleSpec(seed=5, count=1, vertex_range=(40, 40), beta1_range=(0, 0))
         G = random_graph(spec, 0)
-
-        def fail(self, root):
-            raise AssertionError("_sp_tree called")
-
-        monkeypatch.setattr(MetricGraph, "_sp_tree", fail)
+        fresh = MetricGraph(G.vertices, [(e.id, e.u, e.v, e.length) for e in G.edges])
+        _vd_sym(fresh)
+        core = [v for v, u in enumerate(fresh._peel()[0]) if u is None]
+        assert memo_keys(fresh, MetricGraph._sp_tree) == [(core[0],)] and len(core) == 1
         net = epsilon_net(G, 0.5)
-        D = finite_metric(G, net)
-        diam = diameter(G)
-        monkeypatch.undo()
-        assert np.array_equal(D, finite_metric_exits.finite_metric(G, net))
-        assert diam == diameter_pairs.diameter(G)
+        assert np.array_equal(finite_metric(G, net), finite_metric_exits.finite_metric(G, net))
+        assert diameter(G) == diameter_pairs.diameter(G)
         assert_table_is_trees(G)
+
+
+def deep_pendant_graphs() -> list:
+    """A triangle with a 300-vertex pendant path, a 300-vertex path, and a
+    star of six 50-vertex paths, as (vertices, edges), with lengths from
+    {0.1, 0.2, 0.3} so the sums along a path round."""
+    def path(names, top):
+        return [(f"e{y}", x, y, 0.1 * (1 + k % 3)) for k, (x, y) in enumerate(zip([top] + names, names))]
+
+    p = [f"p{k}" for k in range(300)]
+    triangle = [("ab", "a", "b", 1.0), ("bc", "b", "c", 1.3), ("ca", "c", "a", 0.7)]
+    arms = [[f"s{i}_{k}" for k in range(50)] for i in range(6)]
+    return [(["a", "b", "c"] + p, triangle + path(p, "a")),
+            (p, path(p[1:], "p0")),
+            (["o"] + sum(arms, []), sum((path(arm, "o") for arm in arms), []))]
+
+
+DEEP_PENDANT = deep_pendant_graphs()
 
 
 def grid_with_pendants(k: int) -> MetricGraph:
@@ -725,6 +748,15 @@ class TestReplayedTable:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(tie_graphs(), pendant_graphs(), ensemble_graphs()),
            st.sampled_from([-60, 0, 60]))
+    @example(DEEP_PENDANT[0], -60)
+    @example(DEEP_PENDANT[0], 0)
+    @example(DEEP_PENDANT[0], 60)
+    @example(DEEP_PENDANT[1], -60)
+    @example(DEEP_PENDANT[1], 0)
+    @example(DEEP_PENDANT[1], 60)
+    @example(DEEP_PENDANT[2], -60)
+    @example(DEEP_PENDANT[2], 0)
+    @example(DEEP_PENDANT[2], 60)
     def test_rows_are_trees(self, graph, k):
         vertices, edges = graph
         assert_table_is_trees(MetricGraph(vertices, [(i, u, v, L * 2.0 ** k)
@@ -740,8 +772,7 @@ class TestReplayedTable:
     def test_only_branch_roots_on_tie_free_graphs(self, graph):
         G = MetricGraph(*graph)
         _vd_sym(G)
-        roots = {(r,) for r in G._branch_roots()} if G.betti1 else set()
-        assert set(memo_keys(G, MetricGraph._sp_tree)) == roots
+        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._branch_roots()]
 
     def test_fresh_delta_builds_branch_trees_only(self):
         # the cycle basis and the net block read the same 43 trees
@@ -953,6 +984,24 @@ class TestJson:
     def test_graph_schema_error(self):
         with pytest.raises(ValueError, match="vertices"):
             graph_from_json_obj({"edges": []})
+
+    @pytest.mark.parametrize("obj, message", [
+        # loaded as one vertex "1" with a loop (beta_1 = 1)
+        ({"vertices": [1, "1"], "edges": [{"id": "e", "u": 1, "v": "1", "length": 1.0}]},
+         "vertex name must be a string, not 1"),
+        # loaded as two vertices
+        ({"vertices": ["a", "a", "b"], "edges": [{"id": "e", "u": "a", "v": "b", "length": 1.0}]},
+         "duplicate vertex name: a"),
+        # true, null and 1.5 became the names "True", "None" and "1.5"
+        ({"vertices": [True, "b"], "edges": []}, "vertex name must be a string, not True"),
+        ({"vertices": ["a", "b"], "edges": [{"id": None, "u": "a", "v": "b", "length": 1.0}]},
+         "edge id must be a string, not None"),
+        ({"vertices": ["a", "1.5"], "edges": [{"id": "e", "u": "a", "v": 1.5, "length": 1.0}]},
+         "edge v must be a string, not 1.5"),
+    ])
+    def test_graph_ids_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_json_obj(json.loads(json.dumps(obj)))
 
     def test_point_roundtrip(self):
         for pt in (GraphPoint(vertex="a"), GraphPoint(edge="e", offset=0.25)):
