@@ -24,7 +24,7 @@ from .metric_graph import (
     _check_points,
     _net,
     _net_metric,
-    check_positive,
+    check_mesh,
     checked_distances,
     default_mesh,
     diameter,
@@ -375,7 +375,7 @@ def hyp_graph(G: MetricGraph, mesh: Optional[float] = None) -> Tuple[float, floa
     """Hyperbolicity of a mesh-net of G, with its approximation error
     4*mesh. The net and its distance block are G's memoised ones."""
     if mesh is not None:
-        check_positive("mesh", mesh)
+        check_mesh(mesh)
     if not G.edges:
         return 0.0, 0.0
     if mesh is None:
@@ -454,7 +454,7 @@ def dghl_bounds(G: MetricGraph, H: MetricGraph, R: Correspondence,
                 mesh: float) -> BoundReport:
     """Bounds for the labeled Gromov-Hausdorff distance realized by a
     correspondence between mesh-nets of G and H."""
-    check_positive("mesh", mesh)
+    check_mesh(mesh)
     return BoundReport(quantity="labeled gromov-hausdorff distance",
                        lowers=_dgh_lower_certificates(G, H),
                        uppers=(("correspondence distortion + 2*mesh",
@@ -479,7 +479,7 @@ def delta_n_bounds(G: MetricGraph, n: int, p: GraphPoint,
     if n < 0:
         raise ValueError("n must be >= 0")
     if mesh is not None:
-        check_positive("mesh", mesh)
+        check_mesh(mesh)
     beta = G.betti1
     name = f"delta_{n}"
     if beta <= n:

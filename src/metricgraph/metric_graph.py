@@ -80,6 +80,14 @@ def check_positive(name: str, x) -> None:
         raise ValueError(f"{name} must be > 0, not {x!r}")
 
 
+def check_mesh(mesh) -> None:
+    """``check_positive`` for a mesh, which must also keep 4 * mesh, the
+    largest net term a bound adds, finite."""
+    check_positive("mesh", mesh)
+    if not mesh <= sys.float_info.max / 4.0:
+        raise ValueError(f"mesh must be at most {sys.float_info.max / 4.0!r}, not {mesh!r}")
+
+
 def per_graph(build):
     """Memoise ``build(G, *key)`` in ``G._memo[(build, *key)]``: it runs on
     the first call for a (G, key), and every later call shares its result.
@@ -98,13 +106,28 @@ def per_graph(build):
     return memoised
 
 
+class _Kernel(NamedTuple):
+    """A graph's 2-core and pendant trees (see ``MetricGraph._kernel``).
+    ``up[v]`` is (u, length, k) for a pendant vertex v that hangs on u by
+    edge k, and None on the core. ``dist0`` is a tree's starting distances:
+    inf on the core, -inf on the pendant trees, so Dijkstra never reaches
+    a pendant vertex (no length improves on -inf)."""
+
+    up: List[Optional[Tuple[int, float, int]]]
+    pendant: List[int]  # outward from the core, each after the vertex it hangs on
+    dist0: List[float]
+    core: List[int]     # the core vertices, ascending
+    roots: List[int]    # the core's branch roots, ascending
+    edges: np.ndarray   # the edges with both ends on the core, ascending
+
+
 class _Tree(NamedTuple):
     """A shortest-path tree on vertex indices (see ``MetricGraph._sp_tree``)."""
 
     dist: List[float]   # per vertex, its distance from the root
     parent: List[int]   # per vertex, the vertex it is reached from (-1 at the root)
     via: List[int]      # per vertex, the index of its tree edge (-1 at the root)
-    order: List[int]    # every vertex once, root first, each after its parent
+    order: List[int]    # the core once, each after its parent; the root first if on the core
 
 
 @dataclass(frozen=True)
@@ -306,15 +329,14 @@ class MetricGraph:
     # -- shortest paths ----------------------------------------------------
 
     @per_graph
-    def _peel(self) -> Tuple[List[Optional[Tuple[int, float, int]]], List[int], List[float]]:
+    def _kernel(self) -> _Kernel:
         """The 2-core and the pendant trees, split by peeling leaves (degree 1,
-        parallel edges counted), as (up, pendant, dist0). ``up[v]`` is
-        (u, length, k) for a pendant vertex v that hangs on u by edge k, and
-        None on the core; ``pendant`` lists the pendant vertices outward
-        from the core, each after the vertex it hangs on. A tree keeps its
-        last vertex as its core. ``dist0`` is a tree's starting distances:
-        inf on the core, -inf on the pendant trees, so Dijkstra never
-        reaches a pendant vertex (no length improves on -inf)."""
+        parallel edges counted). A tree keeps its last vertex as its core.
+        The branch roots are the core vertices with at least 3 core-edge
+        ends as ``_iadj`` lists them (each parallel edge and both halves of
+        a loop), the degree the peel leaves them, or the first core vertex
+        when the core is one cycle. The cycle candidates and the vertex
+        table read only these roots' trees."""
         iadj = self._iadj
         deg = list(map(len, iadj))
         up: List[Optional[Tuple[int, float, int]]] = [None] * len(deg)
@@ -335,27 +357,23 @@ class MetricGraph:
             if deg[u] == 1:
                 leaves.append(u)
         peeled.reverse()
-        return up, peeled, dist0
-
-    def _branch_roots(self) -> List[int]:
-        """The core's branch vertices, those with at least 3 core-edge ends
-        as ``_iadj`` lists them (each parallel edge and both halves of a
-        loop), or its first vertex when the core is one cycle. The cycle
-        candidates and the vertex table read only these roots' trees."""
-        up, iadj = self._peel()[0], self._iadj
-        core = [v for v in range(len(up)) if up[v] is None]
-        return [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]
+        core = [v for v in range(len(deg)) if up[v] is None]
+        roots = [v for v in core if deg[v] >= 3] or core[:1]
+        oncore = np.array([u is None for u in up])
+        edges = oncore[self._ends].all(axis=1).nonzero()[0]
+        return _Kernel(up, peeled, dist0, core, roots, edges)
 
     @per_graph
     def _sp_tree(self, root: int) -> _Tree:
         """Shortest-path tree rooted at vertex index ``root``: per vertex
-        index its distance, parent and tree edge, and the settle order. Ties go to the first relaxation, in heap order
+        index its distance, parent and tree edge, and the core's settle
+        order. Ties go to the first relaxation, in heap order
         (distance, insertion counter), and an improvement counts only when
         it exceeds 1e-15 units (``_unit``), so the tree scales exactly with
         G. Distances, geodesics and the Horton cycle candidates all read
         this one tree; ``_vertex_dists`` reads it by vertex name.
 
-        Dijkstra runs on the core only (see ``_peel``), on the integer
+        Dijkstra runs on the core only (see ``_kernel``), on the integer
         adjacency list ``_iadj``, each vertex relaxing its edges in
         construction order. A root in a pendant tree first walks up to the
         core, and Dijkstra starts at the vertex it reaches with the distance
@@ -366,10 +384,10 @@ class MetricGraph:
         parent (float sums are monotone, so no longer route improves it),
         and its heap entries relax no core vertex. Leaving them out changes
         the counters but not the order of the core's entries, so every
-        ``dist``, ``parent`` and ``via`` is ``==`` to the full run's; only
-        ``order`` differs, still root first and each vertex after its
-        parent: the walk, then the core, then the other pendant vertices."""
-        up, pendant, dist0 = self._peel()
+        ``dist``, ``parent`` and ``via`` is ``==`` to the full run's.
+        ``order`` holds the core alone, as Dijkstra settles it: each vertex
+        after its parent, and the root first when it is on the core."""
+        up, pendant, dist0 = self._kernel()[:3]
         slack = 1e-15 * self._unit
         n = len(self._vertices)
         dist = dist0.copy()
@@ -378,7 +396,6 @@ class MetricGraph:
         order: List[int] = []
         v, d = root, 0.0
         while up[v] is not None:
-            order.append(v)
             dist[v] = d
             u, length, k = up[v]
             d += length
@@ -411,7 +428,6 @@ class MetricGraph:
                 dist[w] = dist[u] + length
                 parent[w] = u
                 via[w] = k
-                order.append(w)
         return _Tree(dist, parent, via, order)
 
     def _vertex_dists(self, source: str) -> Dict[str, float]:
@@ -589,7 +605,7 @@ _CERT_BLOCK = 1 << 20  # row x directed-edge entries per certificate block
 
 def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
     """Fill every row of vd, each ``==`` to ``_sp_tree(root).dist``, from
-    the trees of the branch roots (``MetricGraph._branch_roots``) alone. A
+    the trees of the branch roots (``MetricGraph._kernel``) alone. A
     tree is a graph whose core is one vertex with no edges.
 
     Root r's Dijkstra starts on the core at s with value d: s = r and d =
@@ -624,12 +640,9 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
     sweep (which also gives each walk's d) and the top-down sweep add the
     edge uv to the near end's value, as the tree does, so both are ``==``
     to it."""
-    up, pendant, _ = G._peel()
-    iadj, n = G._iadj, len(G.vertices)
-    roots = G._branch_roots()
+    up, pendant, _, core, roots, _ = G._kernel()
+    iadj, n, nc = G._iadj, len(G.vertices), len(core)
     branch = set(roots)
-    core = [v for v in range(n) if up[v] is None]
-    nc = len(core)
 
     # the rows: the core, then the pendant forest in DFS preorder, so each
     # pendant vertex's subtree is a run of rows; pos[v] is v's row, and
@@ -722,7 +735,7 @@ def _replay_table(G: MetricGraph, vd: np.ndarray) -> None:
             rows = np.array(list(rows_of))
             X = np.empty((nc, len(rows)))
             X[pos[a]] = list(rows_of.values())
-            for w, p, length in _tree_levels(G, a, pos, nc):
+            for w, p, length in _tree_levels(G, a, pos):
                 X[w] = X[p] + length
             C[rows] = np.minimum(C[rows], X.T)
     C[every, starts] = offset
@@ -750,18 +763,13 @@ def _certified(G: MetricGraph, C: np.ndarray, s: Sequence[int]) -> List[int]:
     of about _CERT_BLOCK rows x directed core edges (v, w, l), sorted by w.
     A core with no edges is one vertex, every row's start: it has nothing
     to check, and no block."""
-    up, iadj = G._peel()[0], G._iadj
-    core = [v for v in range(len(up)) if up[v] is None]
-    cpos = {v: i for i, v in enumerate(core)}
-    src, lens, count = [], [], []
-    for w in core:
-        ends = [(cpos[v], length) for (v, length, _) in iadj[w] if up[v] is None]
-        src += [v for v, _ in ends]
-        lens += [length for _, length in ends]
-        count.append(len(ends))
-    src, lens = np.array(src, dtype=np.int64), np.array(lens)
-    dst = np.repeat(np.arange(len(core)), count)
-    first = np.cumsum(count) - count
+    kernel = G._kernel()
+    ends = np.searchsorted(kernel.core, G._ends[kernel.edges])  # the core is ascending
+    vw = np.concatenate([ends, ends[:, ::-1]])  # each core edge both ways
+    by_w = vw[:, 1].argsort(kind="stable")
+    src, dst = vw[by_w].T.copy()
+    lens = np.concatenate([G._lengths[kernel.edges]] * 2)[by_w]
+    first = dst.searchsorted(np.arange(len(kernel.core)))
     slack = 1e-15 * G._unit
     s = np.asarray(s)
     bad: List[int] = []
@@ -779,17 +787,16 @@ def _certified(G: MetricGraph, C: np.ndarray, s: Sequence[int]) -> List[int]:
     return bad
 
 
-def _tree_levels(G: MetricGraph, a: int, cpos: List[int], nc: int) -> List[Tuple[np.ndarray, ...]]:
+def _tree_levels(G: MetricGraph, a: int, cpos: List[int]) -> List[Tuple[np.ndarray, ...]]:
     """Root a's tree on the core below a, level by level: per depth, the
     vertices' and their parents' core positions (``cpos``), and their tree
-    edges' lengths as a column. The tree settles the core (``nc``
-    vertices) first, each vertex after its parent, so depths appear in
-    order."""
+    edges' lengths as a column. The tree's order is the core, a first and
+    each vertex after its parent, so depths appear in order."""
     tree = G._sp_tree(a)
     parent, via = tree.parent, tree.via
     depth = [0] * len(parent)
     levels: List[List[int]] = []
-    for v in tree.order[1:nc]:
+    for v in tree.order[1:]:
         d = depth[v] = depth[parent[v]] + 1
         if d > len(levels):
             levels.append([])
@@ -1078,14 +1085,15 @@ def epsilon_net(G: MetricGraph, eps: float) -> List[GraphPoint]:
     """Vertices plus equally spaced interior points at spacing <= eps.
 
     Deterministic: vertices in sorted order, then edges in construction
-    order with ascending offsets. Covering radius is at most eps/2 along
-    each edge, so at most eps in the graph. At most _NET_POINTS points (see
-    ``_net``). The points are canonical: the longest edge gets fewer than
-    _NET_POINTS intervals, so eps > 1/_NET_POINTS length units, and each
-    interior point lies at least eps/2 inside its edge, far beyond the
-    tolerance of 1e-9 units. A net that G's memo holds is read from it;
-    any other is built without being filed, so a search over many meshes
-    leaves nothing behind.
+    order with ascending offsets. Covering radius is at most eps/2 in the
+    graph: a point of an edge lies within half a spacing of a net point on
+    the same edge, and the path along that edge bounds the geodesic
+    distance. At most _NET_POINTS points (see ``_net``). The points are
+    canonical: the longest edge gets fewer than _NET_POINTS intervals, so
+    eps > 1/_NET_POINTS length units, and each interior point lies at
+    least eps/2 inside its edge, far beyond the tolerance of 1e-9 units.
+    A net that G's memo holds is read from it; any other is built without
+    being filed, so a search over many meshes leaves nothing behind.
     """
     check_positive("eps", eps)
     net = G._memo.get((_net.__wrapped__, float(eps)))  # see per_graph

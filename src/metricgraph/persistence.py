@@ -322,28 +322,24 @@ def _horton_candidates(G: MetricGraph) -> List[int]:
     """Each edge closed by the shortest-path tree of each root, as GF(2)
     edge bitmasks in construction order. The roots are the core's branch
     vertices, or its first vertex when the core is one cycle (see
-    ``minimal_cycle_basis``); core-edge ends count as ``_iadj`` lists them,
-    each parallel edge and both halves of a loop. Pendant edges are
-    bridges, so they are in every tree and close nothing: only the core's
-    edges are closed (see ``MetricGraph._peel``), and only the core's
-    vertices get masks. A root's tree settles the core first, each parent
-    before its children, so one pass builds every mask, a core vertex's
-    tree path from the root: its parent's mask plus its tree edge."""
-    vidx = G._vidx
-    up = G._peel()[0]
-    ncore = up.count(None)
+    ``minimal_cycle_basis`` and ``MetricGraph._kernel``). Pendant edges
+    are bridges, so they are in every tree and close nothing: only the
+    core's edges are closed, and only the core's vertices get masks. A
+    root's tree settles the core alone, each parent before its children,
+    so one pass builds every mask, a core vertex's tree path from the
+    root: its parent's mask plus its tree edge."""
+    kernel = G._kernel()
     bits = [1 << k for k in range(len(G.edges))]
-    closable = [(k, a, b) for k, (a, b) in enumerate((vidx[e.u], vidx[e.v]) for e in G.edges)
-                if up[a] is None and up[b] is None]
+    closable = list(zip(kernel.edges.tolist(), G._ends[kernel.edges].tolist()))
     masks = [0] * len(G.vertices)
     cands: List[int] = []
-    for root in G._branch_roots():
+    for root in kernel.roots:
         tree = G._sp_tree(root)
         parent, via = tree.parent, tree.via
-        for v in tree.order[1:ncore]:
+        for v in tree.order[1:]:
             masks[v] = masks[parent[v]] ^ bits[via[v]]
         cands.extend(masks[a] ^ masks[b] ^ bits[k]
-                     for (k, a, b) in closable if via[a] != k and via[b] != k)
+                     for (k, (a, b)) in closable if via[a] != k and via[b] != k)
     return cands
 
 

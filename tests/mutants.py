@@ -268,20 +268,27 @@ MUTANTS: Tuple[Mutant, ...] = (
                  for kind in ("euclidean", "uniform"))),
     # Horton candidates from the 2-core's branch vertices
     Mutant("roots: core degree ≥ 4", "metric_graph.py",
-           "for (w, _, _) in iadj[v]) >= 3] or core[:1]",
-           "for (w, _, _) in iadj[v]) >= 4] or core[:1]",
+           "if deg[v] >= 3] or core[:1]",
+           "if deg[v] >= 4] or core[:1]",
            (_HORTON_LARGE, _ROOT_TREES, _LOOP_ROOTS)),
     # a loop is stored as two halves to one midpoint vertex, so counting
     # distinct neighbours counts it once
     Mutant("roots: a loop counted once", "metric_graph.py",
-           "sum(up[w] is None for (w, _, _) in iadj[v])",
-           "len({w for (w, _, _) in iadj[v] if up[w] is None})",
+           "if deg[v] >= 3]",
+           "if len({w for (w, _, _) in iadj[v] if up[w] is None}) >= 3]",
            (_LOOP_ROOTS, "tests/test_persistence.py::TestHortonWalkOracle::test_tie_graphs")),
     Mutant("roots: first core vertex only", "metric_graph.py",
-           "return [v for v in core if sum(up[w] is None for (w, _, _) in iadj[v]) >= 3] or core[:1]",
-           "return core[:1]",
+           "roots = [v for v in core if deg[v] >= 3] or core[:1]",
+           "roots = core[:1]",
            (_HORTON_LARGE, _ROOT_TREES,
             "tests/test_persistence.py::TestBranchRoots::test_cli_large_graphs[1]")),
+    # pendant edges are tree edges, so Horton closes none of them, and a
+    # row that fails its certificate falls back to _sp_tree: only the
+    # trees built and the record itself show the fault
+    Mutant("kernel: an edge with one end on the core counts as a core edge", "metric_graph.py",
+           "oncore[self._ends].all(axis=1)",
+           "oncore[self._ends].any(axis=1)",
+           (_TABLE_ROOTS, "tests/test_persistence.py::TestPendantTrees::test_pendant_graphs")),
     # the vertex table replayed from the branch roots' trees, each row
     # certified by Dijkstra's own comparisons
     Mutant("table certificate without its slack", "metric_graph.py",
@@ -298,11 +305,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            (_CERT_SLACK, _TABLE_GRID)),
     Mutant("table replay summed from the branch end, the offset added last", "metric_graph.py",
            "            X[pos[a]] = list(rows_of.values())\n"
-           "            for w, p, length in _tree_levels(G, a, pos, nc):\n"
+           "            for w, p, length in _tree_levels(G, a, pos):\n"
            "                X[w] = X[p] + length\n"
            "            C[rows] = np.minimum(C[rows], X.T)\n",
            "            X[pos[a]] = 0.0\n"
-           "            for w, p, length in _tree_levels(G, a, pos, nc):\n"
+           "            for w, p, length in _tree_levels(G, a, pos):\n"
            "                X[w] = X[p] + length\n"
            "            C[rows] = np.minimum(C[rows], X.T + np.array(list(rows_of.values()))[:, None])\n",
            (_TABLE_ROOTS, _TABLE_DELTA)),

@@ -175,6 +175,23 @@ class TestVerify:
         (10, "a2e425ea767a91acb52040b130cdac9f7cbf4a83229976532de488f33ff4b5bc"),
         (11, "d254366d394b7bb8e2f6046be34ce347f71584ddf13d58f4ae37a2afe7df9f62"),
         (12, "f5dffbac780922a78c544370dc4d6994f7e0904fd6d02ada47afffb95dc5d1cd"),
+        (13, "5b95d940950ac3326d45d007ba3920cf7e2ef3c75d68bce5644de923507afeb2"),
+        (14, "05be139c5e67485f8364952addf2194e13ab1613821502be2fa890d8d5a17306"),
+        (15, "e88c157ef166542c01fe7452458cd4ca9bd28dce2402f7b7607e963342b609f7"),
+        (16, "0679b230510410d411c3b10650ae221efd5e2817e8d909d8671ad1b7ad56ccde"),
+        (17, "95f39c028e2e96b1017fd801ecc97f1bc87eb3d9b31bf0f6dd386a0a78a111a7"),
+        (18, "2e51e17f01b4a4fc3008a9baa015004e6d600d1c77bd0ff203ab5eaccadc82b2"),
+        (19, "8cd9849e2827c943176c4e3695f32e05dc17f3d86cc1a0953dcdcb3007f695c1"),
+        (20, "0528435da11aea9a14ea60b8e390f1ef01963e50499b1ba1530e4f2cdec95ad5"),
+        (21, "15b42fba960a1abeebc551c7d1d07a261e220a9e4046e85258c974573fda0613"),
+        (22, "2e083d886e3ef60f684d877cc5c184323ca757da7ef3ded1aa0319f4fdaf5cc0"),
+        (23, "9ca04b5bb8db6a1de256a1241fbfc982ea2c572f0d18ed1f33f262d6077fc901"),
+        (24, "41aeb570d08073b43c34a88281b07889d222dfcce7238867f974dad2c3ff1d3b"),
+        (25, "f72b574306333eb2427df85157956c431523cbe52ac83fdb9cf1eafc19faf711"),
+        (26, "ba2d402a68a29f73881cee970e70150f5d3565cf91d2c67687c3e3987c30ebd8"),
+        (27, "3f336deed48c35ee31b7e67ad5f320ac3c0327300fb0653a0301c798d69cd8b6"),
+        (28, "ccbb6db83d5ebd18480a79fad6f730ca344955b98055b5cd0c50922e9975843b"),
+        (29, "ed017c954cc4e5afdd280f9356cf1464c8cd87b6146e1965a4bf48742c2901cd"),
     ])
     def test_csv_pinned(self, seed, digest):
         csv = verify(EnsembleSpec(seed=seed, count=10)).to_csv()
@@ -461,6 +478,17 @@ def test_cli_mesh_must_be_finite(tmp_path, theta, args, value):
     assert result.exit_code == 2, result.output
     assert "--mesh must be a finite number > 0" in result.output
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["hyp"], ["delta", "--n", "0"]], ids=lambda args: args[0])
+def test_cli_mesh_with_infinite_net_term(tmp_path, theta, args):
+    # 4 * 1e308 overflows: the inf bounds once reached the JSON writer,
+    # which alone refused them
+    path = _write_graph(tmp_path, theta, "theta.json")
+    result = CliRunner().invoke(main, args + ["--graph", path, "--mesh", "1e308"])
+    assert result.exit_code == 2, result.output
+    assert "mesh must be at most" in result.output
+    assert "Out of range float values" not in result.output
 
 
 # every command that reads a graph file, with the arguments it needs

@@ -701,7 +701,7 @@ class TestTreeTable:
         G = random_graph(spec, 0)
         fresh = MetricGraph(G.vertices, [(e.id, e.u, e.v, e.length) for e in G.edges])
         _vd_sym(fresh)
-        core = [v for v, u in enumerate(fresh._peel()[0]) if u is None]
+        core = fresh._kernel().core
         assert memo_keys(fresh, MetricGraph._sp_tree) == [(core[0],)] and len(core) == 1
         net = epsilon_net(G, 0.5)
         assert np.array_equal(finite_metric(G, net), finite_metric_exits.finite_metric(G, net))
@@ -772,15 +772,15 @@ class TestReplayedTable:
     def test_only_branch_roots_on_tie_free_graphs(self, graph):
         G = MetricGraph(*graph)
         _vd_sym(G)
-        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._branch_roots()]
+        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._kernel().roots]
 
     def test_fresh_delta_builds_branch_trees_only(self):
         # the cycle basis and the net block read the same 43 trees
         spec = EnsembleSpec(seed=1, vertex_range=(300, 300), beta1_range=(40, 40))
         G = random_graph(spec, 0)
         delta_n_bounds(G, 0, GraphPoint(vertex=G.vertices[0]), G.total_length / 150)
-        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._branch_roots()]
-        assert len(G._branch_roots()) == 43
+        assert sorted(memo_keys(G, MetricGraph._sp_tree)) == [(r,) for r in G._kernel().roots]
+        assert len(G._kernel().roots) == 43
 
     def test_certificate_honours_the_slack(self):
         # Dijkstra from s sets w to 10 through edge sw first and keeps it:
@@ -812,7 +812,7 @@ class TestReplayedTable:
     def test_grid_rows_fall_back(self):
         G = grid_with_pendants(5)
         _vd_sym(G)
-        roots = G._branch_roots()
+        roots = G._kernel().roots
         built = {k for (k,) in memo_keys(G, MetricGraph._sp_tree)}
         assert built > set(roots)
         assert_table_is_trees(G)
@@ -871,7 +871,7 @@ class TestMemo:
         assert memo.keys() == kept.keys()
         assert all(memo[k] is v for k, v in kept.items())
         assert {k[0].__name__ for k in memo} == {
-            "_peel", "_sp_tree", "_vd_table", "diameter", "_cycle_lengths",
+            "_kernel", "_sp_tree", "_vd_table", "diameter", "_cycle_lengths",
             "persistence_sequence", "_build_monotone_model", "_merge_tree_at",
             "_sweep_at", "_net", "_net_metric", "_vd_sym", "_model_arrays",
             "_net_places"}
@@ -1047,6 +1047,19 @@ def test_bad_scale_rejected(theta, call, name, bad):
     # length, as for edge lengths
     with pytest.raises(ValueError, match=name):
         call(theta, GraphPoint(vertex="u"), bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, p, x: dghl_bounds(G, G, quotient_correspondence(
+        G, epsilon_smoothing(G, p, 0.5), 1.0), x),
+    lambda G, p, x: delta_n_bounds(G, 0, p, x),
+    lambda G, p, x: hyp_graph(G, x),
+], ids=["dghl_bounds", "delta_n_bounds", "hyp_graph"])
+def test_mesh_with_infinite_net_term_rejected(theta, call):
+    # 4 * 1e308 overflows: hyp_graph's error and two of delta_n_bounds'
+    # uppers were inf
+    with pytest.raises(ValueError, match="mesh must be at most"):
+        call(theta, GraphPoint(vertex="u"), 1e308)
 
 
 @pytest.mark.parametrize("k", [4.0, 1.0])

@@ -340,10 +340,12 @@ class TestHortonWalkOracle:
             assert dict(zip(names, tree.dist)) == dist
             assert {names[v]: (names[tree.parent[v]], eids[tree.via[v]])
                     for v in range(len(names)) if v != r} == parent
-            # every vertex once, root first, each after its parent
-            assert sorted(tree.order) == list(range(len(names)))
+            # the core once, each vertex after its parent, and the root
+            # first when it is on the core
+            core = G._kernel().core
+            assert sorted(tree.order) == core
             rank = {v: k for k, v in enumerate(tree.order)}
-            assert tree.order[0] == r
+            assert tree.order[0] == r or r not in core
             assert all(rank[tree.parent[v]] < rank[v] for v in tree.order[1:])
         roots = horton_walks.branch_roots(G)
         assert _horton_candidates(G) == horton_walks.horton_candidates(G, roots)
@@ -401,8 +403,10 @@ class TestPendantTrees:
         # the core is the 2-core: every core vertex has two core edges (a
         # tree keeps one vertex), every pendant vertex hangs on its parent
         # by a bridge, and the pendant list runs outward from the core
-        up, pendant, _ = G._peel()
+        kernel = G._kernel()
+        up, pendant = kernel.up, kernel.pendant
         core = [v for v in range(len(G.vertices)) if up[v] is None]
+        assert kernel.core == core
         assert sorted(core + pendant) == list(range(len(G.vertices)))
         rank = {v: k for k, v in enumerate(pendant)}
         for v in pendant:
@@ -413,8 +417,15 @@ class TestPendantTrees:
         coreset = set(core)
         if len(core) > 1 or G.betti1:
             assert all(sum(w in coreset for (w, _, _) in G._iadj[v]) >= 2 for v in core)
+            # the 2-core is unique, and so are its branch vertices
+            assert kernel.roots == [G._vidx[v] for v in horton_walks.branch_roots(G)]
         else:
-            assert len(core) == 1
+            # a tree keeps one vertex, whichever the peel reaches last
+            assert len(core) == 1 and kernel.roots == core
+        # the core edges: both ends on the core
+        vidx = G._vidx
+        assert kernel.edges.tolist() == [k for k, e in enumerate(G.edges)
+                                         if up[vidx[e.u]] is None and up[vidx[e.v]] is None]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pendant_graphs(), st.sampled_from([-60, 0, 60]))
@@ -436,14 +447,15 @@ class TestPendantTrees:
         for graph, pendant in ((TWO_AT_ONE, 5), (HANGING_PATHS, 3), (NO_PENDANT, 0),
                                (LONG_PATH, 8)):
             G = MetricGraph(*graph)
-            assert len(G._peel()[1]) == pendant
+            assert len(G._kernel().pendant) == pendant
         G = MetricGraph(*TWO_AT_ONE)
         # from the deepest root the walk reaches the core at a, at distance 3
         tree = G._sp_tree(G._vidx["y3"])
         a = G._vidx["a"]
-        up = G._peel()[0]
+        up = G._kernel().up
         assert [up[G._vidx[v]][0] for v in ("x1", "y1")] == [a, a]
-        assert tree.order[:4] == [G._vidx[v] for v in ("y3", "y2", "y1", "a")]
+        # the order holds the core alone, from where the walk reaches it
+        assert tree.order[0] == a and sorted(tree.order) == G._kernel().core
         assert tree.dist[a] == 3.0
 
     def test_large_graphs(self):
@@ -452,7 +464,7 @@ class TestPendantTrees:
             spec = EnsembleSpec(seed=seed, vertex_range=(300, 300), beta1_range=(40, 40))
             G = random_graph(spec, 0)
             TestHortonWalkOracle.assert_same(G)
-            assert len(G._peel()[1]) > len(G.vertices) // 2
+            assert len(G._kernel().pendant) > len(G.vertices) // 2
 
 
 # a tie the branch roots break otherwise than every root: the triangle
